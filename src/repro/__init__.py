@@ -47,7 +47,6 @@ from repro.schemes import (
     register_scheme,
     available_schemes,
     scheme_from_config,
-    make_scheme,
 )
 from repro.cluster import ClusterSpec, WorkerSpec, solve_p2_allocation
 from repro.stragglers import (
@@ -116,7 +115,6 @@ __all__ = [
     "register_scheme",
     "available_schemes",
     "scheme_from_config",
-    "make_scheme",
     # unified API
     "JobSpec",
     "Workload",

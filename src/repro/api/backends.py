@@ -45,7 +45,6 @@ from repro.runtime.job import run_distributed_job
 from repro.schemes.base import ExecutionPlan
 from repro.simulation.iteration import IterationOutcome
 from repro.simulation.job import RepeatedOutcomeLog, simulate_job, simulate_training_run
-from repro.simulation.kernels import validate_kernels
 from repro.simulation.vectorized import (
     resolve_engine,
     simulate_job_batch,
@@ -92,23 +91,14 @@ class TimingSimBackend:
         overrides this per run, so one sweep can compare engines. The
         engines consume the random stream identically and therefore return
         bit-identical results; ``auto`` simply picks by job size.
-    kernels:
-        Hot-loop backend for the vectorized engine — ``"auto"`` (default),
-        ``"numba"``, ``"cext"``, or ``"numpy"``; see
-        :mod:`repro.simulation.kernels`. A spec-level
-        ``backend_options["kernels"]`` overrides this per run. Every kernel
-        backend is bit-identical, so the knob (like ``engine``) never
-        changes a result — it is deliberately excluded from the backend's
-        cache identity.
     """
 
     name = "timing"
 
-    _OPTIONS = frozenset({"engine", "kernels"})
+    _OPTIONS = frozenset({"engine"})
 
-    def __init__(self, engine: str = "auto", kernels: str = "auto") -> None:
+    def __init__(self, engine: str = "auto") -> None:
         self.engine = validate_engine(engine)
-        self.kernels = validate_kernels(kernels)
 
     def _checked_options(self, spec: JobSpec) -> dict:
         """The spec's backend options, rejecting unrecognised keys.
@@ -130,7 +120,6 @@ class TimingSimBackend:
         """Simulate ``spec`` and return its timing-only :class:`RunResult`."""
         options = self._checked_options(spec)
         engine = options.pop("engine", self.engine)
-        kernels = options.pop("kernels", self.kernels)
         job = simulate_job(
             spec.resolve_scheme(),
             spec.require_cluster(),
@@ -140,7 +129,6 @@ class TimingSimBackend:
             unit_size=spec.resolved_unit_size,
             serialize_master_link=spec.serialize_master_link,
             engine=engine,
-            kernels=kernels,
         )
         return RunResult.from_job(job, backend=self.name)
 
@@ -148,10 +136,6 @@ class TimingSimBackend:
     def _spec_engine(self, spec: JobSpec) -> str:
         """The engine a spec would run on (spec-level option wins)."""
         return spec.backend_options.get("engine", self.engine)
-
-    def _spec_kernels(self, spec: JobSpec) -> str:
-        """The kernel backend a spec would run on (spec-level option wins)."""
-        return spec.backend_options.get("kernels", self.kernels)
 
     def supports_trial_batching(self, spec: JobSpec, *, num_trials: int = 1) -> bool:
         """Whether :meth:`run_batch` can execute this spec.
@@ -213,7 +197,6 @@ class TimingSimBackend:
             seeds=seeds,
             unit_size=spec.resolved_unit_size,
             serialize_master_link=spec.serialize_master_link,
-            kernels=self._spec_kernels(spec),
         )
         results = [RunResult.from_job(job, backend=self.name) for job in jobs]
         if record == "summary":

@@ -741,88 +741,3 @@ class StrictCoreAnnotationRule(Rule):
         if node.returns is None:
             missing.append("return")
         return missing
-
-
-@register_rule
-class KernelSourcePurityRule(Rule):
-    """KERN001 — compiled-kernel sources stay inside the nopython subset."""
-
-    id = "KERN001"
-    title = "@jit_source kernel functions use only the nopython subset"
-    severity = Severity.ERROR
-    rationale = (
-        "The functions repro.simulation.kernels.sources marks with "
-        "@jit_source are the single source the numba backend compiles and "
-        "the C backend mirrors line by line. Python-object features — "
-        "dict/set containers, raise/try, string formatting, print — either "
-        "fail numba's nopython compilation or (worse) silently diverge "
-        "from the C translation, so the compiled and interpreted kernels "
-        "would no longer be the same function. Infeasibility is signalled "
-        "with sentinel values, never exceptions."
-    )
-
-    _SCOPE = ("repro.simulation.kernels",)
-
-    def check(self, module: ModuleContext, project: ProjectModel) -> Iterator[Finding]:
-        if module.tree is None or not module.in_package(*self._SCOPE):
-            return
-        for node in ast.walk(module.tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if not any(
-                self._is_jit_source(decorator) for decorator in node.decorator_list
-            ):
-                continue
-            yield from self._audit(module, node)
-
-    @staticmethod
-    def _is_jit_source(decorator: ast.expr) -> bool:
-        target = decorator.func if isinstance(decorator, ast.Call) else decorator
-        chain = _dotted(target)
-        return bool(chain) and chain[-1] == "jit_source"
-
-    def _audit(
-        self, module: ModuleContext, function: "ast.FunctionDef | ast.AsyncFunctionDef"
-    ) -> Iterator[Finding]:
-        for node in ast.walk(function):
-            offence = self._violation(node)
-            if offence is None:
-                continue
-            yield self.finding(
-                module,
-                node.lineno,
-                f"{offence} in compiled-kernel source {function.name!r};"
-                " @jit_source bodies must stay in the nopython subset"
-                " (arrays, scalars, loops — sentinel values instead of"
-                " exceptions) so the numba and C backends compile the"
-                " same function",
-                column=node.col_offset,
-            )
-
-    @staticmethod
-    def _violation(node: ast.AST) -> Optional[str]:
-        """The nopython-subset offence of one AST node, or None."""
-        if isinstance(node, (ast.Dict, ast.DictComp)):
-            return "dict literal"
-        if isinstance(node, (ast.Set, ast.SetComp)):
-            return "set literal"
-        if isinstance(node, ast.Raise):
-            return "`raise` statement"
-        if isinstance(node, (ast.Try, ast.TryStar)):
-            return "`try` block"
-        if isinstance(node, ast.JoinedStr):
-            return "f-string"
-        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod):
-            if isinstance(node.left, ast.Constant) and isinstance(
-                node.left.value, str
-            ):
-                return "%-formatting"
-        if isinstance(node, ast.Call):
-            if isinstance(node.func, ast.Attribute) and node.func.attr == "format":
-                return "str.format() call"
-            chain = _dotted(node.func)
-            if chain == ("print",):
-                return "print() call"
-            if chain in (("dict",), ("set",)):
-                return f"{chain[0]}() constructor"
-        return None

@@ -1,10 +1,10 @@
-"""The ``repro lint`` command-line interface.
+"""The ``repro lint`` sub-command: its arguments and its execution.
 
-Reachable three ways, all equivalent::
+The experiments CLI mounts :func:`build_parser` as its ``lint``
+sub-command and dispatches to :func:`run`::
 
     python -m repro lint src/repro
-    python -m repro.experiments.cli lint src/repro --format json
-    python -m repro.devtools.cli src/repro --select EXC001,RNG001
+    python -m repro lint src/repro --format json --select EXC001,RNG001
 
 Exit status: 0 when the tree is clean, 1 when any finding (of any severity)
 was reported, 2 on a usage error. CI runs ``--format json`` and fails the
@@ -16,26 +16,19 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
 
 from repro.devtools.engine import iter_python_files, lint_modules
 from repro.devtools.context import ModuleContext
 from repro.devtools.reporting import format_json, format_rule_listing, format_text
 from repro.exceptions import ReproError
 
-__all__ = ["build_parser", "run", "main"]
+__all__ = ["build_parser", "run"]
 
 DEFAULT_PATHS = ("src/repro",)
 
 
-def build_parser(parser: Optional[argparse.ArgumentParser] = None) -> argparse.ArgumentParser:
-    """The ``lint`` argument parser (reused by the experiments CLI)."""
-    if parser is None:
-        parser = argparse.ArgumentParser(
-            prog="repro lint",
-            description="Statically check the repo's determinism, parity, and"
-            " exception-hierarchy contracts.",
-        )
+def build_parser(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """Add the ``lint`` arguments to the experiments CLI's sub-parser."""
     parser.add_argument(
         "paths",
         nargs="*",
@@ -83,13 +76,3 @@ def run(args: argparse.Namespace) -> int:
     print(formatter(findings, checked_files=len(files)))
     return 1 if findings else 0
 
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """Standalone entry point (``python -m repro.devtools.cli``)."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return run(args)
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via subprocess
-    sys.exit(main())

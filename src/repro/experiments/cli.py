@@ -183,17 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sweep.add_argument(
-        "--kernels",
-        choices=("auto", "numba", "cext", "numpy"),
-        default="auto",
-        help=(
-            "hot-loop kernel backend for the vectorized engine: numba-JIT "
-            "(soft dependency), the build-on-first-use C extension, the "
-            "NumPy reference, or auto (numba when installed, else numpy); "
-            "all backends are bit-identical, only speed differs"
-        ),
-    )
-    sweep.add_argument(
         "--dynamics",
         metavar="NAME[:k=v,...]",
         default=None,
@@ -558,9 +547,7 @@ def run_cli_sweep(args: argparse.Namespace) -> str:
     if args.backend == "timing":
         from repro.api import TimingSimBackend
 
-        backend = TimingSimBackend(
-            engine=args.engine, kernels=getattr(args, "kernels", "auto")
-        )
+        backend = TimingSimBackend(engine=args.engine)
     else:
         # "semantic" and "analytic" resolve by name; --engine only steers the
         # timing backend.

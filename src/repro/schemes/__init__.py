@@ -53,8 +53,6 @@ from repro.schemes.registry import (
     get_scheme_class,
     scheme_accepts,
     scheme_from_config,
-    scheme_registry,
-    make_scheme,
 )
 
 __all__ = [
@@ -80,6 +78,4 @@ __all__ = [
     "get_scheme_class",
     "scheme_accepts",
     "scheme_from_config",
-    "scheme_registry",
-    "make_scheme",
 ]

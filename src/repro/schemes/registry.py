@@ -17,15 +17,10 @@ Construction goes through :meth:`Scheme.from_config`, which validates every
 key against the scheme's constructor (inapplicable parameters raise
 :class:`~repro.exceptions.ConfigurationError` rather than being silently
 dropped) and injects the ambient cluster into the heterogeneous schemes.
-
-:func:`make_scheme` and :func:`scheme_registry` are the legacy entry points
-kept as thin deprecated shims; new code should use
-:func:`scheme_from_config` / :func:`available_schemes`.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Callable, Dict, List, Mapping, Optional, Type, Union
 
 from repro.exceptions import ConfigurationError
@@ -37,8 +32,6 @@ __all__ = [
     "get_scheme_class",
     "scheme_accepts",
     "scheme_from_config",
-    "scheme_registry",
-    "make_scheme",
 ]
 
 #: A value that can be resolved into a scheme: an instance, a registered
@@ -137,94 +130,3 @@ def scheme_from_config(
         f"cannot build a scheme from {type(config).__name__}; expected a "
         "Scheme, a registered name, or a config mapping"
     )
-
-
-# --------------------------------------------------------------------------- #
-# Legacy shims
-# --------------------------------------------------------------------------- #
-#: Names the pre-registry factory exposed; the heterogeneous schemes are
-#: excluded because they cannot be built from a bare ``load``.
-_LEGACY_NAMES = (
-    "bcc",
-    "uncoded",
-    "randomized",
-    "cyclic-repetition",
-    "reed-solomon",
-    "fractional-repetition",
-    "ignore-stragglers",
-)
-
-
-_DEPRECATION_POINTER = (
-    "see the scheme-registry page of the documentation site "
-    "(docs/registry.rst) for the replacement API"
-)
-
-
-def scheme_registry() -> Dict[str, Callable[..., Scheme]]:
-    """Deprecated mapping from legacy scheme name to constructor.
-
-    Kept for backward compatibility with the pre-``register_scheme`` API; it
-    lists only the schemes constructible from a bare ``load``. New code
-    should use :func:`available_schemes` and :func:`scheme_from_config`.
-
-    .. deprecated::
-        Use :func:`available_schemes` / :func:`scheme_from_config`.
-    """
-    warnings.warn(
-        "scheme_registry() is deprecated; use available_schemes() and "
-        f"scheme_from_config() instead — {_DEPRECATION_POINTER}",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-
-    def legacy_constructor(key: str) -> Callable[..., Scheme]:
-        def build(load: Optional[int] = None) -> Scheme:
-            return make_scheme(key) if load is None else make_scheme(key, load=load)
-
-        return build
-
-    return {key: legacy_constructor(key) for key in _LEGACY_NAMES}
-
-
-def make_scheme(name: str, load: int = 1, **kwargs: object) -> Scheme:
-    """Construct a scheme by name (deprecated shim over the config registry).
-
-    .. deprecated::
-        Use :func:`scheme_from_config` — it validates every parameter against
-        the scheme's constructor instead of silently ignoring them.
-
-    Parameters
-    ----------
-    name:
-        Any registered scheme name (see :func:`available_schemes`).
-    load:
-        Computational load ``r`` for the schemes that take one. Passing a
-        non-default load to a scheme without a ``load`` parameter warns and
-        ignores it (the historical behaviour); the strict path is
-        :func:`scheme_from_config`, which raises instead.
-    kwargs:
-        Additional constructor arguments — e.g.
-        ``make_scheme("generalized-bcc", loads=[2, 0, 3])`` or
-        ``make_scheme("load-balanced", cluster=my_cluster)`` — so the
-        heterogeneous schemes are constructible by name too.
-    """
-    warnings.warn(
-        "make_scheme() is deprecated; use scheme_from_config() instead — "
-        f"{_DEPRECATION_POINTER}",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    cls = get_scheme_class(name)
-    options: Dict[str, object] = dict(kwargs)
-    cluster = options.pop("cluster", None)
-    if "load" in cls.constructor_parameters():
-        options.setdefault("load", load)
-    elif load != 1:
-        warnings.warn(
-            f"scheme {name!r} takes no computational load; ignoring load={load} "
-            "(scheme_from_config raises on inapplicable parameters)",
-            UserWarning,
-            stacklevel=2,
-        )
-    return cls.from_config(options, cluster=cluster)

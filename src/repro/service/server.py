@@ -89,6 +89,34 @@ _REQUEST_KEYS = {
 }
 
 
+def _is_a(value: object, kind: type) -> bool:
+    """``isinstance``, except that JSON booleans are not integers."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _int_field(payload: Mapping[str, object], key: str, default: int) -> int:
+    """An integer request field; any other JSON type is a configuration error."""
+    value = payload.get(key, default)
+    if not _is_a(value, int):
+        raise ConfigurationError(
+            f"request field {key!r} must be an integer, got {value!r}"
+        )
+    return value  # type: ignore[return-value]
+
+
+def _list_field(
+    payload: Mapping[str, object], key: str, default: list, kind: type
+) -> list:
+    """A list request field whose items are all of type ``kind``."""
+    value = payload.get(key, default)
+    if not isinstance(value, list) or not all(_is_a(item, kind) for item in value):
+        raise ConfigurationError(
+            f"request field {key!r} must be a list of {kind.__name__} values, "
+            f"got {value!r}"
+        )
+    return list(value)
+
+
 def sweep_from_request(payload: Mapping[str, object]) -> Tuple[Sweep, str, str]:
     """Build the sweep (and run options) described by one JSON request.
 
@@ -103,8 +131,8 @@ def sweep_from_request(payload: Mapping[str, object]) -> Tuple[Sweep, str, str]:
             f"unknown request key(s) {sorted(unknown)}; expected a subset "
             f"of {sorted(_REQUEST_KEYS)}"
         )
-    scheme_names = list(payload.get("schemes", ["bcc", "uncoded"]))  # type: ignore[arg-type]
-    loads = [int(load) for load in payload.get("loads", [5, 10, 25])]  # type: ignore[union-attr]
+    scheme_names = _list_field(payload, "schemes", ["bcc", "uncoded"], str)
+    loads = _list_field(payload, "loads", [5, 10, 25], int)
     if not scheme_names:
         raise ConfigurationError("the request must name at least one scheme")
     for name in scheme_names:
@@ -128,12 +156,12 @@ def sweep_from_request(payload: Mapping[str, object]) -> Tuple[Sweep, str, str]:
 
     base = JobSpec(
         scheme=scheme_configs[0],
-        cluster=ec2_like_cluster(int(payload.get("workers", 50))),  # type: ignore[arg-type]
-        num_units=int(payload.get("units", 50)),  # type: ignore[arg-type]
-        num_iterations=int(payload.get("iterations", 20)),  # type: ignore[arg-type]
-        unit_size=int(payload.get("unit_size", 100)),  # type: ignore[arg-type]
+        cluster=ec2_like_cluster(_int_field(payload, "workers", 50)),
+        num_units=_int_field(payload, "units", 50),
+        num_iterations=_int_field(payload, "iterations", 20),
+        unit_size=_int_field(payload, "unit_size", 100),
         serialize_master_link=False,
-        seed=int(payload.get("seed", 0)),  # type: ignore[arg-type]
+        seed=_int_field(payload, "seed", 0),
     )
     backend_name = str(payload.get("backend", "timing"))
     if backend_name == "timing":
@@ -148,7 +176,7 @@ def sweep_from_request(payload: Mapping[str, object]) -> Tuple[Sweep, str, str]:
     sweep = Sweep(
         base,
         parameters={"scheme": scheme_configs},
-        trials=int(payload.get("trials", 1)),  # type: ignore[arg-type]
+        trials=_int_field(payload, "trials", 1),
         backend=backend,  # type: ignore[arg-type]
     )
     record = str(payload.get("record", "summary"))

@@ -21,12 +21,6 @@ from repro.simulation.execution import (
 )
 from repro.simulation.iteration import IterationOutcome, simulate_iteration
 from repro.simulation.job import JobResult, simulate_job, simulate_training_run
-from repro.simulation.kernels import (
-    KERNELS,
-    available_kernel_backends,
-    resolve_kernels,
-    validate_kernels,
-)
 from repro.simulation.vectorized import (
     ENGINES,
     resolve_engine,
@@ -45,12 +39,8 @@ __all__ = [
     "simulate_job",
     "simulate_training_run",
     "ENGINES",
-    "KERNELS",
-    "available_kernel_backends",
     "resolve_engine",
-    "resolve_kernels",
     "simulate_job_batch",
     "simulate_job_vectorized",
     "validate_engine",
-    "validate_kernels",
 ]

@@ -340,7 +340,6 @@ def simulate_job(
     unit_size: int = 1,
     serialize_master_link: bool = True,
     engine: str = "loop",
-    kernels: str = "auto",
 ) -> JobResult:
     """Timing-only simulation of ``num_iterations`` distributed GD iterations.
 
@@ -362,18 +361,10 @@ def simulate_job(
         The engines consume the random stream identically — on dynamic
         clusters too — so the result is the same bit for bit; only the
         speed differs.
-    kernels:
-        Hot-loop backend for the vectorized engine — ``"auto"`` (default,
-        numba when installed else numpy), ``"numba"``, ``"cext"``, or
-        ``"numpy"``; see :mod:`repro.simulation.kernels`. Every backend is
-        bit-identical; the knob is validated (and otherwise ignored) under
-        the loop engine.
     """
     check_positive_int(num_iterations, "num_iterations")
-    from repro.simulation.kernels import validate_kernels
     from repro.simulation.vectorized import resolve_engine, simulate_job_vectorized
 
-    validate_kernels(kernels)
     if (
         resolve_engine(
             engine, num_iterations=num_iterations, num_workers=cluster.num_workers
@@ -388,7 +379,6 @@ def simulate_job(
             rng,
             unit_size=unit_size,
             serialize_master_link=serialize_master_link,
-            kernels=kernels,
         )
     generator = as_generator(rng)
     plan = _resolve_plan(scheme_or_plan, num_units, cluster.num_workers, generator)

@@ -182,7 +182,6 @@ def simulate_job_vectorized(
     *,
     unit_size: int = 1,
     serialize_master_link: bool = True,
-    kernels: str = "auto",
 ) -> JobResult:
     """Batch-simulate ``num_iterations`` timing-only iterations in NumPy.
 
@@ -190,12 +189,9 @@ def simulate_job_vectorized(
     ``engine="loop"``: same signature, same random-stream consumption, and a
     bit-identical :class:`JobResult` at a fixed seed (see the module
     docstring for the draw-order contract the guarantee rests on).
-    ``kernels`` selects the hot-loop backend (see
-    :mod:`repro.simulation.kernels`); every backend is bit-identical, so the
-    knob only changes speed.
     """
     check_positive_int(num_iterations, "num_iterations")
-    suite = get_suite(kernels)
+    suite = get_suite("numpy")
     generator = as_generator(rng)
     plan = _resolve_plan(scheme_or_plan, num_units, cluster.num_workers, generator)
     if isinstance(cluster, DynamicClusterSpec):
@@ -232,7 +228,6 @@ def simulate_job_batch(
     *,
     unit_size: int = 1,
     serialize_master_link: bool = True,
-    kernels: str = "auto",
 ) -> List[JobResult]:
     """Simulate ``len(seeds)`` independent Monte-Carlo trials of one job.
 
@@ -271,7 +266,7 @@ def simulate_job_batch(
     check_positive_int(num_iterations, "num_iterations")
     if len(seeds) == 0:
         raise ConfigurationError("simulate_job_batch needs at least one trial seed")
-    suite = get_suite(kernels)
+    suite = get_suite("numpy")
     generators = [as_generator(seed) for seed in seeds]
     plan = _resolve_plan(
         scheme_or_plan, num_units, cluster.num_workers, generators[0]
@@ -531,16 +526,15 @@ def _complete_batch(
     recurrence propagates them unchanged, and an iteration whose completing
     arrival is infinite is infeasible — exactly the loop engine's behaviour.
     The arrival recurrence and per-scheme completion searches run on
-    ``suite``'s backend (:mod:`repro.simulation.kernels`); every backend is
-    bit-identical, so the choice is invisible in the results.
+    ``suite``'s kernels (:mod:`repro.simulation.kernels`).
     """
     num_iterations, n_active = compute.shape
 
     # 2. Arrival times at the master: the link recurrence
-    #    a_k = max(c_k, a_{k-1}) + t_k over completion-sorted columns. Every
-    #    backend evaluates it in the loop engine's exact per-row float-op
-    #    order (a cumsum/running-max rewrite would be algebraically equal
-    #    but rounded differently).
+    #    a_k = max(c_k, a_{k-1}) + t_k over completion-sorted columns,
+    #    evaluated in the loop engine's exact per-row float-op order (a
+    #    cumsum/running-max rewrite would be algebraically equal but rounded
+    #    differently).
     if serialize_master_link:
         order = np.argsort(compute, axis=1, kind="stable")
         compute_sorted = np.take_along_axis(compute, order, axis=1)
@@ -712,8 +706,7 @@ def _build_kernel(
     instantiation — subclasses may change the stopping rule, so they take
     the scalar fallback. The aggregator-specific preprocessing (index
     translation, feasibility screens, segment layout) happens here, once per
-    batch and backend-independently; the per-row searches run on ``suite``'s
-    kernels.
+    batch; the per-row searches run on ``suite``'s kernels.
     """
     probe = plan.new_aggregator()
     n_active = int(active.size)

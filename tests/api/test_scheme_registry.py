@@ -11,11 +11,9 @@ from repro.schemes import (
     Scheme,
     available_schemes,
     get_scheme_class,
-    make_scheme,
     register_scheme,
     scheme_accepts,
     scheme_from_config,
-    scheme_registry,
 )
 from repro.schemes.registry import _REGISTRY
 from repro.stragglers.models import ExponentialDelay
@@ -73,6 +71,15 @@ class TestRoundTrip:
         assert scheme.cluster is None
         np.testing.assert_array_equal(scheme.resolve_loads(12, 12), [2] * 12)
 
+    def test_heterogeneous_schemes_build_by_name(self, cluster):
+        assert isinstance(
+            scheme_from_config("generalized-bcc", cluster=cluster), GeneralizedBCCScheme
+        )
+        assert isinstance(
+            scheme_from_config({"name": "load-balanced", "loads": [1] * 11 + [9]}),
+            LoadBalancedScheme,
+        )
+
     def test_homogeneous_schemes_ignore_the_ambient_cluster(self, cluster):
         scheme = scheme_from_config({"name": "bcc", "load": 2}, cluster=cluster)
         assert scheme.load == 2
@@ -98,7 +105,7 @@ class TestStrictness:
             BCCScheme.from_config({"name": "uncoded", "load": 2})
 
     def test_instance_passthrough_rejects_overrides(self):
-        scheme = make_scheme("bcc", load=2)
+        scheme = scheme_from_config({"name": "bcc", "load": 2})
         assert scheme_from_config(scheme) is scheme
         with pytest.raises(ConfigurationError, match="overrides"):
             scheme_from_config(scheme, load=5)
@@ -107,31 +114,6 @@ class TestStrictness:
         assert scheme_accepts("bcc", "load")
         assert not scheme_accepts("uncoded", "load")
         assert scheme_accepts("cyclic-repetition", "check_every")
-
-
-class TestLegacyShims:
-    def test_make_scheme_emits_deprecation_pointing_at_the_docs(self):
-        with pytest.warns(DeprecationWarning, match=r"docs/registry\.rst"):
-            scheme = make_scheme("bcc", load=2)
-        assert scheme.name == "bcc"
-
-    def test_scheme_registry_emits_deprecation_pointing_at_the_docs(self):
-        with pytest.warns(DeprecationWarning, match="scheme_from_config"):
-            registry = scheme_registry()
-        assert "bcc" in registry
-
-    def test_make_scheme_warns_on_ignored_load(self):
-        with pytest.warns(UserWarning, match="ignoring load"):
-            scheme = make_scheme("uncoded", load=9)
-        assert scheme.name == "uncoded"
-
-    def test_make_scheme_builds_heterogeneous_schemes(self, cluster):
-        assert isinstance(
-            make_scheme("generalized-bcc", cluster=cluster), GeneralizedBCCScheme
-        )
-        assert isinstance(
-            make_scheme("load-balanced", loads=[1] * 11 + [9]), LoadBalancedScheme
-        )
 
 
 class TestRegistration:

@@ -498,88 +498,3 @@ class TestStrictCoreAnnotations:
     def test_outside_strict_core_is_out_of_scope(self):
         source = "def f(x):\n    return x\n"
         assert findings_for(source, "TYPE001", path="src/repro/analysis/extra.py") == []
-
-
-# --------------------------------------------------------------------- #
-# KERN001 — compiled-kernel sources stay in the nopython subset
-# --------------------------------------------------------------------- #
-KERNEL_PATH = "src/repro/simulation/kernels/sources.py"
-
-
-def kernel_snippet(body: str) -> str:
-    return (
-        "from repro.simulation.kernels.sources import jit_source\n"
-        "@jit_source\n"
-        "def kernel(positions, out):\n"
-        f"{body}"
-    )
-
-
-class TestKernelSourcePurity:
-    def test_dict_literal_is_flagged(self):
-        source = kernel_snippet("    lookup = {0: 1}\n    return lookup\n")
-        findings = findings_for(source, "KERN001", path=KERNEL_PATH)
-        assert len(findings) == 1
-        assert "dict literal" in findings[0].message
-        assert findings[0].severity is Severity.ERROR
-
-    def test_set_constructor_is_flagged(self):
-        source = kernel_snippet("    seen = set()\n    return seen\n")
-        findings = findings_for(source, "KERN001", path=KERNEL_PATH)
-        assert len(findings) == 1
-        assert "set() constructor" in findings[0].message
-
-    def test_raise_is_flagged(self):
-        source = kernel_snippet("    raise ArithmeticError('no')\n")
-        findings = findings_for(source, "KERN001", path=KERNEL_PATH)
-        assert len(findings) == 1
-        assert "`raise`" in findings[0].message
-
-    def test_try_block_is_flagged(self):
-        source = kernel_snippet(
-            "    try:\n        out[0] = positions[0]\n"
-            "    except IndexError:\n        pass\n"
-        )
-        findings = findings_for(source, "KERN001", path=KERNEL_PATH)
-        # The try block and nothing else: the handler body is fine.
-        assert [f.message.split(" in compiled")[0] for f in findings] == [
-            "`try` block"
-        ]
-
-    def test_string_formatting_is_flagged(self):
-        source = kernel_snippet("    label = f'row {positions[0]}'\n    return label\n")
-        assert len(findings_for(source, "KERN001", path=KERNEL_PATH)) == 1
-        source = kernel_snippet("    label = '{}'.format(positions[0])\n    return label\n")
-        assert len(findings_for(source, "KERN001", path=KERNEL_PATH)) == 1
-        source = kernel_snippet("    label = 'row %d' % positions[0]\n    return label\n")
-        assert len(findings_for(source, "KERN001", path=KERNEL_PATH)) == 1
-
-    def test_print_is_flagged(self):
-        source = kernel_snippet("    print(positions)\n")
-        findings = findings_for(source, "KERN001", path=KERNEL_PATH)
-        assert len(findings) == 1
-        assert "print() call" in findings[0].message
-
-    def test_array_loop_body_is_clean(self):
-        source = kernel_snippet(
-            "    rows = positions.shape[0]\n"
-            "    for i in range(rows):\n"
-            "        worst = -1\n"
-            "        if positions[i, 0] > worst:\n"
-            "            worst = positions[i, 0]\n"
-            "        out[i] = worst\n"
-        )
-        assert findings_for(source, "KERN001", path=KERNEL_PATH) == []
-
-    def test_undecorated_helpers_are_out_of_scope(self):
-        source = (
-            "def helper():\n"
-            "    return {0: 1}\n"
-        )
-        assert findings_for(source, "KERN001", path=KERNEL_PATH) == []
-
-    def test_outside_kernels_package_is_out_of_scope(self):
-        source = kernel_snippet("    return {0: 1}\n")
-        assert findings_for(
-            source, "KERN001", path="src/repro/simulation/job.py"
-        ) == []

@@ -8,7 +8,7 @@ from repro.exceptions import ConfigurationError, DecodingError
 from repro.gradients.evaluation import full_gradient
 from repro.gradients.least_squares import LeastSquaresLoss
 from repro.schemes.approximate import IgnoreStragglersScheme, PartialSumAggregator
-from repro.schemes.registry import make_scheme
+from repro.schemes.registry import scheme_from_config
 from repro.simulation.execution import distributed_gradient
 
 
@@ -87,7 +87,9 @@ class TestIgnoreStragglersScheme:
         assert scheme.expected_communication_load(100, 50) == 30.0
 
     def test_registry_entry(self):
-        assert isinstance(make_scheme("ignore-stragglers"), IgnoreStragglersScheme)
+        assert isinstance(
+            scheme_from_config("ignore-stragglers"), IgnoreStragglersScheme
+        )
 
     def test_timing_only_mode(self):
         plan = IgnoreStragglersScheme(wait_fraction=0.5).build_plan(10, 4)

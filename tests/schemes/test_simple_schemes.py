@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.cluster.spec import ClusterSpec
 from repro.exceptions import ConfigurationError
 from repro.schemes.randomized import SimpleRandomizedScheme
-from repro.schemes.registry import make_scheme, scheme_registry
+from repro.schemes.registry import available_schemes, scheme_accepts, scheme_from_config
 from repro.schemes.uncoded import UncodedScheme
+from repro.stragglers.models import ExponentialDelay
 
 
 class TestUncodedScheme:
@@ -71,16 +73,19 @@ class TestSimpleRandomizedScheme:
 
 class TestRegistry:
     def test_all_names_constructible(self):
-        for name in scheme_registry():
-            scheme = make_scheme(name, load=2)
-            assert scheme is not None
+        # The heterogeneous schemes derive their loads from the cluster.
+        cluster = ClusterSpec.homogeneous(4, ExponentialDelay(straggling=1.0))
+        for name in available_schemes():
+            config = {"name": name, "load": 2} if scheme_accepts(name, "load") else name
+            scheme = scheme_from_config(config, cluster=cluster)
+            assert scheme.name == name
 
     def test_bcc_and_uncoded_types(self):
         from repro.schemes.bcc import BCCScheme
 
-        assert isinstance(make_scheme("bcc", load=3), BCCScheme)
-        assert isinstance(make_scheme("uncoded"), UncodedScheme)
+        assert isinstance(scheme_from_config({"name": "bcc", "load": 3}), BCCScheme)
+        assert isinstance(scheme_from_config("uncoded"), UncodedScheme)
 
     def test_unknown_name_raises(self):
         with pytest.raises(ConfigurationError):
-            make_scheme("mystery-scheme")
+            scheme_from_config("mystery-scheme")

@@ -9,6 +9,7 @@ protocol — is behaviour on top, pinned here.
 from __future__ import annotations
 
 import asyncio
+import json
 
 import pytest
 
@@ -17,11 +18,23 @@ from repro.cluster.spec import ClusterSpec
 from repro.exceptions import BudgetExceededError, ConfigurationError
 from repro.service import ResultCache, SweepService
 from repro.service.server import (
+    _connection,
     _self_test,
     self_test,
     sweep_from_request,
 )
 from repro.stragglers.models import ShiftedExponentialDelay
+
+#: Requests whose fields have the wrong JSON type.
+MALFORMED_REQUESTS = [
+    {"loads": 5},
+    {"workers": None},
+    {"seed": [1]},
+    {"schemes": "bcc"},
+    {"schemes": ["bcc", 3]},
+    {"loads": ["5"]},
+    {"trials": True},
+]
 
 
 def make_sweep(trials=2, seed=0):
@@ -227,6 +240,47 @@ class TestServer:
     def test_unsupported_backend_rejected(self):
         with pytest.raises(ConfigurationError, match="backend"):
             sweep_from_request({"backend": "multiprocess"})
+
+    @pytest.mark.parametrize("payload", MALFORMED_REQUESTS)
+    def test_wrong_field_types_rejected(self, payload):
+        with pytest.raises(ConfigurationError, match="request field"):
+            sweep_from_request(payload)
+
+    def test_malformed_requests_get_error_events_and_keep_the_connection(self):
+        valid = {"schemes": ["bcc"], "loads": [4], "workers": 10, "units": 10,
+                 "iterations": 3, "trials": 2}
+
+        async def scenario():
+            service = SweepService()
+            server = await asyncio.start_server(
+                lambda reader, writer: _connection(service, reader, writer),
+                "127.0.0.1",
+                0,
+            )
+            port = server.sockets[0].getsockname()[1]
+            async with server:
+                reader, writer = await asyncio.open_connection("127.0.0.1", port)
+                try:
+                    replies = []
+                    for payload in [*MALFORMED_REQUESTS, valid]:
+                        writer.write(json.dumps(payload).encode("utf-8") + b"\n")
+                        await writer.drain()
+                        events = []
+                        while not events or events[-1]["event"] not in ("done", "error"):
+                            line = await reader.readline()
+                            assert line, f"connection closed after {payload!r}"
+                            events.append(json.loads(line))
+                        replies.append(events)
+                finally:
+                    writer.close()
+            return replies
+
+        replies = asyncio.run(scenario())
+        for payload, events in zip(MALFORMED_REQUESTS, replies):
+            assert [event["event"] for event in events] == ["error"], payload
+            assert "request field" in events[0]["error"]
+        assert replies[-1][-1]["event"] == "done"
+        assert replies[-1][-1]["records"] == 2
 
     def test_self_test_round_trip(self):
         # The full TCP story: serve on an ephemeral port, submit the same

@@ -23,6 +23,7 @@ from repro.schemes.bcc import BCCScheme
 from repro.schemes.registry import available_schemes, scheme_from_config
 from repro.schemes.uncoded import UncodedScheme
 from repro.simulation.job import simulate_job
+from repro.simulation.kernels import available_kernel_backends, get_suite
 from repro.simulation.vectorized import (
     ENGINES,
     resolve_engine,
@@ -435,3 +436,12 @@ class TestEngineKnob:
         auto = simulate_job(UncodedScheme(), cluster, 24, 40, rng=5, engine="auto")
         loop = simulate_job(UncodedScheme(), cluster, 24, 40, rng=5, engine="loop")
         assert_identical(loop, auto)
+
+
+class TestKernelSuite:
+    def test_numpy_is_the_only_backend(self):
+        assert available_kernel_backends() == ("numpy",)
+        assert get_suite("numpy").name == "numpy"
+        for name in ("auto", "compiled", "NumPy"):
+            with pytest.raises(ConfigurationError, match="unknown kernels backend"):
+                get_suite(name)

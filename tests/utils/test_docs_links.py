@@ -80,16 +80,6 @@ def test_readme_relative_links_point_at_real_files():
         assert (REPO_ROOT / target).exists(), f"README links to missing {target!r}"
 
 
-def test_deprecation_pointer_names_an_existing_page():
-    # The legacy-shim DeprecationWarning points users at docs/registry.rst;
-    # make sure the page it names cannot silently move.
-    from repro.schemes import registry
-
-    match = re.search(r"docs/[\w/]+\.rst", registry._DEPRECATION_POINTER)
-    assert match, "the deprecation pointer no longer names a docs page"
-    assert (REPO_ROOT / match.group(0)).is_file()
-
-
 def test_ci_builds_the_docs_with_warnings_as_errors():
     workflow = (REPO_ROOT / ".github" / "workflows" / "ci.yml").read_text()
     assert "sphinx-build -W" in workflow, "CI no longer builds docs with -W"
