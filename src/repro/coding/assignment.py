@@ -44,21 +44,44 @@ class DataAssignment:
             raise AssignmentError("an assignment needs at least one worker")
         normalised: List[np.ndarray] = []
         for i, indices in enumerate(self.assignments):
-            idx = np.asarray(indices, dtype=int)
+            idx = np.asarray(indices)
             if idx.ndim != 1:
                 raise AssignmentError(f"worker {i} assignment must be a 1-D index array")
-            if idx.size:
-                if idx.min() < 0 or idx.max() >= self.num_examples:
-                    raise AssignmentError(
-                        f"worker {i} assignment references indices outside "
-                        f"[0, {self.num_examples})"
-                    )
-                if np.unique(idx).size != idx.size:
-                    raise AssignmentError(
-                        f"worker {i} assignment contains duplicate indices"
-                    )
-            normalised.append(idx.copy())
+            if idx.size and idx.dtype.kind not in "iu":
+                # Casting would silently truncate floats and turn booleans
+                # into 0/1 indices.
+                raise AssignmentError(
+                    f"worker {i} assignment must hold integer indices, got "
+                    f"dtype {idx.dtype}"
+                )
+            normalised.append(idx.astype(int))
+        self._check_indices(normalised)
         object.__setattr__(self, "assignments", tuple(normalised))
+
+    def _check_indices(self, assignments: List[np.ndarray]) -> None:
+        """Range and duplicate checks over every worker in one pass.
+
+        Names the first offending worker; a worker's range error wins over
+        its own duplicates.
+        """
+        num_workers = len(assignments)
+        flat = np.concatenate(assignments)
+        owners = np.repeat(np.arange(num_workers), [a.size for a in assignments])
+        in_range = (flat >= 0) & (flat < self.num_examples)
+        first_out = num_workers if in_range.all() else int(owners[np.argmin(in_range)])
+        # (worker, index) keys are unique per pair once indices are in range.
+        keys = np.sort(owners[in_range] * self.num_examples + flat[in_range])
+        repeated = keys[1:][keys[1:] == keys[:-1]]
+        first_repeat = int(repeated[0]) // self.num_examples if repeated.size else num_workers
+        if first_out < num_workers and first_out <= first_repeat:
+            raise AssignmentError(
+                f"worker {first_out} assignment references indices outside "
+                f"[0, {self.num_examples})"
+            )
+        if first_repeat < num_workers:
+            raise AssignmentError(
+                f"worker {first_repeat} assignment contains duplicate indices"
+            )
 
     # ------------------------------------------------------------------ #
     # Basic properties

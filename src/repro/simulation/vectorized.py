@@ -19,29 +19,44 @@ The loop engine consumes the job's random stream in this order:
    in computation-completion order (stable sort).
 
 The vectorized engine is bit-identical to the loop at a fixed seed because it
-replays exactly that consumption order:
+consumes exactly that stream, in one of three draw schedules picked from the
+models alone:
 
-* Computation times are drawn through
-  :meth:`~repro.stragglers.base.DelayModel.sample_grid`, whose contract is a
-  row-major (iteration-major, worker-minor) fill that consumes the stream
-  like the scalar loop. NumPy's broadcast samplers fill C-order element by
-  element, so a single batched call preserves the stream.
 * A **deterministic** communication model (``is_deterministic`` true, e.g.
   jitter-free :class:`~repro.stragglers.communication.LinearCommunicationModel`
   or :class:`~repro.stragglers.communication.ZeroCommunicationModel`) draws
-  nothing in either engine, so the whole compute matrix can be drawn in one
-  call: the stream holds nothing but compute draws, iteration-major, in both
-  engines.
-* A **stochastic** communication model interleaves transfer draws between
-  iterations, so the engine switches to a per-iteration draw schedule (one
-  ``sample_grid`` row, then one batched transfer draw in completion order)
-  that reproduces the interleaving; everything downstream of the draws
-  (arrival recurrence, completion search, metrics) stays batched.
-* The serialized-link recurrence and all completion kernels are pure
-  computation: they consume no randomness and reproduce the loop's
-  floating-point operation order (``max`` then ``+``, metric reductions over
-  identically ordered gathers), so the resulting summaries match byte for
-  byte — the property the equivalence suite pins down.
+  nothing in either engine, so the stream holds nothing but compute draws,
+  iteration-major. One :meth:`~repro.stragglers.base.DelayModel.sample_grid`
+  call draws the whole compute matrix: its contract is a row-major
+  (iteration-major, worker-minor) fill that consumes the stream like the
+  scalar loop, and NumPy's broadcast samplers fill C-order element by
+  element.
+* **The block draw.** When the communication model is stochastic and both
+  the delay models and the link have an exponential form (the
+  ``exponential_form`` hooks of :mod:`repro.stragglers.base`: every draw is
+  ``offset + scale * E`` for one standard exponential ``E``), the stream
+  of a trial is a flat sequence of standard exponentials: per iteration,
+  ``n`` compute draws in worker order, then ``n`` transfer draws in
+  completion order. The engine draws one ``(iterations, 2n)`` block of
+  ``standard_exponential`` per trial and applies the affine maps itself —
+  the same float operations the samplers perform, so the values and the
+  generator's end state are bit-identical. On a dynamic cluster a row with
+  ``u`` up workers holds ``2u`` draws (vacant slots draw nothing) and the
+  rows sit at cumulative offsets of one flat block. The shift-exponential
+  workers of the paper with a jittered link take this path.
+* **The per-iteration interleave.** Any other stochastic combination —
+  Pareto, trace or bimodal delays, mixed-class groups, subclasses that
+  override ``sample`` — replays the loop's schedule: one ``sample_grid``
+  row, then one batched transfer draw in completion order, per iteration.
+
+Under a stochastic model both schedules already rank each row by
+completion time to order the transfer draws; that ranking is handed to the
+serialized-link recurrence, so compute is argsorted once per row. The
+serialized-link recurrence and all completion kernels are pure computation:
+they consume no randomness and reproduce the loop's floating-point
+operation order (``max`` then ``+``, metric reductions over identically
+ordered gathers), so the resulting summaries match byte for byte — the
+property the equivalence suite pins down.
 
 Completion kernels exist for every built-in aggregator: fixed worker set
 (uncoded, load-balanced), arrival count (ignore-stragglers), batch
@@ -57,9 +72,10 @@ Trial batching
 --------------
 :func:`simulate_job_batch` adds a third axis: it simulates ``T`` independent
 Monte-Carlo *trials* of the same job in one engine entry. The plan is
-resolved once, one ``(trials x iterations x workers)`` tensor of computation
-draws is produced through :meth:`~repro.stragglers.base.DelayModel.sample_trials`,
-and the arrival recurrence + completion kernels run over the stacked
+resolved once, the draws are made (one ``(trials x iterations x workers)``
+tensor through :meth:`~repro.stragglers.base.DelayModel.sample_trials` under a
+deterministic link, one draw schedule per trial otherwise), and the arrival
+recurrence + completion kernels run over the stacked
 ``(trials * iterations, workers)`` row matrix — rows are independent, so the
 per-row machinery of :func:`_complete_batch` applies unchanged. The **RNG
 contract** extends the solo engine's:
@@ -82,6 +98,7 @@ count.
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -121,11 +138,10 @@ ENGINES = ("loop", "vectorized", "auto")
 
 #: ``auto`` picks the vectorized engine once the job is at least this many
 #: (trial, iteration, worker) cells; below it the loop's lower setup cost
-#: wins. Calibrated against ``benchmarks/bench_kernels.py`` engine-crossover
-#: measurements (the loop only wins below ~8-16 cells — the old 256 predated
-#: trial batching and left small trial-batched cells on the slow path). The
-#: two engines produce identical results either way, so the constant only
-#: moves the speed crossover, never a result.
+#: wins. Measured with an uncoded job on a shift-exponential cluster: the
+#: loop is faster at 8 cells (~0.31 vs ~0.44 ms), the vectorized engine at
+#: 16 (~0.46 vs ~0.55 ms). The two engines produce identical results either
+#: way, so the constant only moves the speed crossover, never a result.
 _AUTO_THRESHOLD = 16
 
 #: A completion kernel maps (positions, arrival order) matrices to the
@@ -278,7 +294,7 @@ def simulate_job_batch(
     if not dynamic:
         models = cluster.delay_models()
         active_models = [models[int(worker)] for worker in active]
-        communication = cluster.communication
+    communication = cluster.communication
     n_active = int(active.size)
 
     # Chunk the trial axis so the stacked row matrices stay memory-bounded;
@@ -288,6 +304,7 @@ def simulate_job_batch(
     results: List[JobResult] = []
     for start in range(0, len(generators), trials_per_chunk):
         chunk = generators[start : start + trials_per_chunk]
+        order = None
         if not dynamic and communication.is_deterministic:
             # The 3-D fast path: one tensor through sample_trials (trial-
             # major, so the C-order reshape keeps each trial's rows intact).
@@ -300,10 +317,12 @@ def simulate_job_batch(
         else:
             compute = np.empty((len(chunk) * num_iterations, n_active), dtype=float)
             transfer = np.empty_like(compute)
+            if serialize_master_link and not communication.is_deterministic:
+                order = np.empty(compute.shape, dtype=np.intp)
             for t, generator in enumerate(chunk):
                 rows = slice(t * num_iterations, (t + 1) * num_iterations)
                 if dynamic:
-                    compute[rows], transfer[rows] = _draw_dynamic_matrices(
+                    draws = _draw_dynamic_matrices(
                         cluster,
                         plan,
                         active,
@@ -313,7 +332,7 @@ def simulate_job_batch(
                         num_iterations,
                     )
                 else:
-                    compute[rows], transfer[rows] = _draw_stationary_matrices(
+                    draws = _draw_stationary_matrices(
                         active_models,
                         active_loads,
                         active_sizes,
@@ -321,9 +340,14 @@ def simulate_job_batch(
                         generator,
                         num_iterations,
                     )
+                compute[rows], transfer[rows], ranked = _for_link(
+                    draws, serialize_master_link
+                )
+                if order is not None:
+                    order[rows] = ranked
         outcomes = _complete_batch(
             plan, active, message_sizes, compute, transfer, serialize_master_link,
-            suite,
+            suite, order,
         )
         for t in range(len(chunk)):
             result = JobResult(scheme_name=plan.scheme_name)
@@ -366,12 +390,13 @@ def _draw_stationary_matrices(
     generator: np.random.Generator,
     num_iterations: int,
 ) -> tuple:
-    """One trial's ``(num_iterations, n_active)`` compute/transfer matrices.
+    """One trial's ``(compute, transfer, order)`` draws.
 
     The single shared implementation of the stationary draw schedule (see
-    the module docstring): one batched grid draw under a deterministic
-    communication model, the per-iteration compute/transfer interleave under
-    a stochastic one.
+    the module docstring). Each matrix is ``(num_iterations, n_active)``.
+    Under a deterministic communication model ``order`` is ``None`` and
+    ``transfer`` is in worker order. Under a stochastic one ``order`` is
+    each row's stable completion order and ``transfer`` is laid out in it.
     """
     if communication.is_deterministic:
         compute = _draw_compute_grid(
@@ -380,20 +405,23 @@ def _draw_stationary_matrices(
         transfer = np.broadcast_to(
             communication.sample_batch(active_sizes), compute.shape
         )
-    else:
-        # Stochastic transfers interleave with compute draws iteration by
-        # iteration; reproduce the loop's schedule (see module docstring).
-        n_active = int(active_loads.size)
-        compute = np.empty((num_iterations, n_active), dtype=float)
-        transfer = np.empty((num_iterations, n_active), dtype=float)
-        for i in range(num_iterations):
-            row = _draw_compute_grid(active_models, active_loads, generator, 1)[0]
-            compute[i] = row
-            order = np.argsort(row, kind="stable")
-            transfer[i, order] = communication.sample_batch(
-                active_sizes[order], generator
-            )
-    return compute, transfer
+        return compute, transfer, None
+    fused = _draw_grid_block(
+        active_models, active_loads, active_sizes, communication, generator,
+        num_iterations,
+    )
+    if fused is not None:
+        return fused
+    # Any other sampler: replay the loop's per-iteration interleave.
+    n_active = int(active_loads.size)
+    compute = np.empty((num_iterations, n_active), dtype=float)
+    transfer = np.empty((num_iterations, n_active), dtype=float)
+    order = np.empty((num_iterations, n_active), dtype=np.intp)
+    for i in range(num_iterations):
+        compute[i] = _draw_compute_grid(active_models, active_loads, generator, 1)[0]
+        order[i] = np.argsort(compute[i], kind="stable")
+        transfer[i] = communication.sample_batch(active_sizes[order[i]], generator)
+    return compute, transfer, order
 
 
 def _draw_dynamic_matrices(
@@ -405,7 +433,7 @@ def _draw_dynamic_matrices(
     generator: np.random.Generator,
     num_iterations: int,
 ) -> tuple:
-    """One trial's compute/transfer matrices on a dynamic cluster.
+    """One trial's ``(compute, transfer, order)`` draws on a dynamic cluster.
 
     The draw schedule mirrors the loop engine's exactly: the timeline is
     materialised first (one draw when the spec derives its dynamics seed
@@ -413,6 +441,8 @@ def _draw_dynamic_matrices(
     *available* workers in worker order — vacant slots consume nothing —
     followed, for stochastic communication models, by that iteration's
     transfer draws in completion order over the workers that finished.
+    The return layout is :func:`_draw_stationary_matrices`'; a vacant
+    slot's compute time is ``inf`` and its transfer time ``0``.
     """
     timeline = cluster.materialize(num_iterations, generator)
     communication = cluster.communication
@@ -420,35 +450,137 @@ def _draw_dynamic_matrices(
 
     if n_active == plan.num_workers:
         model_rows = timeline.models  # every worker active: no reshaping
+        up = timeline.availability
     else:
         model_rows = [
             [timeline.models[t][int(worker)] for worker in active]
             for t in range(num_iterations)
         ]
+        up = timeline.availability[:, active]
     if communication.is_deterministic:
         compute = _draw_timeline_compute(model_rows, active_loads, generator)
         transfer = np.broadcast_to(
             communication.sample_batch(active_sizes), compute.shape
         )
-    else:
-        # Stochastic transfers interleave with compute draws iteration by
-        # iteration; vacant slots (infinite compute) draw no transfer, like
-        # the loop engine's finite-compute check.
-        compute = np.empty((num_iterations, n_active), dtype=float)
-        transfer = np.zeros((num_iterations, n_active), dtype=float)
-        is_down = memoize_by_id(_is_vacant)
-        for i in range(num_iterations):
-            row = _draw_timeline_row(
-                model_rows[i], active_loads, generator, is_down
+        return compute, transfer, None
+    fused = _draw_timeline_block(
+        model_rows, up, active_loads, active_sizes, communication, generator
+    )
+    if fused is not None:
+        return fused
+    # Any other sampler: replay the loop's per-iteration interleave. Finite
+    # compute times sort first, so the workers that finished are a prefix
+    # of the completion order.
+    compute = np.empty((num_iterations, n_active), dtype=float)
+    transfer = np.zeros((num_iterations, n_active), dtype=float)
+    order = np.empty((num_iterations, n_active), dtype=np.intp)
+    is_down = memoize_by_id(_is_vacant)
+    for i in range(num_iterations):
+        compute[i] = _draw_timeline_row(model_rows[i], active_loads, generator, is_down)
+        order[i] = np.argsort(compute[i], kind="stable")
+        finished = int(np.count_nonzero(np.isfinite(compute[i])))
+        if finished:
+            transfer[i, :finished] = communication.sample_batch(
+                active_sizes[order[i, :finished]], generator
             )
-            compute[i] = row
-            order = np.argsort(row, kind="stable")
-            finished = order[np.isfinite(row[order])]
-            if finished.size:
-                transfer[i, finished] = communication.sample_batch(
-                    active_sizes[finished], generator
-                )
-    return compute, transfer
+    return compute, transfer, order
+
+
+def _for_link(draws: tuple, serialize_master_link: bool) -> tuple:
+    """The ``(compute, transfer, order)`` draws as :func:`_complete_batch`
+    takes them.
+
+    Only the serialized link uses the completion order; for the parallel
+    link the transfers go back to worker order and ``order`` is dropped, so
+    a trial-batched cell does not stack a rank matrix it never reads.
+    """
+    compute, transfer, order = draws
+    if order is None or serialize_master_link:
+        return draws
+    unranked = np.empty_like(transfer)
+    np.put_along_axis(unranked, order, transfer, axis=1)
+    return compute, unranked, None
+
+
+def _draw_grid_block(
+    models: List[DelayModel],
+    loads: np.ndarray,
+    sizes: np.ndarray,
+    communication,
+    generator: np.random.Generator,
+    num_iterations: int,
+) -> Optional[tuple]:
+    """The block draw over a stationary cluster, or ``None`` when a model
+    has no exponential form.
+
+    Row ``i`` of one ``(num_iterations, 2n)`` standard-exponential block
+    holds iteration ``i``'s ``n`` compute draws in worker order, then its
+    ``n`` transfer draws in completion order.
+    """
+    transfer_form = communication.exponential_form(sizes)
+    if transfer_form is None:
+        return None
+    compute_form = type(models[0]).exponential_form(models, loads)
+    if compute_form is None:
+        return None
+    n = len(models)
+    block = generator.standard_exponential((num_iterations, 2 * n))
+    compute = compute_form[0] + compute_form[1] * block[:, :n]
+    order = np.argsort(compute, axis=1, kind="stable")
+    transfer = transfer_form[0][order] + transfer_form[1][order] * block[:, n:]
+    return compute, transfer, order
+
+
+def _draw_timeline_block(
+    model_rows: Sequence[Sequence[DelayModel]],
+    up: np.ndarray,
+    loads: np.ndarray,
+    sizes: np.ndarray,
+    communication,
+    generator: np.random.Generator,
+) -> Optional[tuple]:
+    """The block draw over a timeline, or ``None`` when a model has no
+    exponential form.
+
+    Row ``i`` with ``u`` up workers owns ``2u`` consecutive draws of one
+    standard-exponential block: ``u`` compute draws in worker order, then
+    ``u`` transfer draws in completion order. Vacant slots draw nothing.
+    ``up`` is the timeline's availability matrix, which marks vacant exactly
+    the slots :meth:`~repro.cluster.dynamic.DynamicClusterSpec.materialize`
+    filled with a vacant model; every other slot goes through the
+    exponential-form hook, which refuses a vacant model a process reported
+    as available.
+    """
+    transfer_form = communication.exponential_form(sizes)
+    if transfer_form is None:
+        return None
+    cells = list(
+        itertools.compress(
+            itertools.chain.from_iterable(model_rows), up.ravel().tolist()
+        )
+    )
+    if not cells:
+        return None
+    compute_form = type(cells[0]).exponential_form(
+        cells, np.broadcast_to(loads, up.shape)[up]
+    )
+    if compute_form is None:
+        return None
+    counts = np.count_nonzero(up, axis=1)
+    starts = np.cumsum(2 * counts) - 2 * counts
+    block = generator.standard_exponential(2 * int(counts.sum()))
+    compute = np.full(up.shape, np.inf)
+    slots = starts[:, None] + np.cumsum(up, axis=1) - 1
+    compute[up] = compute_form[0] + compute_form[1] * block[slots[up]]
+    order = np.argsort(compute, axis=1, kind="stable")
+    finished = np.arange(up.shape[1]) < counts[:, None]
+    workers = order[finished]
+    slots = (starts + counts)[:, None] + np.arange(up.shape[1])
+    transfer = np.zeros(up.shape)
+    transfer[finished] = (
+        transfer_form[0][workers] + transfer_form[1][workers] * block[slots[finished]]
+    )
+    return compute, transfer, order
 
 
 def _simulate_plan_batch(
@@ -467,7 +599,7 @@ def _simulate_plan_batch(
     )
     models = cluster.delay_models()
     active_models = [models[int(worker)] for worker in active]
-    compute, transfer = _draw_stationary_matrices(
+    draws = _draw_stationary_matrices(
         active_models,
         active_loads,
         active_sizes,
@@ -475,8 +607,10 @@ def _simulate_plan_batch(
         generator,
         num_iterations,
     )
+    compute, transfer, order = _for_link(draws, serialize_master_link)
     return _complete_batch(
-        plan, active, message_sizes, compute, transfer, serialize_master_link, suite
+        plan, active, message_sizes, compute, transfer, serialize_master_link, suite,
+        order,
     )
 
 
@@ -501,11 +635,13 @@ def _simulate_dynamic_batch(
     active, active_loads, message_sizes, active_sizes = _active_arrays(
         plan, cluster, unit_size
     )
-    compute, transfer = _draw_dynamic_matrices(
+    draws = _draw_dynamic_matrices(
         cluster, plan, active, active_loads, active_sizes, generator, num_iterations
     )
+    compute, transfer, order = _for_link(draws, serialize_master_link)
     return _complete_batch(
-        plan, active, message_sizes, compute, transfer, serialize_master_link, suite
+        plan, active, message_sizes, compute, transfer, serialize_master_link, suite,
+        order,
     )
 
 
@@ -517,6 +653,7 @@ def _complete_batch(
     transfer: np.ndarray,
     serialize_master_link: bool,
     suite: KernelSuite,
+    order: Optional[np.ndarray] = None,
 ) -> List[IterationOutcome]:
     """Completion search + metric assembly over drawn timing matrices.
 
@@ -527,6 +664,11 @@ def _complete_batch(
     arrival is infinite is infeasible — exactly the loop engine's behaviour.
     The arrival recurrence and per-scheme completion searches run on
     ``suite``'s kernels (:mod:`repro.simulation.kernels`).
+
+    ``order``, given only on a serialized link (see :func:`_for_link`), is
+    ``compute``'s stable per-row argsort that the draws already computed;
+    ``transfer`` is then laid out in that completion order instead of worker
+    order.
     """
     num_iterations, n_active = compute.shape
 
@@ -536,10 +678,12 @@ def _complete_batch(
     #    cumsum/running-max rewrite would be algebraically equal but rounded
     #    differently).
     if serialize_master_link:
-        order = np.argsort(compute, axis=1, kind="stable")
-        compute_sorted = np.take_along_axis(compute, order, axis=1)
-        transfer_sorted = np.take_along_axis(transfer, order, axis=1)
-        arrival_sorted = suite.link_recurrence(compute_sorted, transfer_sorted)
+        if order is None:
+            order = np.argsort(compute, axis=1, kind="stable")
+            transfer = np.take_along_axis(transfer, order, axis=1)
+        arrival_sorted = suite.link_recurrence(
+            np.take_along_axis(compute, order, axis=1), transfer
+        )
         arrivals = np.empty_like(arrival_sorted)
         np.put_along_axis(arrivals, order, arrival_sorted, axis=1)
     else:
@@ -742,15 +886,10 @@ def _build_kernel(
 
     if type(probe) is UnitCoverageAggregator:
         assignment = probe.assignment
-        units: List[np.ndarray] = []
-        owners: List[np.ndarray] = []
-        for j, worker in enumerate(active):
-            indices = assignment.worker_indices(int(worker))
-            units.append(indices)
-            owners.append(np.full(indices.size, j, dtype=int))
+        units = [assignment.assignments[worker] for worker in active.tolist()]
         return _coverage_kernel(
-            np.concatenate(units) if units else np.empty(0, dtype=int),
-            np.concatenate(owners) if owners else np.empty(0, dtype=int),
+            np.concatenate(units),
+            np.repeat(np.arange(n_active), assignment.loads[active]),
             probe.num_units,
             suite,
         )

@@ -41,12 +41,31 @@ completion times at once through two batched paths:
   specific override); subclasses override it to hoist the per-model
   parameter extraction out of the trial loop — or, for draw-free models,
   to fill the whole tensor in one call.
+
+Exponential form
+----------------
+Some samplers draw exactly one standard exponential per value:
+``sample(load)`` equals ``offset + scale * E`` with ``E`` the generator's
+next ``standard_exponential``. :meth:`DelayModel.exponential_form` reports
+that ``(offset, scale)`` pair per model (the shift-exponential family
+answers; every other model returns ``None``), and
+:meth:`CommunicationModel.exponential_form
+<repro.stragglers.communication.CommunicationModel.exponential_form>` does
+the same for transfers (a jittered linear link answers). When both hooks
+answer, the vectorized engine knows the whole stream of a job is a flat
+sequence of standard exponentials, so it draws one block per trial and
+applies the affine maps itself instead of interleaving per-iteration sampler
+calls. The hook answers ``None`` for any model whose class overrides
+:meth:`sample` — such a model's stream is unknown, and the engine must keep
+calling it. The shift-exponential :meth:`sample_grid`, :meth:`sample_trials`
+and :meth:`sample_timeline` read their parameters through the same hook.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Optional, Sequence, Union
+from operator import attrgetter
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -184,16 +203,34 @@ class DelayModel(abc.ABC):
         return out
 
     @classmethod
+    def exponential_form(
+        cls, models: Sequence["DelayModel"], loads: Sequence[int]
+    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """``(offset, scale)`` rows with ``sample == offset + scale * E``, or ``None``.
+
+        ``models[j]`` at load ``loads[j]`` draws ``offset[j] + scale[j] * E``
+        where ``E`` is one ``standard_exponential`` draw (see the module
+        docstring). ``None`` means some model does not sample that way; the
+        base class answers ``None`` for every group.
+        """
+        return None
+
+    @classmethod
     def _all_native(cls, models: Sequence["DelayModel"]) -> bool:
         """Whether every model is a ``cls`` using ``cls``'s scalar sampler.
 
         A subclass overriding :meth:`sample` changed the distribution, so
         the defining class's vectorized grid formula would silently diverge
         from the scalar path — such groups must take the generic fallback.
+        Call it on the class that defines the formula (``ParetoDelay.``),
+        not on an inherited classmethod's ``cls``: for a subclass overriding
+        :meth:`sample`, ``cls`` *is* that subclass and would pass.
         """
+        # Groups hold few distinct classes (timelines hold thousands of
+        # cells), so the check runs per class, not per model.
         return all(
-            isinstance(model, cls) and type(model).sample is cls.sample
-            for model in models
+            issubclass(kind, cls) and kind.sample is cls.sample
+            for kind in set(map(type, models))
         )
 
     @classmethod
@@ -210,7 +247,7 @@ class DelayModel(abc.ABC):
         if not cls._all_native(models):
             return None
         return tuple(
-            np.array([getattr(model, attribute) for model in models], dtype=float)
+            np.fromiter(map(attrgetter(attribute), models), dtype=float, count=len(models))
             for attribute in attributes
         )
 

@@ -10,7 +10,7 @@ function of the message size (in units of one partial-gradient vector).
 from __future__ import annotations
 
 import abc
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -46,12 +46,26 @@ class CommunicationModel(abc.ABC):
 
         The vectorized timing engine batches all computation-time draws up
         front only when the communication model is deterministic (the stream
-        then contains nothing but compute draws in both engines); stochastic
-        models force it onto the per-iteration draw path to keep the RNG
-        consumption order identical to the loop engine. The base class
-        conservatively reports ``False``.
+        then contains nothing but compute draws in both engines). Stochastic
+        models interleave transfer draws with compute draws; the engine then
+        draws one standard-exponential block per trial when both models have
+        an :meth:`exponential_form`, and replays the per-iteration interleave
+        otherwise. The base class conservatively reports ``False``.
         """
         return False
+
+    def exponential_form(
+        self, message_sizes: np.ndarray
+    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """``(offset, scale)`` with ``sample(s) == offset + scale * E``, or ``None``.
+
+        Entry ``k`` of each array belongs to ``message_sizes[k]``; ``E`` is
+        one ``standard_exponential`` draw (the exponential-form contract of
+        :mod:`repro.stragglers.base`). ``None`` means the model does not
+        draw exactly one standard exponential per transfer — the base class
+        answers ``None``.
+        """
+        return None
 
     def sample_batch(
         self, message_sizes: np.ndarray, rng: RandomState = None
@@ -81,9 +95,8 @@ class CommunicationModel(abc.ABC):
 
         Note the trial-batched *engine* does not route its transfers through
         this method: under a deterministic model one :meth:`sample_batch`
-        broadcast covers every trial, and under a stochastic model the
-        draw-order contract forces the per-iteration compute/transfer
-        interleave (in completion order, which differs per trial) — see
+        broadcast covers every trial, and under a stochastic model transfers
+        are drawn in completion order, which differs per trial — see
         :mod:`repro.simulation.vectorized`.
         """
         sizes = np.asarray(message_sizes, dtype=float)
@@ -151,22 +164,35 @@ class LinearCommunicationModel(CommunicationModel):
             return False
         return self.jitter == 0.0
 
+    def exponential_form(
+        self, message_sizes: np.ndarray
+    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        # Jitter-free transfers draw nothing, so they have no exponential form.
+        if type(self).sample is not LinearCommunicationModel.sample or self.jitter == 0.0:
+            return None
+        base = self._base_times(message_sizes)
+        return base, np.full(base.shape, self.jitter)
+
     def sample_batch(
         self, message_sizes: np.ndarray, rng: RandomState = None
     ) -> np.ndarray:
         if type(self).sample is not LinearCommunicationModel.sample:
             return super().sample_batch(message_sizes, rng)
+        base = self._base_times(message_sizes)
+        if self.jitter == 0.0:
+            return base
+        generator = as_generator(rng)
+        # Element-sequential C-order fill: same stream as scalar draws.
+        return base + generator.exponential(scale=self.jitter, size=base.shape)
+
+    def _base_times(self, message_sizes: np.ndarray) -> np.ndarray:
+        """The jitter-free transfer times of ``message_sizes``."""
         sizes = np.asarray(message_sizes, dtype=float)
         if sizes.size and sizes.min() < 0:
             raise ConfigurationError(
                 f"message sizes must be non-negative, got min {sizes.min()}"
             )
-        base = self.latency + self.seconds_per_unit * sizes
-        if self.jitter == 0.0:
-            return base
-        generator = as_generator(rng)
-        # Element-sequential C-order fill: same stream as scalar draws.
-        return base + generator.exponential(scale=self.jitter, size=sizes.shape)
+        return self.latency + self.seconds_per_unit * sizes
 
     def __repr__(self) -> str:
         return (

@@ -15,7 +15,7 @@ its advantage should persist under Pareto-tailed or bimodal stragglers.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -81,6 +81,21 @@ class ShiftedExponentialDelay(DelayModel):
         return self.shift * load + load / self.straggling
 
     @classmethod
+    def exponential_form(
+        cls, models: Sequence[DelayModel], loads: Sequence[int]
+    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        # sample() is ``shift * load + (load / mu) * E``: the one place the
+        # vectorized paths read (mu, a).
+        params = ShiftedExponentialDelay._grid_parameters(
+            models, ("straggling", "shift")
+        )
+        if params is None:
+            return None
+        stragglings, shifts = params
+        loads_row = cls._check_grid_loads(models, loads)
+        return shifts * loads_row, loads_row / stragglings
+
+    @classmethod
     def sample_grid(
         cls,
         models: Sequence[DelayModel],
@@ -88,18 +103,14 @@ class ShiftedExponentialDelay(DelayModel):
         rng: RandomState = None,
         num_draws: int = 1,
     ) -> np.ndarray:
-        params = cls._grid_parameters(models, ("straggling", "shift"))
-        if params is None:
+        form = cls.exponential_form(models, loads)
+        if form is None:
             return super().sample_grid(models, loads, rng, num_draws)
-        stragglings, shifts = params
-        loads_row = cls._check_grid_loads(models, loads)
-        generator = cls._rng(rng)
+        offset, scale = form
         # One broadcast draw fills the matrix in C order, element by element,
         # so the stream matches the scalar draw-major/worker-minor loop.
-        tail = generator.exponential(
-            scale=loads_row / stragglings, size=(int(num_draws), len(models))
-        )
-        return shifts * loads_row + tail
+        shape = (int(num_draws), len(models))
+        return offset + cls._rng(rng).exponential(scale=scale, size=shape)
 
     @classmethod
     def sample_trials(
@@ -109,20 +120,17 @@ class ShiftedExponentialDelay(DelayModel):
         rngs: Sequence[RandomState],
         num_draws: int = 1,
     ) -> np.ndarray:
-        params = cls._grid_parameters(models, ("straggling", "shift"))
-        if params is None:
+        form = cls.exponential_form(models, loads)
+        if form is None:
             return super().sample_trials(models, loads, rngs, num_draws)
-        stragglings, shifts = params
-        loads_row = cls._check_grid_loads(models, loads)
-        scale = loads_row / stragglings
-        base = shifts * loads_row
+        offset, scale = form
         # The (mu, a) extraction above is hoisted out of the trial loop; the
         # draws themselves stay per trial because every trial consumes its
         # own independent generator (the sample_trials stream contract).
         shape = (int(num_draws), len(models))
         out = np.empty((len(rngs), *shape), dtype=float)
         for t, rng in enumerate(rngs):
-            out[t] = base + cls._rng(rng).exponential(scale=scale, size=shape)
+            out[t] = offset + cls._rng(rng).exponential(scale=scale, size=shape)
         return out
 
     @classmethod
@@ -135,35 +143,21 @@ class ShiftedExponentialDelay(DelayModel):
         if not model_rows:
             return super().sample_timeline(model_rows, loads, rng)
         shape = (len(model_rows), len(loads))
-        from repro.stragglers.dynamics import memoize_by_id
-
-        # Timelines repeat few distinct model objects (a Markov worker
-        # alternates between two), so the native check and the (mu, a)
-        # lookup are memoized per model object: one dict hit per cell
-        # instead of per-cell isinstance + getattr passes. None marks a
-        # cell outside this class's native sampler (fall back below).
-        cell_parameters = memoize_by_id(
-            lambda model: (float(model.straggling), float(model.shift))
-            if isinstance(model, cls) and type(model).sample is cls.sample
-            else None
+        if any(len(row) != shape[1] for row in model_rows):
+            raise ConfigurationError("model rows must all have one model per load")
+        # Every cell carries its own (mu, a): read them row-major in one
+        # pass over the flattened grid.
+        form = cls.exponential_form(
+            [model for row in model_rows for model in row],
+            np.tile(np.asarray(loads), shape[0]),
         )
-        stragglings = np.empty(shape)
-        shifts = np.empty(shape)
-        for i, row in enumerate(model_rows):
-            if len(row) != shape[1]:
-                raise ConfigurationError("model rows must all have one model per load")
-            for j, model in enumerate(row):
-                params = cell_parameters(model)
-                if params is None:
-                    return super().sample_timeline(model_rows, loads, rng)
-                stragglings[i, j], shifts[i, j] = params
-        loads_row = cls._check_grid_loads(model_rows[0], loads)
-        generator = cls._rng(rng)
+        if form is None:
+            return super().sample_timeline(model_rows, loads, rng)
+        offset, scale = (values.reshape(shape) for values in form)
         # One broadcast draw fills the matrix in C order (row-major, cell by
-        # cell), so the stream matches per-row scalar draws even though every
-        # cell carries its own (mu, a) — the dynamic engine's fast path.
-        tail = generator.exponential(scale=loads_row / stragglings, size=shape)
-        return shifts * loads_row + tail
+        # cell), so the stream matches per-row scalar draws — the dynamic
+        # engine's fast path.
+        return offset + cls._rng(rng).exponential(scale=scale, size=shape)
 
     def cdf(self, load: int, t: Number) -> Number:
         load = self._check_load(load)
@@ -234,7 +228,7 @@ class DeterministicDelay(DelayModel):
         rng: RandomState = None,
         num_draws: int = 1,
     ) -> np.ndarray:
-        params = cls._grid_parameters(models, ("seconds_per_example",))
+        params = DeterministicDelay._grid_parameters(models, ("seconds_per_example",))
         if params is None:
             return super().sample_grid(models, loads, rng, num_draws)
         (rates,) = params
@@ -250,7 +244,7 @@ class DeterministicDelay(DelayModel):
         rngs: Sequence[RandomState],
         num_draws: int = 1,
     ) -> np.ndarray:
-        params = cls._grid_parameters(models, ("seconds_per_example",))
+        params = DeterministicDelay._grid_parameters(models, ("seconds_per_example",))
         if params is None:
             return super().sample_trials(models, loads, rngs, num_draws)
         (rates,) = params
@@ -321,7 +315,7 @@ class ParetoDelay(DelayModel):
         rng: RandomState = None,
         num_draws: int = 1,
     ) -> np.ndarray:
-        params = cls._grid_parameters(models, ("alpha", "scale"))
+        params = ParetoDelay._grid_parameters(models, ("alpha", "scale"))
         if params is None:
             return super().sample_grid(models, loads, rng, num_draws)
         alphas, scales = params
@@ -338,7 +332,7 @@ class ParetoDelay(DelayModel):
         rngs: Sequence[RandomState],
         num_draws: int = 1,
     ) -> np.ndarray:
-        params = cls._grid_parameters(models, ("alpha", "scale"))
+        params = ParetoDelay._grid_parameters(models, ("alpha", "scale"))
         if params is None:
             return super().sample_trials(models, loads, rngs, num_draws)
         alphas, scales = params
@@ -472,7 +466,7 @@ class TraceDelay(DelayModel):
         # *same* trace (one `choice` call per element, same population) with
         # the unmodified scalar sampler; mixed traces and sample() overrides
         # fall back to the generic scalar grid.
-        if not cls._all_native(models):
+        if not TraceDelay._all_native(models):
             return super().sample_grid(models, loads, rng, num_draws)
         trace = models[0].trace
         if not all(
@@ -493,7 +487,7 @@ class TraceDelay(DelayModel):
         rngs: Sequence[RandomState],
         num_draws: int = 1,
     ) -> np.ndarray:
-        if not cls._all_native(models):
+        if not TraceDelay._all_native(models):
             return super().sample_trials(models, loads, rngs, num_draws)
         trace = models[0].trace
         if not all(

@@ -41,6 +41,36 @@ class TestValidation:
         )
         assert assignment.loads.tolist() == [2, 0]
 
+    def test_empty_lists_of_any_dtype_allowed(self):
+        assignment = DataAssignment(
+            num_examples=2,
+            assignments=([], np.array([], dtype=float), np.array([], dtype=bool), [1]),
+        )
+        assert assignment.loads.tolist() == [0, 0, 0, 1]
+        assert all(indices.dtype == int for indices in assignment.assignments)
+
+    def test_rejects_non_integer_indices(self):
+        # Casting would truncate [0.5, 2.9] to [0, 2].
+        with pytest.raises(AssignmentError, match="worker 1 .*integer indices"):
+            DataAssignment(num_examples=3, assignments=([0], [0.5, 2.9]))
+
+    def test_rejects_boolean_indices(self):
+        # Casting would turn a mask into the indices [1, 0].
+        with pytest.raises(AssignmentError, match="worker 0 .*integer indices"):
+            DataAssignment(num_examples=3, assignments=([True, False],))
+
+    def test_names_the_first_offending_worker(self):
+        with pytest.raises(AssignmentError, match="worker 1 assignment contains dup"):
+            DataAssignment(num_examples=4, assignments=([0, 1], [2, 2], [5]))
+        with pytest.raises(AssignmentError, match="worker 1 assignment references"):
+            DataAssignment(num_examples=4, assignments=([0, 1], [2, 4], [3, 3]))
+        # Within one worker the range check comes first.
+        with pytest.raises(AssignmentError, match="worker 0 assignment references"):
+            DataAssignment(num_examples=4, assignments=([1, 1, 7],))
+        # Out-of-range keys cannot alias another worker's in-range index.
+        with pytest.raises(AssignmentError, match="worker 0 assignment references"):
+            DataAssignment(num_examples=4, assignments=([4], [0]))
+
 
 class TestProperties:
     def test_loads_and_computational_load(self, assignment):

@@ -28,7 +28,9 @@ settings.register_profile(
 )
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
-from repro.cluster.spec import ClusterSpec
+from typing import Callable, NamedTuple
+
+from repro.cluster.spec import ClusterSpec, WorkerSpec
 from repro.datasets.base import Dataset
 from repro.datasets.synthetic import (
     LogisticDataConfig,
@@ -37,7 +39,105 @@ from repro.datasets.synthetic import (
 )
 from repro.gradients.logistic import LogisticLoss
 from repro.stragglers.communication import LinearCommunicationModel
-from repro.stragglers.models import ExponentialDelay, ShiftedExponentialDelay
+from repro.stragglers.models import (
+    BimodalStragglerDelay,
+    ExponentialDelay,
+    ParetoDelay,
+    ShiftedExponentialDelay,
+)
+
+
+class DoubledDelay(ShiftedExponentialDelay):
+    """Overrides the sampler, so no engine may assume its stream."""
+
+    def sample(self, load, rng=None, size=None):
+        return 2.0 * super().sample(load, rng=rng, size=size)
+
+
+class OffsetLink(LinearCommunicationModel):
+    """Overrides the sampler, so no engine may assume its stream."""
+
+    def sample(self, message_size, rng=None, size=None):
+        return 0.5 + super().sample(message_size, rng=rng, size=size)
+
+
+class StochasticCase(NamedTuple):
+    """A cluster with jittered transfers and the draw path it must take."""
+
+    build: Callable[[int], ClusterSpec]
+    #: Whether the vectorized engine draws one exponential block per trial
+    #: (True) or replays the per-iteration interleave (False).
+    block: bool
+
+
+def _jittered(link=LinearCommunicationModel):
+    return link(latency=0.01, seconds_per_unit=0.05, jitter=0.2)
+
+
+def _homogeneous(model, link=LinearCommunicationModel):
+    return lambda n: ClusterSpec.homogeneous(n, model, _jittered(link))
+
+
+def _alternating(n):
+    models = [
+        ShiftedExponentialDelay(2.0, 0.01) if i % 2 else ParetoDelay(2.5, 0.05)
+        for i in range(n)
+    ]
+    return ClusterSpec(
+        workers=tuple(WorkerSpec(compute=m, name=f"w{i}") for i, m in enumerate(models)),
+        communication=_jittered(),
+    )
+
+
+STOCHASTIC_CASES = {
+    "shift-exponential": StochasticCase(
+        _homogeneous(ShiftedExponentialDelay(2.0, 0.01)), True
+    ),
+    "heterogeneous-shift-exponential": StochasticCase(
+        lambda n: ClusterSpec.shifted_exponential(
+            np.linspace(0.5, 4.0, n), np.linspace(0.0, 0.2, n), _jittered()
+        ),
+        True,
+    ),
+    "pareto": StochasticCase(_homogeneous(ParetoDelay(2.5, 0.05)), False),
+    "bimodal": StochasticCase(_homogeneous(BimodalStragglerDelay(0.05)), False),
+    "subclassed-delay": StochasticCase(_homogeneous(DoubledDelay(2.0, 0.01)), False),
+    "subclassed-link": StochasticCase(
+        _homogeneous(ShiftedExponentialDelay(2.0, 0.01), OffsetLink), False
+    ),
+    "mixed-class": StochasticCase(_alternating, False),
+}
+
+
+@pytest.fixture(params=sorted(STOCHASTIC_CASES))
+def stochastic_case(request) -> StochasticCase:
+    """One jittered-transfer cluster per draw path of the vectorized engine."""
+    return STOCHASTIC_CASES[request.param]
+
+
+@pytest.fixture
+def block_draws(monkeypatch) -> list:
+    """Records, per trial the vectorized engine draws, whether it took the
+    exponential block draw."""
+    from repro.simulation import vectorized
+
+    taken: list = []
+    for name in ("_draw_grid_block", "_draw_timeline_block"):
+
+        def spy(*args, _draw=getattr(vectorized, name), **kwargs):
+            result = _draw(*args, **kwargs)
+            taken.append(result is not None)
+            return result
+
+        monkeypatch.setattr(vectorized, name, spy)
+    return taken
+
+
+@pytest.fixture(scope="session")
+def sampler_overrides() -> tuple:
+    """``(delay class, link class)`` whose ``sample`` overrides hide their
+    streams from the engines."""
+    return DoubledDelay, OffsetLink
 
 
 @pytest.fixture

@@ -66,12 +66,13 @@ HETEROGENEOUS_FACTORIES = {
 }
 
 
-def delay_models(draw, kind: str):
+def delay_models(draw, kind: str, overrides=None):
     """One delay-model instance of the drawn kind."""
-    if kind == "shift-exponential":
+    if kind in ("shift-exponential", "subclassed"):
         mu = draw(st.floats(0.5, 5.0), label="straggling")
         shift = draw(st.floats(0.0, 0.5), label="shift")
-        return ShiftedExponentialDelay(straggling=mu, shift=shift)
+        cls = ShiftedExponentialDelay if kind == "shift-exponential" else overrides[0]
+        return cls(straggling=mu, shift=shift)
     if kind == "deterministic":
         return DeterministicDelay(draw(st.floats(0.01, 0.5), label="rate"))
     if kind == "pareto":
@@ -93,20 +94,28 @@ def delay_models(draw, kind: str):
 DELAY_KINDS = ("shift-exponential", "deterministic", "pareto", "bimodal", "trace")
 
 
-def draw_communication(draw):
-    choice = draw(st.sampled_from(["zero", "linear", "jittered"]), label="comm")
+def draw_communication(draw, overrides=None):
+    """``overrides`` (delay class, link class) adds a subclassed jittered link."""
+    choices = ["zero", "linear", "jittered"] + (["subclassed"] if overrides else [])
+    choice = draw(st.sampled_from(choices), label="comm")
     if choice == "zero":
         return ZeroCommunicationModel()
-    jitter = draw(st.floats(0.001, 0.05), label="jitter") if choice == "jittered" else 0.0
-    return LinearCommunicationModel(
+    jitter = draw(st.floats(0.001, 0.05), label="jitter") if choice != "linear" else 0.0
+    link = overrides[1] if choice == "subclassed" else LinearCommunicationModel
+    return link(
         latency=draw(st.floats(0.0, 0.1), label="latency"),
         seconds_per_unit=draw(st.floats(0.0, 0.05), label="spu"),
         jitter=jitter,
     )
 
 
-def draw_spec(draw, *, dynamic: bool) -> JobSpec:
-    """A random valid timing JobSpec (optionally on a dynamic cluster)."""
+def draw_spec(draw, *, dynamic: bool, overrides=None) -> JobSpec:
+    """A random valid timing JobSpec (optionally on a dynamic cluster).
+
+    ``overrides`` (the ``sampler_overrides`` fixture) adds models whose
+    ``sample`` overrides hide their streams from the engines.
+    """
+    kinds = DELAY_KINDS + (("subclassed",) if overrides else ())
     heterogeneous = draw(st.booleans(), label="heterogeneous")
     if heterogeneous:
         name = draw(st.sampled_from(sorted(HETEROGENEOUS_FACTORIES)), label="scheme")
@@ -120,7 +129,7 @@ def draw_spec(draw, *, dynamic: bool) -> JobSpec:
             draw(st.floats(0.05, 0.5), label=f"a{i}") for i in range(num_workers)
         ]
         base = ClusterSpec.shifted_exponential(
-            stragglings, shifts, communication=draw_communication(draw)
+            stragglings, shifts, communication=draw_communication(draw, overrides)
         )
         factory = HETEROGENEOUS_FACTORIES[name]
         num_units = 2 * num_workers
@@ -131,11 +140,13 @@ def draw_spec(draw, *, dynamic: bool) -> JobSpec:
             num_workers = draw(st.sampled_from([6, 9, 12]), label="n")
         else:
             num_workers = draw(st.integers(6, 14), label="n")
-        kind = draw(st.sampled_from(DELAY_KINDS), label="delay")
+        kind = draw(st.sampled_from(kinds), label="delay")
         mixed = draw(st.booleans(), label="mixed")
         if mixed:
             models = [
-                delay_models(draw, draw(st.sampled_from(DELAY_KINDS), label=f"k{i}"))
+                delay_models(
+                    draw, draw(st.sampled_from(kinds), label=f"k{i}"), overrides
+                )
                 for i in range(num_workers)
             ]
             from repro.cluster.spec import WorkerSpec
@@ -145,11 +156,13 @@ def draw_spec(draw, *, dynamic: bool) -> JobSpec:
                     WorkerSpec(compute=model, name=f"worker-{i}")
                     for i, model in enumerate(models)
                 ),
-                communication=draw_communication(draw),
+                communication=draw_communication(draw, overrides),
             )
         else:
             base = ClusterSpec.homogeneous(
-                num_workers, delay_models(draw, kind), draw_communication(draw)
+                num_workers,
+                delay_models(draw, kind, overrides),
+                draw_communication(draw, overrides),
             )
         factory = SCHEME_FACTORIES[name]
         # Coded schemes need m == n; give the rest a bigger unit pool.
@@ -207,8 +220,8 @@ def run_engine(spec: JobSpec, engine: str):
 class TestLoopVectorizedBitIdentity:
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
-    def test_stationary_specs_are_bit_identical(self, data):
-        spec = draw_spec(data.draw, dynamic=False)
+    def test_stationary_specs_are_bit_identical(self, data, sampler_overrides):
+        spec = draw_spec(data.draw, dynamic=False, overrides=sampler_overrides)
         loop_status, loop = run_engine(spec, "loop")
         vec_status, vectorized = run_engine(spec, "vectorized")
         assert loop_status == vec_status
@@ -218,8 +231,8 @@ class TestLoopVectorizedBitIdentity:
 
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
-    def test_dynamic_specs_are_bit_identical(self, data):
-        spec = draw_spec(data.draw, dynamic=True)
+    def test_dynamic_specs_are_bit_identical(self, data, sampler_overrides):
+        spec = draw_spec(data.draw, dynamic=True, overrides=sampler_overrides)
         loop_status, loop = run_engine(spec, "loop")
         vec_status, vectorized = run_engine(spec, "vectorized")
         assert loop_status == vec_status
@@ -290,15 +303,15 @@ class TestTrialBatchedBitIdentity:
 
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
-    def test_stationary_trials_match_solo_runs(self, data):
-        spec = draw_spec(data.draw, dynamic=False)
+    def test_stationary_trials_match_solo_runs(self, data, sampler_overrides):
+        spec = draw_spec(data.draw, dynamic=False, overrides=sampler_overrides)
         num_trials = data.draw(st.integers(2, 4), label="trials")
         self._assert_batch_matches_solo(spec, num_trials)
 
     @settings(max_examples=20, deadline=None)
     @given(data=st.data())
-    def test_dynamic_trials_match_solo_runs(self, data):
-        spec = draw_spec(data.draw, dynamic=True)
+    def test_dynamic_trials_match_solo_runs(self, data, sampler_overrides):
+        spec = draw_spec(data.draw, dynamic=True, overrides=sampler_overrides)
         num_trials = data.draw(st.integers(2, 3), label="trials")
         self._assert_batch_matches_solo(spec, num_trials)
 

@@ -77,20 +77,25 @@ def make_dynamic(base: ClusterSpec) -> DynamicClusterSpec:
 
 
 def run_both(config, cluster, base, num_units, *, seed=123, num_iterations=9, **kwargs):
-    results = []
+    results, states = [], []
     for engine in (simulate_job, simulate_job_vectorized):
+        generator = np.random.default_rng(seed)
         try:
             job = engine(
                 scheme_from_config(config, cluster=base),
                 cluster,
                 num_units,
                 num_iterations,
-                rng=seed,
+                rng=generator,
                 **kwargs,
             )
             results.append(("completed", job))
         except SimulationError:
             results.append(("raised", None))
+        states.append(generator.bit_generator.state)
+    if results[0][0] == results[1][0] == "completed":
+        # The "shared" seed strategy threads the job generator onwards.
+        assert states[0] == states[1]
     return results
 
 
@@ -148,7 +153,7 @@ class TestDynamicSchemeEquivalence:
         )
 
     @pytest.mark.parametrize("name", sorted(SCHEME_MATRIX))
-    def test_stochastic_communication_identical_under_churn(self, name):
+    def test_stochastic_communication_identical_under_churn(self, name, block_draws):
         config, num_units = SCHEME_MATRIX[name]
         base = make_base(name, jitter=0.01)
         assert_equivalent_under_absence(
@@ -156,6 +161,9 @@ class TestDynamicSchemeEquivalence:
             run_both(config, make_dynamic(base), base, num_units,
                      serialize_master_link=True),
         )
+        # Shift-exponential workers with jitter: the block draw, vacant
+        # slots included.
+        assert block_draws and set(block_draws) == {True}
 
 
 class TestDynamicRegimes:
@@ -164,19 +172,25 @@ class TestDynamicRegimes:
         cluster = DynamicClusterSpec(base, dynamics={"name": "drift", "final_factor": 4.0})
         assert_identical(run_both({"name": "bcc", "load": 4}, cluster, base, 24))
 
-    def test_random_preemption_identical_or_raises_identically(self):
-        base = make_base("bcc", jitter=0.005)
+    def test_random_preemption_identical_or_raises_identically(
+        self, stochastic_case, block_draws
+    ):
+        base = stochastic_case.build(12)
         cluster = DynamicClusterSpec(
             base,
             dynamics={"name": "preempt", "preempt_probability": 0.15,
                       "recovery_iterations": 2},
         )
+        completed = 0
         for seed in (0, 1, 2, 3):
             results = run_both({"name": "bcc", "load": 6}, cluster, base, 24,
                                seed=seed)
             assert results[0][0] == results[1][0]
             if results[0][0] == "completed":
                 assert_identical(results)
+                completed += 1
+        assert completed
+        assert block_draws and set(block_draws) == {stochastic_case.block}
 
     def test_initially_absent_scale_out_identical(self):
         base = make_base("bcc")

@@ -24,7 +24,8 @@ from repro.cluster.spec import ClusterSpec
 from repro.exceptions import ConfigurationError
 from repro.schemes.registry import scheme_from_config
 from repro.simulation import vectorized
-from repro.simulation.vectorized import simulate_job_batch, simulate_job_vectorized
+from repro.simulation.job import simulate_job
+from repro.simulation.vectorized import simulate_job_batch
 from repro.stragglers.base import DelayModel
 from repro.stragglers.communication import (
     LinearCommunicationModel,
@@ -75,16 +76,23 @@ def make_cluster(name: str, communication=None) -> ClusterSpec:
     )
 
 
-def assert_batch_matches_solo(scheme, cluster, num_units, *, serialize, seeds=None):
-    """Assert the documented batch==solo identity for one configuration."""
+def assert_batch_matches_solo(
+    scheme, cluster, num_units, *, serialize, seeds=None, engine="vectorized"
+):
+    """Assert the documented batch==solo identity for one configuration.
+
+    ``engine`` runs the solo jobs; each trial's generator must also end in
+    the solo run's state.
+    """
     if seeds is None:
         seeds = np.random.SeedSequence(42).spawn(TRIALS)
+    generators = [np.random.default_rng(seed) for seed in seeds]
     batch = simulate_job_batch(
         scheme,
         cluster,
         num_units,
         ITERATIONS,
-        seeds,
+        generators,
         serialize_master_link=serialize,
     )
     assert len(batch) == len(seeds)
@@ -93,18 +101,20 @@ def assert_batch_matches_solo(scheme, cluster, num_units, *, serialize, seeds=No
     plan = scheme.build_feasible_plan(num_units, cluster.num_workers, generator)
     for trial, seed in enumerate(seeds):
         rng = generator if trial == 0 else np.random.default_rng(seed)
-        solo = simulate_job_vectorized(
+        solo = simulate_job(
             plan,
             cluster,
             num_units,
             ITERATIONS,
             rng,
             serialize_master_link=serialize,
+            engine=engine,
         )
         assert list(batch[trial].iterations) == list(solo.iterations), (
             f"trial {trial} diverged from its solo run"
         )
         assert batch[trial].summary() == solo.summary()
+        assert generators[trial].bit_generator.state == rng.bit_generator.state
 
 
 @pytest.mark.parametrize("serialize", [True, False], ids=["serialized", "parallel"])
@@ -135,11 +145,29 @@ class TestDynamicBitIdentity:
 
 
 class TestDrawSchedules:
-    def test_stochastic_communication_matches_solo(self):
-        comm = LinearCommunicationModel(latency=0.01, seconds_per_unit=0.02, jitter=0.05)
-        cluster = make_cluster("bcc", comm)
-        scheme = scheme_from_config({"name": "bcc", "load": 6}, cluster=cluster)
-        assert_batch_matches_solo(scheme, cluster, 24, serialize=True)
+    @pytest.mark.parametrize("dynamic", [False, True], ids=["stationary", "churn"])
+    def test_stochastic_communication_matches_solo(
+        self, stochastic_case, dynamic, block_draws
+    ):
+        base = stochastic_case.build(NUM_WORKERS)
+        cluster = base
+        if dynamic:
+            # Vacant slots in every iteration: they draw nothing.
+            cluster = DynamicClusterSpec(
+                base,
+                dynamics={"name": "markov", "slowdown": 4.0, "p_slow": 0.2},
+                events=(
+                    ChurnEvent("preempt", worker=1, iteration=0, recovery=2),
+                    ChurnEvent("leave", worker=6, iteration=2),
+                ),
+                initially_absent=(9,),
+            )
+        scheme = scheme_from_config({"name": "randomized", "load": 12}, cluster=base)
+        for serialize in (True, False):
+            assert_batch_matches_solo(
+                scheme, cluster, 24, serialize=serialize, engine="loop"
+            )
+        assert block_draws and set(block_draws) == {stochastic_case.block}
 
     def test_zero_communication_matches_solo(self):
         cluster = make_cluster("uncoded", ZeroCommunicationModel())

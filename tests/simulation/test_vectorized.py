@@ -74,22 +74,24 @@ def make_cluster(name: str) -> ClusterSpec:
 
 
 def run_both(config, cluster, num_units, *, seed=123, num_iterations=9, **kwargs):
-    loop = simulate_job(
-        scheme_from_config(config, cluster=cluster),
-        cluster,
-        num_units,
-        num_iterations,
-        rng=seed,
-        **kwargs,
-    )
-    vectorized = simulate_job_vectorized(
-        scheme_from_config(config, cluster=cluster),
-        cluster,
-        num_units,
-        num_iterations,
-        rng=seed,
-        **kwargs,
-    )
+    results, states = [], []
+    for engine in (simulate_job, simulate_job_vectorized):
+        generator = np.random.default_rng(seed)
+        results.append(
+            engine(
+                scheme_from_config(config, cluster=cluster),
+                cluster,
+                num_units,
+                num_iterations,
+                rng=generator,
+                **kwargs,
+            )
+        )
+        states.append(generator.bit_generator.state)
+    # Both engines leave the job generator in the same state: the "shared"
+    # seed strategy threads it into the next task.
+    assert states[0] == states[1]
+    loop, vectorized = results
     return loop, vectorized
 
 
@@ -120,21 +122,20 @@ class TestSchemeEquivalence:
         assert_identical(loop, vectorized)
 
     @pytest.mark.parametrize("name", ["bcc", "uncoded", "fractional-repetition"])
-    def test_stochastic_communication_identical(self, name):
-        # Jitter makes transfer draws consume randomness, forcing the
-        # vectorized engine onto the per-iteration draw schedule.
+    def test_stochastic_communication_identical(self, name, stochastic_case, block_draws):
+        # Jitter makes transfer draws consume randomness, interleaved with
+        # the compute draws. Shift-exponential workers take the exponential
+        # block draw; every other sampler replays the per-iteration
+        # interleave.
         config, num_units = SCHEME_MATRIX[name]
-        cluster = ClusterSpec.homogeneous(
-            12,
-            ShiftedExponentialDelay(straggling=2.0),
-            LinearCommunicationModel(latency=0.01, seconds_per_unit=0.05, jitter=0.2),
-        )
+        cluster = stochastic_case.build(12)
         loop, vectorized = run_both(config, cluster, num_units)
         assert_identical(loop, vectorized)
         loop, vectorized = run_both(
             config, cluster, num_units, serialize_master_link=False
         )
         assert_identical(loop, vectorized)
+        assert block_draws and set(block_draws) == {stochastic_case.block}
 
     def test_unit_size_scales_identically(self):
         loop, vectorized = run_both(
@@ -287,6 +288,13 @@ class TestSubclassedModelsStayExact:
             communication=LinearCommunicationModel(seconds_per_unit=0.1),
         )
         loop, vectorized = run_both({"name": "uncoded"}, cluster, 8)
+        assert_identical(loop, vectorized)
+        # Only the subclass: the grid paths then dispatch on the subclass
+        # itself, which must still not inherit the parent's formula.
+        homogeneous = ClusterSpec.homogeneous(
+            4, DoubledDelay(1.0), LinearCommunicationModel(seconds_per_unit=0.1)
+        )
+        loop, vectorized = run_both({"name": "uncoded"}, homogeneous, 8)
         assert_identical(loop, vectorized)
 
     def test_communication_subclass_overriding_sample_matches_loop(self):
