@@ -7,17 +7,16 @@ cell over ``trials`` independent runs, executes them on the sweep's backend —
 serially or via a ``concurrent.futures`` pool — and returns a
 :class:`SweepResult` whose records aggregate into report tables.
 
-Seeding strategies
-------------------
-``"spawn"`` (default)
-    Every (cell, trial) task receives its own :class:`numpy.random.SeedSequence`
-    child derived from the base spec's seed, so results are deterministic and
-    *identical* whether the sweep runs serially or in parallel.
-``"shared"``
-    A single generator is threaded through the cells in order — the historic
-    behaviour of the hand-written experiment loops, preserved so the rewired
-    figure/table drivers reproduce their pre-API output byte for byte. The
-    stream is inherently sequential, so this strategy refuses parallelism.
+Seeding
+-------
+Every (cell, trial) gets its own :class:`numpy.random.SeedSequence` child,
+spawned from the base spec's seed, so the records are identical whether the
+sweep runs serially, in parallel, or on remote nodes. An int or
+``SeedSequence`` base seed repeats: every ``run_sweep`` call of the same
+sweep yields the same records (and a cache serves the repeats). A live
+:class:`numpy.random.Generator` base seed is consumed instead — each
+``run_sweep`` call draws one integer from it to seed the spawn root — so
+repeated calls differ.
 
 The hot path
 ------------
@@ -32,11 +31,10 @@ works hard to keep its cost sub-linear:
   :class:`~repro.schemes.base.ExecutionPlan` through the spec. Random
   placements (BCC, randomized, Reed-Solomon's seed draw) are left alone —
   their plan *is* part of what a trial samples — so hoisting never changes
-  a single bit of any result, on either engine and under either seeding
-  strategy.
-* **Trial batching** (``trial_batching=``). Under the spawn strategy a
-  whole cell can be dispatched as *one* task that simulates every trial in
-  one vectorized engine entry (:meth:`TimingSimBackend.run_batch
+  a single bit of any result, on either engine.
+* **Trial batching** (``trial_batching=``). A whole cell can be
+  dispatched as *one* task that simulates every trial in one vectorized
+  engine entry (:meth:`TimingSimBackend.run_batch
   <repro.api.backends.TimingSimBackend.run_batch>`). ``"auto"`` (default)
   batches exactly the cells where that is bit-identical to per-trial tasks
   (vectorized engine + draw-free planning); ``"always"`` also batches cells
@@ -65,14 +63,7 @@ from repro.api.backends import BackendLike, get_backend
 from repro.api.result import RunResult, validate_record
 from repro.api.spec import JobSpec
 from repro.exceptions import ConfigurationError
-from repro.scheduling.core import (
-    SweepPlan,
-    build_sweep_plan,
-    execute_task,
-    hoist_cell_plan,
-    probe_rng_free_plan,
-    should_batch_cell,
-)
+from repro.scheduling.core import SweepPlan, build_sweep_plan
 from repro.scheduling.executors import Executor, resolve_executor
 from repro.schemes.base import Scheme
 from repro.utils.counting import CountingList
@@ -81,14 +72,6 @@ from repro.utils.validation import check_positive_int
 
 if TYPE_CHECKING:  # pragma: no cover - typing only; avoids an import cycle
     from repro.service.cache import ResultCache
-
-# Scheduling internals re-exported under their historical private names;
-# run_sweep resolves these at call time, so tests (and downstream code) can
-# still monkeypatch e.g. ``repro.api.sweep._hoist_cell_plan``.
-_probe_rng_free_plan = probe_rng_free_plan
-_hoist_cell_plan = hoist_cell_plan
-_batch_cell = should_batch_cell
-_run_task = execute_task
 
 __all__ = [
     "Sweep",
@@ -125,8 +108,10 @@ class Sweep:
         sweep (``backend=TimingSimBackend(engine="vectorized")``); individual
         cells can override it via a ``backend_options`` axis, e.g.
         ``{"backend_options": [{"engine": "loop"}, {"engine": "vectorized"}]}``.
-    seed_strategy:
-        ``"spawn"`` or ``"shared"`` (see the module docstring).
+
+    Each (cell, trial) runs at its own child of ``base.seed`` (see the
+    module docstring), so an int or ``SeedSequence`` seed reproduces the
+    sweep's records exactly.
     """
 
     base: JobSpec
@@ -134,18 +119,12 @@ class Sweep:
     mode: str = "grid"
     trials: int = 1
     backend: BackendLike = "timing"
-    seed_strategy: str = "spawn"
 
     def __post_init__(self) -> None:
         check_positive_int(self.trials, "trials")
         if self.mode not in ("grid", "zip"):
             raise ConfigurationError(
                 f"sweep mode must be 'grid' or 'zip', got {self.mode!r}"
-            )
-        if self.seed_strategy not in ("spawn", "shared"):
-            raise ConfigurationError(
-                "seed_strategy must be 'spawn' or 'shared', got "
-                f"{self.seed_strategy!r}"
             )
         for key, values in self.parameters.items():
             if len(values) == 0:
@@ -369,9 +348,11 @@ def run_sweep(
     ``run_sweep`` is a thin façade over the shared scheduling core
     (:mod:`repro.scheduling`): build the cell-task plan once, hand it to an
     executor, collect the records. Every execution mode — serial, thread
-    pool, process pool, async — dispatches the same plan through the same
-    task runner, so they produce bit-identical records under the default
-    ``"spawn"`` seed strategy.
+    pool, process pool, async, distributed — dispatches the same plan
+    through the same task runner, so they produce bit-identical records.
+    With an int or ``SeedSequence`` base seed, repeated calls do too; a
+    live ``Generator`` base seed is consumed (one draw per call), so
+    repeated calls differ.
 
     Parameters
     ----------
@@ -379,8 +360,7 @@ def run_sweep(
         The sweep to run.
     max_workers:
         ``None``/``0``/``1`` runs serially; anything larger fans the tasks
-        out over the chosen executor. Results are identical either way
-        under the default ``"spawn"`` seed strategy.
+        out over the chosen executor. Results are identical either way.
     executor:
         ``"thread"`` (default), ``"process"``, ``"async"``, ``"serial"``,
         ``"distributed"``, or an
@@ -414,9 +394,9 @@ def run_sweep(
         by content fingerprint and stores the rest after execution —
         analytic cells are memoized forever, simulated cells are
         deterministic at fixed seeds, so repeat sweeps become cache hits.
-        Uncacheable tasks (shared-generator seeds, custom runner backends)
-        are computed as usual. See :doc:`the service guide </service>` for
-        the fingerprint contract.
+        Uncacheable tasks (e.g. custom runner backends) are computed as
+        usual. See :doc:`the service guide </service>` for the fingerprint
+        contract.
 
     Examples
     --------
@@ -457,12 +437,6 @@ def run_sweep(
         )
     backend = get_backend(sweep.backend)
     parallel = max_workers is not None and max_workers > 1
-    if sweep.seed_strategy == "shared" and parallel:
-        raise ConfigurationError(
-            "the 'shared' seed strategy threads one generator through the "
-            "cells sequentially and cannot run in parallel; use the "
-            "'spawn' strategy for parallel sweeps"
-        )
     if parallel or not isinstance(executor, str) or executor == "distributed":
         # "distributed" executes on remote nodes whatever max_workers says —
         # a one-task sweep still belongs on the node that may have it cached.
@@ -483,20 +457,7 @@ def run_sweep(
         record=record,
         trial_batching=trial_batching,
         pickle_safe=runner.pickle_safe,
-        # Resolve the hoist hook at call time so monkeypatching the module
-        # global (a long-standing test seam) still takes effect.
-        hoist=_hoist_cell_plan,
     )
-    # Missing attribute counts as unsafe: third-party executors must opt in
-    # to sequential plans explicitly.
-    if plan.sequential and not getattr(runner, "sequential_safe", False):
-        raise ConfigurationError(
-            "the sweep's plan threads shared state through its tasks (the "
-            "'shared' seed strategy's single generator) and must execute "
-            f"sequentially, but executor {runner.name!r} dispatches tasks "
-            "concurrently; use executor='serial' (or the 'spawn' seed "
-            "strategy) instead"
-        )
 
     try:
         if cache is not None:
@@ -529,11 +490,11 @@ def _execute_with_cache(
 ) -> List[List[RunResult]]:
     """Serve cached tasks from the store, execute the rest, store them back.
 
-    Uncacheable tasks (no canonical fingerprint — e.g. shared-generator
-    seeds or custom runner backends) get a ``None`` key and are simply
-    computed. Misses are executed together through the runner, so a mostly
-    cold cache still gets the executor's full parallelism; results come
-    back in task order regardless of the hit/miss split.
+    Uncacheable tasks (no canonical fingerprint — e.g. custom runner
+    backends) get a ``None`` key and are simply computed. Misses are
+    executed together through the runner, so a mostly cold cache still
+    gets the executor's full parallelism; results come back in task order
+    regardless of the hit/miss split.
     """
     keys = [store.task_key(task) for task in plan.tasks]
     hits = [None if key is None else store.lookup(key) for key in keys]

@@ -42,7 +42,7 @@ from repro.stragglers.models import (
     ParetoDelay,
     ShiftedExponentialDelay,
 )
-from repro.utils.rng import RandomState, as_generator
+from repro.utils.rng import RandomState, as_generator, random_seed_sequence
 from repro.utils.validation import check_positive_int
 
 __all__ = [
@@ -77,7 +77,6 @@ def load_sweep(
             seed=as_generator(rng),
         ),
         parameters={"scheme.load": [int(load) for load in loads]},
-        seed_strategy="shared",
     )
     rows: List[Dict[str, float]] = []
     for record in run_sweep(sweep).records:
@@ -129,7 +128,6 @@ def straggler_intensity_sweep(
             "cluster": clusters,
             "scheme": [{"name": "bcc", "load": load}, {"name": "uncoded"}],
         },
-        seed_strategy="shared",
     )
     records = run_sweep(sweep).records
     rows: List[Dict[str, float]] = []
@@ -188,7 +186,6 @@ def delay_model_comparison(
             seed=as_generator(rng),
         ),
         parameters={"cluster": clusters, "scheme": scheme_configs},
-        seed_strategy="shared",
     )
     records = run_sweep(sweep).records
     rows: List[Dict[str, float]] = []
@@ -219,41 +216,35 @@ def communication_ratio_sweep(
 
     The randomized scheme's communication load is ``load`` times larger, so
     its disadvantage should widen with the per-unit communication cost.
+
+    Each cost runs as its own sweep at the same base seed, so every cost
+    sees the same placements and compute draws (common random numbers):
+    the rows differ by the communication cost, not by placement luck.
     """
     compute = ShiftedExponentialDelay(straggling=1e4, shift=1e-4)
-    clusters = [
-        ClusterSpec.homogeneous(
+    seed = random_seed_sequence(rng)
+    schemes = [{"name": "bcc", "load": load}, {"name": "randomized", "load": load}]
+    rows: List[Dict[str, float]] = []
+    for cost in comm_costs:
+        cluster = ClusterSpec.homogeneous(
             num_workers,
             compute,
             LinearCommunicationModel(
                 latency=1e-4, seconds_per_unit=float(cost), jitter=float(cost) / 2.0
             ),
         )
-        for cost in comm_costs
-    ]
-    sweep = Sweep(
-        JobSpec(
-            scheme={"name": "bcc", "load": load},
-            cluster=clusters[0],
-            num_units=num_units,
-            num_iterations=num_iterations,
-            serialize_master_link=True,
-            seed=as_generator(rng),
-        ),
-        parameters={
-            "cluster": clusters,
-            "scheme": [
-                {"name": "bcc", "load": load},
-                {"name": "randomized", "load": load},
-            ],
-        },
-        seed_strategy="shared",
-    )
-    records = run_sweep(sweep).records
-    rows: List[Dict[str, float]] = []
-    for index, cost in enumerate(comm_costs):
-        bcc_job = records[2 * index].result
-        randomized_job = records[2 * index + 1].result
+        sweep = Sweep(
+            JobSpec(
+                scheme=schemes[0],
+                cluster=cluster,
+                num_units=num_units,
+                num_iterations=num_iterations,
+                serialize_master_link=True,
+                seed=seed,
+            ),
+            parameters={"scheme": schemes},
+        )
+        bcc_job, randomized_job = (record.result for record in run_sweep(sweep))
         rows.append(
             {
                 "comm_seconds_per_unit": float(cost),
@@ -341,7 +332,6 @@ def allocation_strategy_comparison(
         ),
         parameters={"scheme": ["load-balanced", "uniform", "p2-random"]},
         backend=allocation_runner,
-        seed_strategy="shared",
     )
     return [
         {
@@ -412,7 +402,6 @@ def exactness_under_time_budget(
         ),
         parameters={"scheme": list(scheme_configs.values())},
         backend="semantic",
-        seed_strategy="shared",
     )
     runs = {
         name: record.result

@@ -84,11 +84,12 @@ def _simulate_thresholds(
     One `run_sweep` grid covers the whole (load x scheme) plane. With the
     default ``"timing"`` backend each trial re-draws the random placement and
     simulates a single iteration, so the trial-averaged recovery threshold
-    estimates the schemes' random thresholds Monte-Carlo style; the shared
-    seed strategy threads one generator through the cells in order, matching
-    the historic hand-written loop draw for draw. With ``backend="analytic"``
-    the same grid returns the closed-form expected thresholds instead —
-    no iteration is simulated and ``trials`` collapses to one evaluation.
+    estimates the schemes' random thresholds Monte-Carlo style; every
+    (load, scheme, trial) runs at its own seed spawned from ``rng``, so the
+    trials are independent and the grid is free to batch or parallelize.
+    With ``backend="analytic"`` the same grid returns the closed-form
+    expected thresholds instead — no iteration is simulated and ``trials``
+    collapses to one evaluation.
     """
     cluster = ClusterSpec.homogeneous(num_workers, ExponentialDelay(straggling=1.0))
     base = JobSpec(
@@ -107,7 +108,6 @@ def _simulate_thresholds(
         },
         trials=1 if backend == "analytic" else trials,
         backend=backend,
-        seed_strategy="shared",
     )
     simulated: Dict[str, List[float]] = {"bcc": [], "randomized": []}
     result = run_sweep(sweep)

@@ -227,7 +227,6 @@ def run_scenario(
         base,
         parameters={"scheme": list(schemes.values())},
         backend=backend,
-        seed_strategy="shared",
     )
     result = ScenarioResult(config=config)
     for name, record in zip(schemes, run_sweep(sweep).records):

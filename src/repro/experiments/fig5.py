@@ -126,7 +126,6 @@ def run_fig5(
         JobSpec(scheme="load-balanced", cluster=cluster, num_units=m, seed=generator),
         parameters={"scheme": ["load-balanced", "generalized-bcc"]},
         backend=monte_carlo_runner,
-        seed_strategy="shared",
     )
     lb_record, bcc_record = run_sweep(sweep).records
 

@@ -143,7 +143,6 @@ def run_theorem1_validation(
         base,
         parameters={"scheme.load": result.loads},
         backend=backend,
-        seed_strategy="shared",
     )
     records = run_sweep(sweep).records
     for load, record in zip(result.loads, records):
@@ -243,7 +242,6 @@ def run_theorem2_validation(
     sweep = Sweep(
         JobSpec(scheme="generalized-bcc", cluster=cluster, num_units=m, seed=generator),
         backend=coverage_runner,
-        seed_strategy="shared",
     )
     (record,) = run_sweep(sweep).records
 

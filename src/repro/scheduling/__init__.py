@@ -8,10 +8,11 @@ halves:
 
 * :mod:`repro.scheduling.core` — *what* to run: :func:`build_sweep_plan`
   turns a :class:`~repro.api.sweep.Sweep` into an ordered list of
-  :class:`CellTask` work items, applying the per-cell decisions (plan
-  hoisting, trial batching, record mode, seed strategy) exactly once,
-  independent of how the tasks will execute. :func:`execute_task` is the
-  single task runner every executor dispatches.
+  :class:`CellTask` work items, applying the per-cell decisions (one
+  spawned seed per ``(cell, trial)``, plan hoisting, trial batching,
+  record mode) exactly once, independent of how the tasks will execute.
+  :func:`execute_task` is the single task runner every executor
+  dispatches.
 * :mod:`repro.scheduling.executors` — *how* to run it: the
   :class:`Executor` protocol with :class:`SerialExecutor`,
   :class:`PoolExecutor` (thread or process ``concurrent.futures`` pools)
@@ -19,8 +20,7 @@ halves:
   on); :mod:`repro.scheduling.distributed` adds
   :class:`DistributedExecutor`, which shards the same plan across N
   ``repro serve`` nodes over TCP with pull-based work stealing. Every
-  executor consumes the same plan and produces bit-identical results
-  under the spawn seed strategy.
+  executor consumes the same plan and produces bit-identical results.
 
 :func:`repro.api.sweep.run_sweep` is now a thin façade over
 build-plan → execute → collect; :mod:`repro.service` mounts the same core

@@ -29,7 +29,7 @@ from repro.exceptions import (
     SimulationError,
 )
 from repro.schemes.base import ExecutionPlan
-from repro.utils.rng import RandomState, as_generator, random_seed_sequence
+from repro.utils.rng import RandomState, random_seed_sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only; avoids an import cycle
     from repro.api.sweep import Sweep
@@ -106,17 +106,11 @@ class SweepPlan:
         The sweep's axis names (carried into the result).
     trials:
         Monte-Carlo replications per cell.
-    sequential:
-        ``True`` when the tasks thread shared state (the ``"shared"`` seed
-        strategy's single generator) and therefore must execute one after
-        another, in order; ``run_sweep`` refuses to hand such plans to any
-        executor whose ``sequential_safe`` flag is not ``True``.
     """
 
     tasks: Tuple[CellTask, ...]
     parameter_names: Tuple[str, ...]
     trials: int
-    sequential: bool = False
 
 
 def describe_task(task: CellTask) -> str:
@@ -138,10 +132,10 @@ def probe_rng_free_plan(spec: JobSpec) -> Optional[ExecutionPlan]:
 
     Builds the plan with a probe generator and compares the generator's
     state before and after: an unchanged state proves the placement cannot
-    depend on the trial's seed, so one plan can stand in for every trial —
-    and for every seeding strategy — without changing a single draw. Random
-    placements (and anything that fails to plan; the real run will surface
-    the error with full context) return ``None``.
+    depend on the trial's seed, so one plan can stand in for every trial
+    without changing a single draw. Random placements (and anything that
+    fails to plan; the real run will surface the error with full context)
+    return ``None``.
     """
     if spec.cluster is None or isinstance(spec.scheme, ExecutionPlan):
         return None
@@ -170,8 +164,7 @@ def hoist_cell_plan(backend: Backend, spec: JobSpec, trials: int) -> JobSpec:
     Only the simulation backends understand a plan-carrying spec, and
     hoisting only pays with several trials; beyond that the safety argument
     is :func:`probe_rng_free_plan`'s — draw-free planning means the hoisted
-    spec runs bit-identically to the original on both engines, under both
-    seeding strategies.
+    spec runs bit-identically to the original on both engines.
     """
     if trials < 2 or not isinstance(backend, (TimingSimBackend, SemanticSimBackend)):
         return spec
@@ -215,12 +208,11 @@ def build_sweep_plan(
     record: str = "full",
     trial_batching: str = "auto",
     pickle_safe: bool = False,
-    hoist: Optional[object] = None,
 ) -> SweepPlan:
     """Expand a sweep into its :class:`CellTask` schedule.
 
     Every per-cell decision is made here, once, independent of execution:
-    seed derivation (spawned children or the shared generator), whether a
+    seed derivation (one spawned child per ``(cell, trial)``), whether a
     cell dispatches as one trial-batched task, and whether its plan is
     hoisted. ``pickle_safe=True`` disables plan hoisting — a hoisted plan
     carries scheme-defined closures that may not pickle, so plans destined
@@ -228,40 +220,17 @@ def build_sweep_plan(
     way: hoisting only happens when it cannot change a draw, and cell tasks
     re-plan inside the worker).
 
-    ``hoist`` is an injection point for the hoisting function (used by
-    tests to force hoisting off); ``None`` uses :func:`hoist_cell_plan`.
+    The children are spawned from a copy of the base seed's
+    :class:`~numpy.random.SeedSequence`, so a ``SeedSequence`` base seed is
+    never advanced and yields the same tasks on every call.
     """
-    hoister = hoist_cell_plan if hoist is None else hoist
     cells = sweep.cells()
-    tasks: List[CellTask] = []
-
-    if sweep.seed_strategy == "shared":
-        generator = as_generator(sweep.base.seed)
-        for index, params in enumerate(cells):
-            cell_spec = sweep.base.with_overrides(params)
-            if not pickle_safe:
-                cell_spec = hoister(backend, cell_spec, sweep.trials)
-            for trial in range(sweep.trials):
-                tasks.append(
-                    CellTask(
-                        kind="trial",
-                        backend=backend,
-                        spec=cell_spec.replace(seed=generator),
-                        record=record,
-                        cell=index,
-                        params=params,
-                        trials=(trial,),
-                    )
-                )
-        return SweepPlan(
-            tasks=tuple(tasks),
-            parameter_names=tuple(sweep.parameters),
-            trials=sweep.trials,
-            sequential=True,
-        )
-
     root = random_seed_sequence(sweep.base.seed)
+    root = np.random.SeedSequence(
+        root.entropy, spawn_key=root.spawn_key, pool_size=root.pool_size
+    )
     children = root.spawn(len(cells) * sweep.trials)
+    tasks: List[CellTask] = []
     for index, params in enumerate(cells):
         cell_spec = sweep.base.with_overrides(params)
         cell_children = children[index * sweep.trials : (index + 1) * sweep.trials]
@@ -270,7 +239,7 @@ def build_sweep_plan(
                 CellTask(
                     kind="cell",
                     backend=backend,
-                    spec=cell_spec,
+                    spec=cell_spec.replace(seed=None),
                     record=record,
                     cell=index,
                     params=params,
@@ -280,7 +249,7 @@ def build_sweep_plan(
             )
             continue
         if not pickle_safe:
-            cell_spec = hoister(backend, cell_spec, sweep.trials)
+            cell_spec = hoist_cell_plan(backend, cell_spec, sweep.trials)
         for trial, child in enumerate(cell_children):
             tasks.append(
                 CellTask(

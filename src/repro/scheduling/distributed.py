@@ -275,7 +275,6 @@ class DistributedExecutor:
     #: destined for this executor must stay pickle-clean (no hoisted
     #: scheme closures) — exactly the process-pool contract.
     pickle_safe = True
-    sequential_safe = False
 
     def __init__(
         self,

@@ -48,16 +48,10 @@ class Executor(Protocol):
     the input. ``pickle_safe`` declares whether tasks cross a pickle
     boundary on the way to execution (process pools) — the plan builder
     then keeps specs pickle-clean by skipping plan hoisting.
-    ``sequential_safe`` declares that ``execute`` runs the tasks strictly
-    one after another, in order, in the calling process — the property a
-    sequential :class:`~repro.scheduling.core.SweepPlan` (the ``"shared"``
-    seed strategy's single generator threaded through every task) requires;
-    ``run_sweep`` refuses to hand such plans to executors without it.
     """
 
     name: str
     pickle_safe: bool
-    sequential_safe: bool
 
     def execute(self, tasks: Sequence[CellTask]) -> List[List[RunResult]]:
         """Run every task and return their result lists, in task order."""
@@ -69,7 +63,6 @@ class SerialExecutor:
 
     name = "serial"
     pickle_safe = False
-    sequential_safe = True
 
     def execute(self, tasks: Sequence[CellTask]) -> List[List[RunResult]]:
         """Run the tasks one after another, in order."""
@@ -114,12 +107,6 @@ class PoolExecutor:
         """Process pools pickle every task across the boundary."""
         return self.kind == "process"
 
-    #: Pools dispatch tasks concurrently (and process pools additionally
-    #: pickle them, copying any shared generator), so a plan that threads
-    #: shared state through its tasks cannot run here — not even with one
-    #: worker.
-    sequential_safe = False
-
     def _ensure_pool(self) -> Union[ThreadPoolExecutor, ProcessPoolExecutor]:
         """The live pool, building one under the lock on first use."""
         with self._pool_lock:
@@ -161,7 +148,6 @@ class AsyncExecutor:
 
     name = "async"
     pickle_safe = False
-    sequential_safe = False
 
     def __init__(self, max_workers: Optional[int] = None) -> None:
         self.max_workers = max_workers

@@ -56,8 +56,8 @@ class CacheStats:
     stores:
         Successful stores (memory tier; the disk tier may decline).
     uncacheable:
-        Tasks with no canonical fingerprint (live-generator seeds, custom
-        runner backends) — computed normally, never keyed.
+        Tasks with no canonical fingerprint (e.g. custom runner
+        backends) — computed normally, never keyed.
     disk_errors:
         Disk entries that failed to load: missing fields, invalid JSON,
         unreadable files. Each one was recomputed.

@@ -131,16 +131,6 @@ class SweepService:
             trial_batching=trial_batching,
         )
 
-        if plan.sequential:
-            # The shared seed strategy threads one generator through the
-            # tasks; execute in order, without concurrency or caching
-            # (generator seeds have no canonical fingerprint anyway).
-            for task in plan.tasks:
-                results = await self.executor.run_task(task)
-                self.stats.tasks_executed += 1
-                yield self._records(task, results)
-            return
-
         async def labelled(task: CellTask) -> "tuple[CellTask, List[RunResult]]":
             return task, await self._cached_task(task)
 

@@ -66,7 +66,7 @@ class TestCells:
 
 class TestDeterminism:
     def test_serial_and_parallel_tables_are_identical(self, base):
-        """The spawn seed strategy makes execution order irrelevant."""
+        """Spawned per-task seeds make execution order irrelevant."""
         sweep = Sweep(
             base,
             parameters={
@@ -105,43 +105,24 @@ class TestDeterminism:
         }
         assert len(totals) == 3
 
-    def test_shared_strategy_refuses_parallelism(self, base):
-        sweep = Sweep(base, parameters={"scheme.load": [2, 4]}, seed_strategy="shared")
-        with pytest.raises(ConfigurationError, match="parallel"):
-            run_sweep(sweep, max_workers=2)
+    def test_seed_sequence_base_seed_repeats(self, base):
+        """Regression: the plan spawned from the caller's SeedSequence and
+        advanced its child counter, so a second run drew new seeds."""
+        import numpy as np
 
-    def test_shared_strategy_threads_one_generator(self, exponential_cluster):
-        """Shared mode reproduces a hand-written sequential loop draw for draw."""
-        from repro.simulation.job import simulate_job
-        from repro.schemes.bcc import BCCScheme
-        from repro.utils.rng import as_generator
+        seed = np.random.SeedSequence(5)
+        sweep = Sweep(base.replace(seed=seed), trials=2)
+        first = run_sweep(sweep)
+        assert run_sweep(sweep).records == first.records
+        assert seed.n_children_spawned == 0
+        # An unused SeedSequence seeds exactly like its int entropy.
+        assert run_sweep(Sweep(base.replace(seed=5), trials=2)).records == first.records
 
-        generator = as_generator(11)
-        expected = [
-            simulate_job(
-                BCCScheme(load),
-                exponential_cluster,
-                num_units=20,
-                num_iterations=3,
-                rng=generator,
-                serialize_master_link=False,
-            ).total_time
-            for load in (2, 4)
-        ]
-        sweep = Sweep(
-            JobSpec(
-                scheme={"name": "bcc"},
-                cluster=exponential_cluster,
-                num_units=20,
-                num_iterations=3,
-                serialize_master_link=False,
-                seed=11,
-            ),
-            parameters={"scheme.load": [2, 4]},
-            seed_strategy="shared",
-        )
-        measured = [record.result.total_time for record in run_sweep(sweep).records]
-        assert measured == expected
+    def test_live_generator_base_seed_is_consumed(self, base):
+        import numpy as np
+
+        sweep = Sweep(base.replace(seed=np.random.default_rng(5)), trials=2)
+        assert run_sweep(sweep).records != run_sweep(sweep).records
 
 
 class TestAggregation:
@@ -224,10 +205,6 @@ class TestSweepValidation:
     def test_bad_mode_rejected(self, base):
         with pytest.raises(ConfigurationError, match="grid"):
             Sweep(base, mode="diagonal")
-
-    def test_bad_seed_strategy_rejected(self, base):
-        with pytest.raises(ConfigurationError, match="seed_strategy"):
-            Sweep(base, seed_strategy="entropy")
 
     def test_bad_executor_rejected(self, base):
         with pytest.raises(ConfigurationError, match="executor"):
@@ -365,39 +342,49 @@ class TestRecordModes:
 
 
 class TestPlanHoisting:
-    def test_hoisting_preserves_shared_strategy_stream(self, base):
+    def test_hoisting_preserves_per_trial_records(self, base, monkeypatch):
         """Draw-free planning is hoisted per cell; random planning is not —
-        either way the shared-generator stream must not move."""
-        for scheme in ({"name": "cyclic-repetition", "load": 2}, {"name": "bcc", "load": 4}):
-            sweep = Sweep(
-                base.replace(scheme=scheme),
-                trials=3,
-                seed_strategy="shared",
-            )
-            hoisted = run_sweep(sweep)
-            # The reference: per-trial execution with hoisting forced off.
-            from repro.api import sweep as sweep_module
+        either way every per-trial record must stay bit-identical."""
+        from repro.api.backends import get_backend
+        from repro.scheduling import core
+        from repro.schemes.base import ExecutionPlan
 
-            original = sweep_module._hoist_cell_plan
-            try:
-                sweep_module._hoist_cell_plan = lambda backend, spec, trials: spec
-                reference = run_sweep(sweep)
-            finally:
-                sweep_module._hoist_cell_plan = original
-            for a, b in zip(hoisted.records, reference.records):
-                assert a.result.summary() == b.result.summary()
+        sweep = Sweep(
+            base,
+            parameters={
+                "scheme": [
+                    {"name": "reed-solomon", "load": 2},  # draw-free: hoisted
+                    {"name": "bcc", "load": 4},  # random placement: not
+                ]
+            },
+            trials=3,
+        )
+
+        def hoisted_tasks():
+            plan = core.build_sweep_plan(
+                sweep, backend=get_backend(sweep.backend), trial_batching="never"
+            )
+            return [isinstance(task.spec.scheme, ExecutionPlan) for task in plan.tasks]
+
+        assert hoisted_tasks() == [True] * 3 + [False] * 3
+        hoisted = run_sweep(sweep, trial_batching="never")
+        # The reference: per-trial execution with hoisting forced off.
+        monkeypatch.setattr(core, "hoist_cell_plan", lambda backend, spec, trials: spec)
+        assert not any(hoisted_tasks())
+        reference = run_sweep(sweep, trial_batching="never")
+        assert hoisted.records == reference.records
 
     def test_probe_detects_random_planning(self, base):
-        from repro.api.sweep import _probe_rng_free_plan
+        from repro.scheduling.core import probe_rng_free_plan
 
-        assert _probe_rng_free_plan(base) is None  # bcc draws its placement
+        assert probe_rng_free_plan(base) is None  # bcc draws its placement
         # Cyclic repetition draws its code coefficients during planning, so
         # it must also be detected as random — unlike its deterministic
         # Reed-Solomon sibling.
         random_code = base.replace(scheme={"name": "cyclic-repetition", "load": 2})
-        assert _probe_rng_free_plan(random_code) is None
+        assert probe_rng_free_plan(random_code) is None
         deterministic = base.replace(scheme={"name": "reed-solomon", "load": 2})
-        plan = _probe_rng_free_plan(deterministic)
+        plan = probe_rng_free_plan(deterministic)
         assert plan is not None
         assert plan.scheme_name == "reed-solomon"
 

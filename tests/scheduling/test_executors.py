@@ -11,6 +11,7 @@ schemes, engines, record modes, and trial-batching settings.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.api import JobSpec, Sweep, TimingSimBackend, run_sweep
@@ -21,6 +22,7 @@ from repro.scheduling import (
     PoolExecutor,
     SerialExecutor,
     build_sweep_plan,
+    execute_task,
     resolve_executor,
 )
 from repro.stragglers.models import ShiftedExponentialDelay
@@ -119,52 +121,49 @@ class TestExecutorEquivalence:
         assert records_of(second) == records_of(first)
 
 
-def shared_seed_sweep():
-    sweep = make_sweep()
-    return Sweep(
-        sweep.base,
-        parameters=sweep.parameters,
-        trials=sweep.trials,
-        backend=sweep.backend,
-        seed_strategy="shared",
-    )
+#: Caller-owned base seeds other than an int; each factory call builds a
+#: fresh seed in the same state, so two sweeps built from one kind match.
+SEED_FACTORIES = {
+    "seed-sequence": lambda: np.random.SeedSequence(5),
+    "generator": lambda: np.random.default_rng(5),
+}
+
+#: Concurrent executor instances (the path that bypasses ``max_workers``).
+CONCURRENT_INSTANCES = {
+    "thread": lambda: PoolExecutor("thread", 4),
+    "process": lambda: PoolExecutor("process", 2),
+    "async": lambda: AsyncExecutor(4),
+}
 
 
-class TestSequentialPlans:
-    def test_only_serial_is_sequential_safe(self):
-        assert SerialExecutor().sequential_safe
-        assert not PoolExecutor("thread", 1).sequential_safe
-        assert not PoolExecutor("process", 1).sequential_safe
-        assert not AsyncExecutor().sequential_safe
+class TestCallerSeeds:
+    """The plan, and every seed in it, is derived in the caller — so any
+    executor reproduces the serial records whatever kind of base seed the
+    caller passes."""
 
-    def test_serial_instance_accepts_shared_strategy(self):
-        shared = shared_seed_sweep()
-        reference = run_sweep(shared)
-        result = run_sweep(shared, executor=SerialExecutor())
+    @pytest.mark.parametrize("seed_kind", sorted(SEED_FACTORIES))
+    @pytest.mark.parametrize("instance_kind", sorted(CONCURRENT_INSTANCES))
+    def test_concurrent_instance_matches_serial(self, instance_kind, seed_kind):
+        make_seed = SEED_FACTORIES[seed_kind]
+        reference = run_sweep(make_sweep(seed=make_seed()))
+        seed = make_seed()
+        instance = CONCURRENT_INSTANCES[instance_kind]()
+        try:
+            result = run_sweep(make_sweep(seed=seed), executor=instance)
+        finally:
+            getattr(instance, "close", lambda: None)()
         assert records_of(result) == records_of(reference)
+        if isinstance(seed, np.random.SeedSequence):
+            assert seed.n_children_spawned == 0  # the caller's seed is untouched
 
-    @pytest.mark.parametrize(
-        "instance",
-        [PoolExecutor("thread", 4), PoolExecutor("process", 2), AsyncExecutor(4)],
-        ids=["thread", "process", "async"],
-    )
-    def test_concurrent_instance_refuses_shared_strategy(self, instance):
-        # The instance path bypasses the max_workers-based string guard; the
-        # plan-level check must still refuse to race the shared generator.
-        with pytest.raises(ConfigurationError, match="sequential"):
-            run_sweep(shared_seed_sweep(), executor=instance)
-
-    def test_concurrent_instance_refused_even_without_max_workers(self):
-        with pytest.raises(ConfigurationError, match="sequential"):
-            run_sweep(
-                shared_seed_sweep(),
-                executor=PoolExecutor("thread", 8),
-                max_workers=None,
-            )
-
-    def test_string_executor_with_workers_still_refused(self):
-        with pytest.raises(ConfigurationError, match="seed strategy"):
-            run_sweep(shared_seed_sweep(), executor="thread", max_workers=4)
+    def test_concurrent_instance_without_max_workers_matches_serial(self):
+        # An instance is used as given: max_workers=None does not fall back
+        # to serial execution, and the records still match the serial run.
+        sweep = make_sweep()
+        with PoolExecutor("thread", 8) as instance:
+            result = run_sweep(sweep, executor=instance, max_workers=None)
+            assert instance._pool is not None
+        assert records_of(result) == records_of(run_sweep(sweep))
 
 
 class TestResolveExecutor:
@@ -191,6 +190,20 @@ class TestResolveExecutor:
         instance = PoolExecutor("thread", 3)
         assert resolve_executor(instance) is instance
 
+    def test_minimal_third_party_executor_runs_any_sweep(self):
+        # The protocol is name + pickle_safe + execute; with every task at
+        # its own spawned seed, even reversed execution order is harmless.
+        class ReversedExecutor:
+            name = "reversed"
+            pickle_safe = False
+
+            def execute(self, tasks):
+                return [execute_task(task) for task in reversed(tasks)][::-1]
+
+        sweep = make_sweep()
+        result = run_sweep(sweep, executor=ReversedExecutor())
+        assert records_of(result) == records_of(run_sweep(sweep))
+
 
 class TestPlanShape:
     def test_plan_is_execution_independent(self):
@@ -201,20 +214,27 @@ class TestPlanShape:
         assert len(plan_a.tasks) == len(plan_b.tasks)
         assert plan_a.parameter_names == ("scheme",)
         assert [t.entries for t in plan_a.tasks] == [t.entries for t in plan_b.tasks]
-        assert not plan_a.sequential
 
-    def test_shared_strategy_plans_sequentially(self):
-        sweep = make_sweep()
-        sweep = Sweep(
-            sweep.base,
-            parameters=sweep.parameters,
-            trials=sweep.trials,
-            backend=sweep.backend,
-            seed_strategy="shared",
-        )
-        plan = build_sweep_plan(sweep, backend=TimingSimBackend(engine="auto"))
-        assert plan.sequential
-        assert all(task.kind == "trial" for task in plan.tasks)
+    def test_every_run_gets_its_own_spawned_seed(self):
+        # One SeedSequence child per (cell, trial), in cell-major order:
+        # trial tasks carry theirs on the spec, cell tasks in ``seeds``
+        # with a seedless spec.
+        sweep = make_sweep(trials=4, seed=np.random.SeedSequence(9))
+        plan = build_sweep_plan(sweep, backend=TimingSimBackend(engine="vectorized"))
+        assert {task.kind for task in plan.tasks} == {"trial", "cell"}
+        seeds = {}
+        for task in plan.tasks:
+            if task.kind == "cell":
+                assert task.spec.seed is None
+                task_seeds = task.seeds
+            else:
+                task_seeds = (task.spec.seed,)
+            for (cell, _, trial), seed in zip(task.entries, task_seeds):
+                seeds[cell, trial] = seed
+        children = np.random.SeedSequence(9).spawn(len(seeds))
+        assert [seeds[key].spawn_key for key in sorted(seeds)] == [
+            child.spawn_key for child in children
+        ]
 
     def test_entries_cover_every_cell_and_trial(self):
         sweep = make_sweep(trials=4)

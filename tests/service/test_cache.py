@@ -18,13 +18,13 @@ import json
 import numpy as np
 import pytest
 
-from repro.api import JobSpec, Sweep, TimingSimBackend, run_sweep
+from repro.api import JobSpec, RunResult, Sweep, TimingSimBackend, run_sweep
 from repro.api.backends import get_backend
 from repro.api.fingerprint import canonical_value, fingerprint_spec
 from repro.cluster.spec import ClusterSpec
 from repro.exceptions import FingerprintError
 from repro.scheduling import build_sweep_plan
-from repro.service import ResultCache
+from repro.service import ResultCache, SweepService
 from repro.stragglers.models import DeterministicDelay, ShiftedExponentialDelay
 
 
@@ -154,20 +154,46 @@ class TestCacheCorrectness:
         assert cache.stats.hits == 0
         assert cache.stats.stores == 2 * full_stores
 
-    def test_shared_strategy_is_computed_not_cached(self):
-        sweep = make_sweep()
-        shared = Sweep(
-            sweep.base,
-            parameters=sweep.parameters,
-            trials=sweep.trials,
-            backend=sweep.backend,
-            seed_strategy="shared",
+    def test_custom_runner_is_computed_not_cached(self):
+        def runner(spec):
+            draw = float(spec.rng().random())
+            return RunResult(scheme_name="stub", backend="stub", extras={"draw": draw})
+
+        sweep = Sweep(
+            make_spec(), parameters={"scheme.load": [4, 8]}, trials=2, backend=runner
         )
         cache = ResultCache()
-        result = run_sweep(shared, cache=cache)
-        assert cache.stats.uncacheable == len(records_of(result))
+        result = run_sweep(sweep, cache=cache)
+        assert cache.stats.uncacheable == len(records_of(result)) == 4
         assert cache.stats.stores == 0
-        assert records_of(result) == records_of(run_sweep(shared))
+        assert records_of(result) == records_of(run_sweep(sweep))
+        service = SweepService(max_workers=2)
+        served = service.submit(sweep, record="full")
+        assert records_of(served) == records_of(result)
+        assert service.cache.stats.uncacheable == 4
+        assert service.cache.stats.stores == 0
+        assert service.stats.tasks_executed == 4
+
+    def test_seed_sequence_resubmission_is_all_hits(self):
+        sweep = make_sweep(make_spec(seed=np.random.SeedSequence(3)))
+        cache = ResultCache()
+        first = run_sweep(sweep, cache=cache)
+        stores = cache.stats.stores
+        second = run_sweep(sweep, cache=cache)
+        assert records_of(second) == records_of(first)
+        assert cache.stats.hits == stores and cache.stats.stores == stores
+
+    def test_batched_cell_with_generator_seed_is_cacheable(self):
+        # A trial-batched cell runs at its spawned seeds only; the base
+        # seed (here a live generator) must not make the cell uncacheable.
+        spec = make_spec(scheme={"name": "uncoded"}, seed=np.random.default_rng(0))
+        sweep = Sweep(spec, trials=2, backend=TimingSimBackend(engine="vectorized"))
+        cache = ResultCache()
+        plan = build_sweep_plan(sweep, backend=sweep.backend)
+        assert [task.kind for task in plan.tasks] == ["cell"]
+        assert plan.tasks[0].spec.seed is None
+        run_sweep(sweep, cache=cache)
+        assert (cache.stats.stores, cache.stats.uncacheable) == (1, 0)
 
     def test_task_keys_differ_per_task(self):
         sweep = make_sweep()

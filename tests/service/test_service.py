@@ -11,6 +11,7 @@ from __future__ import annotations
 import asyncio
 import json
 
+import numpy as np
 import pytest
 
 from repro.api import JobSpec, Sweep, TimingSimBackend, run_sweep
@@ -124,19 +125,20 @@ class TestSweepService:
         result = service.submit(make_sweep())
         assert len(records_of(result)) == 4
 
-    def test_shared_strategy_executes_sequentially(self):
-        sweep = make_sweep()
-        shared = Sweep(
-            sweep.base,
-            parameters=sweep.parameters,
-            trials=sweep.trials,
-            backend=sweep.backend,
-            seed_strategy="shared",
-        )
+    def test_seed_sequence_sweep_runs_concurrently_and_caches(self):
+        # A caller-owned SeedSequence seeds the same tasks on every
+        # submission, so a multi-worker service caches all of them and
+        # serves the resubmission without executing anything.
+        sweep = make_sweep(seed=np.random.SeedSequence(3))
         service = SweepService(max_workers=4)
-        result = service.submit(shared, record="full")
-        assert records_of(result) == records_of(run_sweep(shared))
-        assert service.cache.stats.stores == 0
+        first = service.submit(sweep, record="full")
+        executed = service.stats.tasks_executed
+        assert records_of(first) == records_of(run_sweep(sweep))
+        assert service.cache.stats.stores == executed == len(records_of(first))
+        second = service.submit(sweep, record="full")
+        assert records_of(second) == records_of(first)
+        assert service.stats.tasks_executed == executed
+        assert service.cache.stats.hits == executed
 
     def test_service_shares_a_cache_with_run_sweep(self):
         sweep = make_sweep()
