@@ -10,10 +10,13 @@ from ``JobResult`` and ``to_table()`` renders the headline metrics.
 
 Record modes
 ------------
-A result normally carries its **full** per-iteration log. For Monte-Carlo
-sweeps only the aggregates usually matter, and shipping thousands of
-:class:`~repro.simulation.iteration.IterationOutcome` objects across a
-process pool's pickle boundary dwarfs the simulation itself. ``compact()``
+A result normally carries its **full** per-iteration log. From the
+vectorized engine that log is a
+:class:`~repro.simulation.job.ColumnarOutcomeLog`: it pickles as a few
+arrays (one per :class:`~repro.simulation.iteration.IterationOutcome`
+field, the heard workers as one flat index) instead of one object per
+iteration, but its size still grows with the iteration count. For
+Monte-Carlo sweeps only the aggregates usually matter. ``compact()``
 converts a result to **summary** form: the headline aggregates are frozen
 into ``summary_data``, the iteration log (and training trace) is dropped,
 and every aggregate property keeps answering from the frozen summary.

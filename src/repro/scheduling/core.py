@@ -220,16 +220,13 @@ def build_sweep_plan(
     way: hoisting only happens when it cannot change a draw, and cell tasks
     re-plan inside the worker).
 
-    The children are spawned from a copy of the base seed's
-    :class:`~numpy.random.SeedSequence`, so a ``SeedSequence`` base seed is
-    never advanced and yields the same tasks on every call.
+    The children are spawned from
+    :func:`~repro.utils.rng.random_seed_sequence`'s copy of the base seed,
+    so a ``SeedSequence`` base seed is never advanced and yields the same
+    tasks on every call.
     """
     cells = sweep.cells()
-    root = random_seed_sequence(sweep.base.seed)
-    root = np.random.SeedSequence(
-        root.entropy, spawn_key=root.spawn_key, pool_size=root.pool_size
-    )
-    children = root.spawn(len(cells) * sweep.trials)
+    children = random_seed_sequence(sweep.base.seed).spawn(len(cells) * sweep.trials)
     tasks: List[CellTask] = []
     for index, params in enumerate(cells):
         cell_spec = sweep.base.with_overrides(params)

@@ -10,8 +10,20 @@ timing metrics and an actual trained model under simulated time.
 from __future__ import annotations
 
 import itertools
+import operator
+import sys
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import (
+    Any,
+    Callable,
+    Iterator,
+    List,
+    NoReturn,
+    Optional,
+    Sequence,
+    SupportsIndex,
+    Tuple,
+)
 
 import numpy as np
 
@@ -26,11 +38,17 @@ from repro.optim.trainer import IterationRecord, TrainingResult
 from repro.schemes.base import ExecutionPlan, Scheme
 from repro.simulation.execution import worker_message
 from repro.simulation.iteration import IterationOutcome, simulate_iteration
-from repro.utils.counting import CountingList
+from repro.utils.counting import MUTATING_METHODS, CountingList
 from repro.utils.rng import RandomState, as_generator
 from repro.utils.validation import check_positive_int
 
-__all__ = ["JobResult", "RepeatedOutcomeLog", "simulate_job", "simulate_training_run"]
+__all__ = [
+    "ColumnarOutcomeLog",
+    "JobResult",
+    "RepeatedOutcomeLog",
+    "simulate_job",
+    "simulate_training_run",
+]
 
 
 @dataclass(frozen=True)
@@ -44,6 +62,17 @@ class _JobAggregates:
     average_communication_load: Optional[float]
 
 
+def _sequential_sum(values: np.ndarray | Sequence[float]) -> float:
+    """``((0.0 + v[0]) + v[1]) + ...``, rounded after every addition.
+
+    This order defines a job's totals; it is what the built-in ``sum()``
+    computed before Python 3.12. Python 3.12's ``sum()`` compensates and
+    ``np.sum`` adds pairwise, so either would make the totals (and every
+    digest built on them) depend on the interpreter.
+    """
+    return float(np.add.accumulate(np.concatenate(([0.0], values)))[-1])
+
+
 class _IterationLog(CountingList):
     """A list of outcomes that counts its mutations.
 
@@ -54,89 +83,134 @@ class _IterationLog(CountingList):
     """
 
 
-class RepeatedOutcomeLog(_IterationLog):
+class _LazyOutcomeLog(_IterationLog):
+    """The read side of a log that builds its outcomes only on access.
+
+    The inherited list storage stays empty. A subclass reports its length
+    through ``__len__`` and builds the outcome at a non-negative, in-range
+    index in :meth:`_outcome`; iteration, indexing, membership, equality and
+    concatenation go through those two hooks, so the log reads like the
+    list of outcomes it stands for. What a mutation does is up to the
+    subclass.
+    """
+
+    def __len__(self) -> int:
+        raise NotImplementedError
+
+    def _outcome(self, index: int) -> IterationOutcome:
+        raise NotImplementedError
+
+    def __bool__(self) -> bool:
+        return len(self) > 0
+
+    def __iter__(self) -> Iterator[IterationOutcome]:
+        return map(self._outcome, range(len(self)))
+
+    def __reversed__(self) -> Iterator[IterationOutcome]:
+        return map(self._outcome, reversed(range(len(self))))
+
+    def __contains__(self, item: object) -> bool:
+        return any(entry is item or entry == item for entry in self)
+
+    def __getitem__(self, index: Any) -> Any:
+        if isinstance(index, slice):
+            return [self._outcome(i) for i in range(*index.indices(len(self)))]
+        index = operator.index(index)
+        if index < 0:
+            index += len(self)
+        if not 0 <= index < len(self):
+            raise IndexError("iteration index out of range")
+        return self._outcome(index)
+
+    def count(self, value: Any) -> int:
+        return sum(1 for entry in self if entry == value)
+
+    def index(
+        self, value: Any, start: SupportsIndex = 0, stop: SupportsIndex = sys.maxsize
+    ) -> int:
+        for position in range(*slice(start, stop).indices(len(self))):
+            if self._outcome(position) == value:
+                return position
+        # reprolint: allow[EXC001] reason=mirrors list.index, which raises bare ValueError; the sequence protocol contract wins here
+        raise ValueError(f"{value!r} is not in the log")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(other) == len(self) and all(
+            mine == theirs for mine, theirs in zip(self, other)
+        )
+
+    def __ne__(self, other: object) -> bool:
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    def __add__(self, other: Any) -> Any:
+        return list(self) + list(other)
+
+    def __radd__(self, other: Any) -> Any:
+        return list(other) + list(self)
+
+    def __mul__(self, times: Any) -> Any:
+        return list(self) * times
+
+    __rmul__ = __mul__
+
+    def copy(self) -> List[IterationOutcome]:
+        return list(self)
+
+    def __repr__(self) -> str:
+        return f"<{type(self).__name__} of {len(self)} iterations>"
+
+
+class RepeatedOutcomeLog(_LazyOutcomeLog):
     """One expected outcome standing in for ``repetitions`` identical iterations.
 
     The analytic backend's per-iteration estimate is the same for every
     iteration, so materialising one list entry per iteration would make an
     O(1) estimate O(num_iterations) in memory. This log reports
-    ``repetitions`` iterations while storing the outcome once (the read-side
-    sequence protocol — iteration, indexing, membership, equality — is
-    overridden accordingly, since the inherited list storage stays empty),
-    and :meth:`JobResult._aggregates` recognises it and computes the totals
-    in O(1) as well. The log is immutable — an analytic result is a
+    ``repetitions`` iterations while storing the outcome once, and
+    :meth:`JobResult._aggregates` recognises it and computes the totals in
+    O(1) as well. The log is immutable — an analytic result is a
     closed-form value, not a trace to append to.
     """
 
-    def __init__(self, outcome: "IterationOutcome", repetitions: int) -> None:
+    def __init__(self, outcome: IterationOutcome, repetitions: int) -> None:
         super().__init__()
         self.outcome = outcome
         self.repetitions = int(repetitions)
 
-    # -- read-side sequence protocol (the underlying list stays empty) --- #
     def __len__(self) -> int:
         return self.repetitions
 
-    def __bool__(self) -> bool:
-        return self.repetitions > 0
-
-    def __iter__(self):
-        return itertools.repeat(self.outcome, self.repetitions)
-
-    def __reversed__(self):
-        return itertools.repeat(self.outcome, self.repetitions)
-
-    def __contains__(self, item) -> bool:
-        return self.repetitions > 0 and (item is self.outcome or item == self.outcome)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self.outcome] * len(range(*index.indices(self.repetitions)))
-        index = int(index)
-        if index < 0:
-            index += self.repetitions
-        if not 0 <= index < self.repetitions:
-            raise IndexError("iteration index out of range")
+    def _outcome(self, index: int) -> IterationOutcome:
         return self.outcome
 
-    def count(self, value: object) -> int:
+    # O(1) answers where the shared protocol would visit every repetition.
+    def __iter__(self) -> Iterator[IterationOutcome]:
+        return itertools.repeat(self.outcome, self.repetitions)
+
+    __reversed__ = __iter__
+
+    def __contains__(self, item: object) -> bool:
+        return self.repetitions > 0 and (item is self.outcome or item == self.outcome)
+
+    def count(self, value: Any) -> int:
         return self.repetitions if value in self else 0
 
-    def index(self, value: object, *args: int) -> int:
-        if value in self:
-            return 0
+    def index(
+        self, value: Any, start: SupportsIndex = 0, stop: SupportsIndex = sys.maxsize
+    ) -> int:
+        positions = range(*slice(start, stop).indices(self.repetitions))
+        if positions and value in self:
+            return positions[0]
         # reprolint: allow[EXC001] reason=mirrors list.index, which raises bare ValueError; the sequence protocol contract wins here
         raise ValueError(f"{value!r} is not in the log")
 
-    def __eq__(self, other) -> bool:
-        try:
-            if len(other) != self.repetitions:
-                return False
-            return all(entry == self.outcome for entry in other)
-        except TypeError:
-            return NotImplemented
-
-    def __ne__(self, other) -> bool:
-        result = self.__eq__(other)
-        return result if result is NotImplemented else not result
-
-    __hash__ = None  # mirrors list: logs are unhashable
-
-    def __add__(self, other):
-        return list(self) + list(other)
-
-    def __radd__(self, other):
-        return list(other) + list(self)
-
-    def __mul__(self, times):
-        return list(self) * times
-
-    __rmul__ = __mul__
-
-    def __reduce__(self):
+    def __reduce__(self) -> Tuple[Any, ...]:
         return (type(self), (self.outcome, self.repetitions))
 
-    def _immutable(self, *args, **kwargs):
+    def _immutable(self, *args: Any, **kwargs: Any) -> NoReturn:
         # reprolint: allow[EXC001] reason=mutating an immutable sequence is a programming error; TypeError matches tuple/str semantics
         raise TypeError(
             "a repeated-outcome log is immutable; analytic results cannot be "
@@ -144,21 +218,139 @@ class RepeatedOutcomeLog(_IterationLog):
         )
 
 
-for _name in (
-    "append",
-    "extend",
-    "insert",
-    "remove",
-    "pop",
-    "clear",
-    "sort",
-    "reverse",
-    "__setitem__",
-    "__delitem__",
-    "__iadd__",
-    "__imul__",
-):
+class ColumnarOutcomeLog(_LazyOutcomeLog):
+    """A job's iteration log held as one array per :class:`IterationOutcome` field.
+
+    Entry ``i`` of ``total_time``, ``computation_time``,
+    ``communication_time``, ``workers_heard``, ``communication_load`` and
+    ``workers_finished_compute`` belongs to iteration ``i``.
+    ``heard_workers`` is a CSR index: the heard worker ids of every
+    iteration, concatenated in iteration and arrival order, so iteration
+    ``i`` owns the next ``workers_heard[i]`` of them. The vectorized engine
+    returns its results in this form. Outcomes are built only when read,
+    :class:`JobResult` reduces the columns directly, and the log pickles as
+    its arrays. The log takes its arrays over and marks them read-only.
+
+    The first mutation turns the log into the plain counting list it stands
+    for, every outcome materialised, so mutation and the ``version``-keyed
+    caches behave exactly as on a loop-engine log from then on.
+    """
+
+    def __init__(
+        self,
+        total_time: np.ndarray,
+        computation_time: np.ndarray,
+        communication_time: np.ndarray,
+        workers_heard: np.ndarray,
+        communication_load: np.ndarray,
+        workers_finished_compute: np.ndarray,
+        heard_workers: np.ndarray,
+    ) -> None:
+        super().__init__()
+        self.total_time = _read_only(total_time)
+        self.computation_time = _read_only(computation_time)
+        self.communication_time = _read_only(communication_time)
+        self.workers_heard = _read_only(workers_heard)
+        self.communication_load = _read_only(communication_load)
+        self.workers_finished_compute = _read_only(workers_finished_compute)
+        self.heard_workers = _read_only(heard_workers)
+
+    def _columns(self) -> Tuple[np.ndarray, ...]:
+        """The arrays in constructor order."""
+        return (
+            self.total_time,
+            self.computation_time,
+            self.communication_time,
+            self.workers_heard,
+            self.communication_load,
+            self.workers_finished_compute,
+            self.heard_workers,
+        )
+
+    def __len__(self) -> int:
+        return len(self.total_time)
+
+    def _outcome(self, index: int) -> IterationOutcome:
+        start = int(self.workers_heard[:index].sum())
+        stop = start + int(self.workers_heard[index])
+        return IterationOutcome(
+            total_time=float(self.total_time[index]),
+            computation_time=float(self.computation_time[index]),
+            communication_time=float(self.communication_time[index]),
+            workers_heard=stop - start,
+            communication_load=float(self.communication_load[index]),
+            workers_finished_compute=int(self.workers_finished_compute[index]),
+            heard_workers=tuple(self.heard_workers[start:stop].tolist()),
+        )
+
+    def __iter__(self) -> Iterator[IterationOutcome]:
+        heard = iter(self.heard_workers.tolist())
+        for total, computation, communication, count, load, finished in zip(
+            *(column.tolist() for column in self._columns()[:-1])
+        ):
+            yield IterationOutcome(
+                total, computation, communication, count, load, finished,
+                tuple(itertools.islice(heard, count)),
+            )
+
+    def __reduce__(self) -> Tuple[Any, ...]:
+        return (type(self), self._columns())
+
+    def _become_list(self) -> None:
+        outcomes = list(self)
+        for name in list(vars(self)):
+            if name != "version":
+                delattr(self, name)
+        # Same layout (a list subclass with a __dict__), so the instance can
+        # change class in place; the outcomes fill the list storage uncounted.
+        object.__setattr__(self, "__class__", _IterationLog)
+        list.extend(self, outcomes)
+
+
+def _aggregated_columns(log: List[IterationOutcome]) -> Tuple[Any, ...]:
+    """A log's total, computation and communication times, heard counts and
+    communication loads, one sequence each."""
+    if isinstance(log, ColumnarOutcomeLog):
+        return (
+            log.total_time,
+            log.computation_time,
+            log.communication_time,
+            log.workers_heard,
+            log.communication_load,
+        )
+    rows = [
+        (
+            outcome.total_time,
+            outcome.computation_time,
+            outcome.communication_time,
+            outcome.workers_heard,
+            outcome.communication_load,
+        )
+        for outcome in log
+    ]
+    return tuple(zip(*rows)) if rows else ((),) * 5
+
+
+def _read_only(column: np.ndarray) -> np.ndarray:
+    array = np.asarray(column)
+    array.flags.writeable = False
+    return array
+
+
+def _materialize_then(name: str) -> Callable[..., Any]:
+    """``name`` as a :class:`ColumnarOutcomeLog` method: become a list first."""
+
+    def mutate(self: ColumnarOutcomeLog, *args: Any, **kwargs: Any) -> Any:
+        self._become_list()
+        return getattr(self, name)(*args, **kwargs)
+
+    mutate.__name__ = name
+    return mutate
+
+
+for _name in MUTATING_METHODS:
     setattr(RepeatedOutcomeLog, _name, RepeatedOutcomeLog._immutable)
+    setattr(ColumnarOutcomeLog, _name, _materialize_then(_name))
 del _name
 
 
@@ -166,11 +358,16 @@ del _name
 class JobResult:
     """Aggregate timing metrics of a simulated multi-iteration job.
 
-    The attributes mirror the rows of the paper's Tables I and II. The
-    aggregate properties are computed in one pass over the iterations and
-    cached, keyed on the iteration list's mutation counter — any change to
-    the list (appends, but also in-place replacements) invalidates the
-    cache, which ``summary()`` and the sweep tables read repeatedly.
+    The attributes mirror the rows of the paper's Tables I and II.
+    ``iterations`` reads as a list of :class:`IterationOutcome` whichever
+    engine filled it: the loop engine appends outcomes to a counting list,
+    the vectorized engine returns a :class:`ColumnarOutcomeLog` and the
+    analytic backend a :class:`RepeatedOutcomeLog`. The aggregate properties
+    reduce the columnar log's arrays directly (other logs in one pass over
+    their outcomes), sum the times left to right from ``0.0`` on every log,
+    and are cached, keyed on the log's mutation counter — any change to the
+    list (appends, but also in-place replacements) invalidates the cache,
+    which ``summary()`` and the sweep tables read repeatedly.
     """
 
     scheme_name: str
@@ -204,11 +401,12 @@ class JobResult:
             and cached[0] == version
         ):
             return cached[1]
-        if isinstance(self.iterations, RepeatedOutcomeLog):
+        log = self.iterations
+        if isinstance(log, RepeatedOutcomeLog):
             # Every entry is the same expected outcome: the totals are plain
             # multiples and the averages are the values themselves, in O(1).
-            outcome = self.iterations.outcome
-            count = self.iterations.repetitions
+            outcome = log.outcome
+            count = log.repetitions
             aggregates = _JobAggregates(
                 total_time=outcome.total_time * count,
                 total_computation_time=outcome.computation_time * count,
@@ -220,31 +418,19 @@ class JobResult:
                     float(outcome.communication_load) if count else None
                 ),
             )
-            if version is not None:
-                self._aggregate_cache = (version, aggregates)
-            return aggregates
-        total = []
-        computation = []
-        communication = []
-        workers_heard = []
-        communication_load = []
-        for outcome in self.iterations:
-            total.append(outcome.total_time)
-            computation.append(outcome.computation_time)
-            communication.append(outcome.communication_time)
-            workers_heard.append(outcome.workers_heard)
-            communication_load.append(outcome.communication_load)
-        aggregates = _JobAggregates(
-            total_time=float(sum(total)),
-            total_computation_time=float(sum(computation)),
-            total_communication_time=float(sum(communication)),
-            average_recovery_threshold=(
-                float(np.mean(workers_heard)) if workers_heard else None
-            ),
-            average_communication_load=(
-                float(np.mean(communication_load)) if communication_load else None
-            ),
-        )
+        else:
+            total, computation, communication, heard, load = _aggregated_columns(log)
+            aggregates = _JobAggregates(
+                total_time=_sequential_sum(total),
+                total_computation_time=_sequential_sum(computation),
+                total_communication_time=_sequential_sum(communication),
+                average_recovery_threshold=(
+                    float(np.mean(heard)) if len(heard) else None
+                ),
+                average_communication_load=(
+                    float(np.mean(load)) if len(load) else None
+                ),
+            )
         if version is not None:
             self._aggregate_cache = (version, aggregates)
         return aggregates

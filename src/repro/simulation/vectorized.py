@@ -51,12 +51,28 @@ models alone:
 
 Under a stochastic model both schedules already rank each row by
 completion time to order the transfer draws; that ranking is handed to the
-serialized-link recurrence, so compute is argsorted once per row. The
+serialized-link recurrence, so compute is argsorted once per row. On the
+serialized link that one sort is also the arrival ranking: the recurrence
+``a_k = max(c_k, a_{k-1}) + t_k`` never decreases along completion order,
+so its input and output are the ranked compute and arrival times. Only the
+rows where two equal arrivals sit with the larger worker index first are
+argsorted again, because the loop breaks arrival ties by worker index (so
+would rows whose arrivals decrease, which only a negative transfer time
+could cause). On the parallel link the arrivals ``c + t`` are argsorted
+once. The
 serialized-link recurrence and all completion kernels are pure computation:
 they consume no randomness and reproduce the loop's floating-point
 operation order (``max`` then ``+``, metric reductions over identically
 ordered gathers), so the resulting summaries match byte for byte — the
 property the equivalence suite pins down.
+
+The engine returns its outcomes as columns, one array per
+:class:`~repro.simulation.iteration.IterationOutcome` field with the heard
+workers as a CSR index, wrapped in a
+:class:`~repro.simulation.job.ColumnarOutcomeLog`; no outcome object is
+built unless one is read. Each iteration's communication load comes from
+one ``np.sum(..., axis=1)`` per distinct heard count, which adds every row's
+message sizes in the order of the loop's ``np.sum(message_sizes[heard])``.
 
 Completion kernels exist for every built-in aggregator: fixed worker set
 (uncoded, load-balanced), arrival count (ignore-stragglers), batch
@@ -99,7 +115,7 @@ count.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -117,8 +133,8 @@ from repro.schemes.base import (
     Scheme,
     UnitCoverageAggregator,
 )
-from repro.simulation.iteration import IterationOutcome, incomplete_iteration_error
-from repro.simulation.job import JobResult, _resolve_plan
+from repro.simulation.iteration import incomplete_iteration_error
+from repro.simulation.job import ColumnarOutcomeLog, JobResult, _resolve_plan
 from repro.simulation.kernels import KernelSuite, get_suite
 from repro.stragglers.base import DelayModel
 from repro.stragglers.dynamics import UnavailableDelay, memoize_by_id
@@ -211,7 +227,7 @@ def simulate_job_vectorized(
     generator = as_generator(rng)
     plan = _resolve_plan(scheme_or_plan, num_units, cluster.num_workers, generator)
     if isinstance(cluster, DynamicClusterSpec):
-        outcomes = _simulate_dynamic_batch(
+        columns = _simulate_dynamic_batch(
             plan,
             cluster,
             generator,
@@ -221,7 +237,7 @@ def simulate_job_vectorized(
             suite=suite,
         )
     else:
-        outcomes = _simulate_plan_batch(
+        columns = _simulate_plan_batch(
             plan,
             cluster,
             generator,
@@ -230,9 +246,9 @@ def simulate_job_vectorized(
             serialize_master_link=serialize_master_link,
             suite=suite,
         )
-    result = JobResult(scheme_name=plan.scheme_name)
-    result.iterations.extend(outcomes)
-    return result
+    return JobResult(
+        scheme_name=plan.scheme_name, iterations=ColumnarOutcomeLog(*columns)
+    )
 
 
 def simulate_job_batch(
@@ -345,16 +361,27 @@ def simulate_job_batch(
                 )
                 if order is not None:
                     order[rows] = ranked
-        outcomes = _complete_batch(
-            plan, active, message_sizes, compute, transfer, serialize_master_link,
-            suite, order,
-        )
-        for t in range(len(chunk)):
-            result = JobResult(scheme_name=plan.scheme_name)
-            result.iterations.extend(
-                outcomes[t * num_iterations : (t + 1) * num_iterations]
+        totals, computations, communications, counts, loads, finished, heard = (
+            _complete_batch(
+                plan, active, message_sizes, compute, transfer,
+                serialize_master_link, suite, order,
             )
-            results.append(result)
+        )
+        # Each trial's log views its rows of the columns and its span of
+        # the heard index (row r's heard workers end at heard_ends[r + 1]).
+        heard_ends = np.concatenate(([0], np.cumsum(counts)))
+        for t in range(len(chunk)):
+            rows = slice(t * num_iterations, (t + 1) * num_iterations)
+            log = ColumnarOutcomeLog(
+                totals[rows],
+                computations[rows],
+                communications[rows],
+                counts[rows],
+                loads[rows],
+                finished[rows],
+                heard[heard_ends[rows.start] : heard_ends[rows.stop]],
+            )
+            results.append(JobResult(scheme_name=plan.scheme_name, iterations=log))
     return results
 
 
@@ -592,7 +619,7 @@ def _simulate_plan_batch(
     unit_size: int,
     serialize_master_link: bool,
     suite: KernelSuite,
-) -> List[IterationOutcome]:
+) -> Tuple[np.ndarray, ...]:
     generator = as_generator(rng)
     active, active_loads, message_sizes, active_sizes = _active_arrays(
         plan, cluster, unit_size
@@ -623,7 +650,7 @@ def _simulate_dynamic_batch(
     unit_size: int,
     serialize_master_link: bool,
     suite: KernelSuite,
-) -> List[IterationOutcome]:
+) -> Tuple[np.ndarray, ...]:
     """Batch-simulate a job on a :class:`DynamicClusterSpec`.
 
     Everything downstream of the draws (arrival recurrence, completion
@@ -654,7 +681,7 @@ def _complete_batch(
     serialize_master_link: bool,
     suite: KernelSuite,
     order: Optional[np.ndarray] = None,
-) -> List[IterationOutcome]:
+) -> Tuple[np.ndarray, ...]:
     """Completion search + metric assembly over drawn timing matrices.
 
     Shared tail of the stationary and dynamic paths. ``compute`` may hold
@@ -668,29 +695,59 @@ def _complete_batch(
     ``order``, given only on a serialized link (see :func:`_for_link`), is
     ``compute``'s stable per-row argsort that the draws already computed;
     ``transfer`` is then laid out in that completion order instead of worker
-    order.
-    """
-    num_iterations, n_active = compute.shape
+    order. It is reused (and rewritten in place) as the arrival ranking.
 
-    # 2. Arrival times at the master: the link recurrence
-    #    a_k = max(c_k, a_{k-1}) + t_k over completion-sorted columns,
-    #    evaluated in the loop engine's exact per-row float-op order (a
+    Returns one array per :class:`~repro.simulation.iteration.IterationOutcome`
+    field, one entry per row, in field order — the
+    :class:`~repro.simulation.job.ColumnarOutcomeLog` layout, whose last
+    array is the flat heard index.
+    """
+    num_rows, n_active = compute.shape
+
+    # 2. Arrival times at the master, ranked. On the serialized link the
+    #    recurrence a_k = max(c_k, a_{k-1}) + t_k runs over completion-sorted
+    #    columns in the loop engine's exact per-row float-op order (a
     #    cumsum/running-max rewrite would be algebraically equal but rounded
-    #    differently).
+    #    differently). With t_k >= 0 its output never decreases, so the
+    #    completion order already ranks the arrivals, and the recurrence's
+    #    input and output are the ranked compute and arrival times.
     if serialize_master_link:
         if order is None:
             order = np.argsort(compute, axis=1, kind="stable")
             transfer = np.take_along_axis(transfer, order, axis=1)
-        arrival_sorted = suite.link_recurrence(
-            np.take_along_axis(compute, order, axis=1), transfer
-        )
-        arrivals = np.empty_like(arrival_sorted)
-        np.put_along_axis(arrivals, order, arrival_sorted, axis=1)
+        compute_ranked = np.take_along_axis(compute, order, axis=1)
+        arrival_ranked = suite.link_recurrence(compute_ranked, transfer)
+        arrival_order = order
+        # The loop ranks arrivals with a stable argsort in worker order, so
+        # equal arrivals go smallest worker first. Re-sort the rows where
+        # the completion order breaks that (or, were a transfer time
+        # negative, where the arrivals decrease).
+        earlier, later = arrival_ranked[:, :-1], arrival_ranked[:, 1:]
+        unordered = later <= earlier
+        if unordered.any():
+            misranked = np.flatnonzero(
+                np.any(
+                    unordered & ((later < earlier) | (order[:, 1:] < order[:, :-1])),
+                    axis=1,
+                )
+            )
+            arrivals = np.empty((misranked.size, n_active))
+            np.put_along_axis(
+                arrivals, order[misranked], arrival_ranked[misranked], axis=1
+            )
+            resorted = np.argsort(arrivals, axis=1, kind="stable")
+            arrival_order[misranked] = resorted
+            arrival_ranked[misranked] = np.take_along_axis(arrivals, resorted, axis=1)
+            compute_ranked[misranked] = np.take_along_axis(
+                compute[misranked], resorted, axis=1
+            )
     else:
         arrivals = compute + transfer
+        arrival_order = np.argsort(arrivals, axis=1, kind="stable")
+        arrival_ranked = np.take_along_axis(arrivals, arrival_order, axis=1)
+        compute_ranked = np.take_along_axis(compute, arrival_order, axis=1)
 
     # 3. Per-iteration completion position (rank of the finishing arrival).
-    arrival_order = np.argsort(arrivals, axis=1, kind="stable")
     positions = np.empty_like(arrival_order)
     np.put_along_axis(
         positions,
@@ -706,14 +763,10 @@ def _complete_batch(
     if np.any(completing >= n_active):
         raise _infeasible(plan)
 
-    # 4. Assemble outcomes. Every batched reduction below is order-exact
+    # 4. Assemble the columns. Every batched reduction below is order-exact
     #    (max is a selection, counting sums are integer), so the metrics
-    #    carry the same floats as the loop engine's expressions; the
-    #    communication load is reduced per row over the identically ordered
-    #    gather the loop engine sums.
-    rows = np.arange(num_iterations)
-    arrival_ranked = np.take_along_axis(arrivals, arrival_order, axis=1)
-    compute_ranked = np.take_along_axis(compute, arrival_order, axis=1)
+    #    carry the same floats as the loop engine's expressions.
+    rows = np.arange(num_rows)
     total_times = arrival_ranked[rows, completing]
     if not np.all(np.isfinite(total_times)):
         # The completing arrival is a vacant slot's: the aggregator can only
@@ -723,26 +776,30 @@ def _complete_batch(
         first_bad = int(np.argmin(np.isfinite(total_times)))
         raise _infeasible(plan, int(np.sum(~np.isfinite(compute[first_bad]))))
     computation_times = np.maximum.accumulate(compute_ranked, axis=1)[rows, completing]
-    workers_finished = np.sum(compute <= total_times[:, None], axis=1)
-    heard_matrix = active[arrival_order]
-
-    outcomes: List[IterationOutcome] = []
-    for i in range(num_iterations):
-        heard = heard_matrix[i, : int(completing[i]) + 1]
-        total_time = float(total_times[i])
-        computation_time = float(computation_times[i])
-        outcomes.append(
-            IterationOutcome(
-                total_time=total_time,
-                computation_time=computation_time,
-                communication_time=max(total_time - computation_time, 0.0),
-                workers_heard=heard.size,
-                communication_load=float(np.sum(message_sizes[heard])),
-                workers_finished_compute=int(workers_finished[i]),
-                heard_workers=tuple(heard.tolist()),
-            )
-        )
-    return outcomes
+    workers_finished = np.count_nonzero(compute <= total_times[:, None], axis=1)
+    counts = completing + 1
+    heard = active[arrival_order[np.arange(n_active) < counts[:, None]]]
+    # The loop sums each iteration's heard message sizes with one np.sum
+    # over its arrival-ordered gather; np.sum(..., axis=1) over the rows
+    # that heard equally many workers adds each row in that same order.
+    ranked_sizes = message_sizes[active][arrival_order]
+    by_count = np.argsort(counts, kind="stable")
+    sorted_counts = counts[by_count]
+    changes = np.flatnonzero(sorted_counts[1:] != sorted_counts[:-1]) + 1
+    bounds = [0, *changes.tolist(), num_rows]
+    loads = np.empty(num_rows)
+    for start, stop in zip(bounds, bounds[1:]):
+        same = by_count[start:stop]
+        loads[same] = np.sum(ranked_sizes[same, : sorted_counts[start]], axis=1)
+    return (
+        total_times,
+        computation_times,
+        np.maximum(total_times - computation_times, 0.0),
+        counts,
+        loads,
+        workers_finished,
+        heard.astype(np.int32),
+    )
 
 
 def _is_vacant(model: DelayModel) -> bool:

@@ -11,7 +11,23 @@ a sound cache key — the pattern :class:`~repro.simulation.job.JobResult` and
 
 from __future__ import annotations
 
-__all__ = ["CountingList"]
+__all__ = ["MUTATING_METHODS", "CountingList"]
+
+#: Every ``list`` method that changes the list in place.
+MUTATING_METHODS = (
+    "append",
+    "extend",
+    "insert",
+    "remove",
+    "pop",
+    "clear",
+    "sort",
+    "reverse",
+    "__setitem__",
+    "__delitem__",
+    "__iadd__",
+    "__imul__",
+)
 
 
 class CountingList(list):
@@ -39,19 +55,6 @@ def _make_counting(name: str):
     return counting
 
 
-for _name in (
-    "append",
-    "extend",
-    "insert",
-    "remove",
-    "pop",
-    "clear",
-    "sort",
-    "reverse",
-    "__setitem__",
-    "__delitem__",
-    "__iadd__",
-    "__imul__",
-):
+for _name in MUTATING_METHODS:
     setattr(CountingList, _name, _make_counting(_name))
 del _name

@@ -67,16 +67,21 @@ def spawn_generators(seed: RandomState, count: int) -> list[np.random.Generator]
         # Derive child seeds from the generator itself to stay reproducible.
         seeds = seed.integers(0, 2**63 - 1, size=count)
         return [np.random.default_rng(int(s)) for s in seeds]
-    if isinstance(seed, np.random.SeedSequence):
-        return [np.random.default_rng(s) for s in seed.spawn(count)]
-    ss = np.random.SeedSequence(seed)
-    return [np.random.default_rng(child) for child in ss.spawn(count)]
+    children = random_seed_sequence(seed).spawn(count)
+    return [np.random.default_rng(child) for child in children]
 
 
 def random_seed_sequence(seed: RandomState = None) -> np.random.SeedSequence:
-    """Return a :class:`numpy.random.SeedSequence` derived from ``seed``."""
+    """Return a :class:`numpy.random.SeedSequence` derived from ``seed``.
+
+    A ``SeedSequence`` comes back as a fresh copy (same entropy, spawn key
+    and pool size, no children spawned), so spawning from the result never
+    advances the caller's sequence and repeats on every call.
+    """
     if isinstance(seed, np.random.SeedSequence):
-        return seed
+        return np.random.SeedSequence(
+            seed.entropy, spawn_key=seed.spawn_key, pool_size=seed.pool_size
+        )
     if isinstance(seed, np.random.Generator):
         return np.random.SeedSequence(int(seed.integers(0, 2**63 - 1)))
     return np.random.SeedSequence(seed)

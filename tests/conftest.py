@@ -14,6 +14,7 @@ Profiles
 
 from __future__ import annotations
 
+import dataclasses
 import os
 
 import numpy as np
@@ -38,9 +39,13 @@ from repro.datasets.synthetic import (
     make_paper_logistic_data,
 )
 from repro.gradients.logistic import LogisticLoss
+from repro.schemes.approximate import IgnoreStragglersScheme
+from repro.schemes.bcc import BCCScheme
+from repro.schemes.uncoded import UncodedScheme
 from repro.stragglers.communication import LinearCommunicationModel
 from repro.stragglers.models import (
     BimodalStragglerDelay,
+    DeterministicDelay,
     ExponentialDelay,
     ParetoDelay,
     ShiftedExponentialDelay,
@@ -113,6 +118,63 @@ STOCHASTIC_CASES = {
 def stochastic_case(request) -> StochasticCase:
     """One jittered-transfer cluster per draw path of the vectorized engine."""
     return STOCHASTIC_CASES[request.param]
+
+
+def _with_sizes(plan, sizes):
+    return dataclasses.replace(plan, message_sizes=np.asarray(sizes, dtype=float))
+
+
+def _arrival_ties() -> list:
+    """Equal arrivals that the completion order ranks larger worker first.
+
+    Worker 1 computes first (0.5 s) and holds the serialized link until
+    1.5 s; worker 0 finishes at 1.0 s and its empty message also arrives at
+    1.5 s. The loop engine breaks the tie by worker index, so it hears
+    (0, 1, 2) under uncoded and (0, 1) under ignore-stragglers, where the
+    completion order alone would give (1, 0, 2) and (1, 0).
+    """
+    cluster = ClusterSpec(
+        workers=tuple(
+            WorkerSpec(compute=DeterministicDelay(seconds), name=f"w{i}")
+            for i, seconds in enumerate((1.0, 0.5, 3.0))
+        ),
+        communication=LinearCommunicationModel(latency=0.0, seconds_per_unit=1.0),
+    )
+    schemes = (UncodedScheme(), IgnoreStragglersScheme(wait_fraction=0.34))
+    return [
+        (_with_sizes(scheme.build_plan(3, 3), [0.0, 1.0, 0.3]), cluster, 3)
+        for scheme in schemes
+    ]
+
+
+def _load_summation_order() -> list:
+    """Unequal message sizes summed over at least eight heard workers.
+
+    ``np.sum`` adds eight or more values pairwise, so an engine that summed
+    each iteration's communication load in any other order (a running
+    ``cumsum``, say) would round differently from the loop engine.
+    """
+    cluster = ClusterSpec.homogeneous(24, ShiftedExponentialDelay(2.0, 0.01), _jittered())
+    sizes = np.random.default_rng(11).uniform(0.1, 1.0, 24)
+    schemes = (UncodedScheme(), BCCScheme(load=3))
+    return [
+        (_with_sizes(scheme.build_feasible_plan(24, 24, rng=5), sizes), cluster, 24)
+        for scheme in schemes
+    ]
+
+
+#: Jobs whose loop/vectorized agreement rests on one easily broken step of
+#: the vectorized engine's tail; each builds ``[(plan, cluster, num_units)]``.
+EXACTNESS_HAZARDS = {
+    "arrival-ties": _arrival_ties,
+    "load-summation-order": _load_summation_order,
+}
+
+
+@pytest.fixture(params=sorted(EXACTNESS_HAZARDS))
+def exactness_hazard(request) -> list:
+    """The ``(plan, cluster, num_units)`` jobs of one exactness hazard."""
+    return EXACTNESS_HAZARDS[request.param]()
 
 
 @pytest.fixture

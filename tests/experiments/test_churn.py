@@ -115,6 +115,16 @@ class TestChurnAblation:
         second = run_churn_ablation(config, rng=7)
         assert first.total_times == second.total_times
 
+    def test_seed_sequence_seed_repeats_without_advancing(self):
+        config = ChurnAblationConfig(
+            num_workers=16, num_units=16, load=4, num_iterations=10, trials=2
+        )
+        sequence = np.random.SeedSequence(7)
+        first = run_churn_ablation(config, rng=sequence)
+        second = run_churn_ablation(config, rng=sequence)
+        assert first.total_times == second.total_times
+        assert sequence.n_children_spawned == 0
+
     def test_custom_scenarios_and_schemes(self, base):
         config = ChurnAblationConfig(
             num_workers=8, num_units=8, unit_size=5, load=4,

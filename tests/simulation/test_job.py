@@ -1,5 +1,7 @@
 """Tests for the multi-iteration job simulator (timing-only and semantic)."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,13 @@ from repro.optim.nesterov import NesterovAcceleratedGradient
 from repro.optim.trainer import train
 from repro.schemes.bcc import BCCScheme
 from repro.schemes.uncoded import UncodedScheme
-from repro.simulation.job import JobResult, simulate_job, simulate_training_run
+from repro.simulation.iteration import IterationOutcome
+from repro.simulation.job import (
+    ColumnarOutcomeLog,
+    JobResult,
+    simulate_job,
+    simulate_training_run,
+)
 from repro.stragglers.models import DeterministicDelay
 
 
@@ -127,6 +135,123 @@ class TestSimulateJob:
         assert result.total_time == pytest.approx(
             sum(outcome.total_time for outcome in result.iterations)
         )
+
+
+    def test_totals_are_left_to_right_sums_on_every_log(self):
+        # Python 3.12's sum() compensates: sum([0.1] * 10) is 1.0 there and
+        # 0.9999999999999999 before. The totals are the plain left-to-right
+        # sum on every interpreter and every kind of log.
+        outcome = IterationOutcome(0.1, 0.1, 0.1, 1, 1.0, 1, (0,))
+        tenths = np.full(10, 0.1)
+        ones = np.ones(10, dtype=int)
+        columnar = ColumnarOutcomeLog(
+            tenths, tenths, tenths, ones, ones.astype(float), ones,
+            np.zeros(10, dtype=np.int32),
+        )
+        for log in ([outcome] * 10, columnar):
+            result = JobResult(scheme_name="x", iterations=log)
+            assert result.total_time == 0.9999999999999999
+            assert result.total_computation_time == 0.9999999999999999
+            assert result.total_communication_time == 0.9999999999999999
+
+
+@pytest.fixture
+def twins(homogeneous_cluster):
+    """The same job from the loop engine (a list) and the vectorized engine
+    (a columnar log)."""
+    return tuple(
+        simulate_job(BCCScheme(load=3), homogeneous_cluster, 12, 4, rng=7, engine=engine)
+        for engine in ("loop", "vectorized")
+    )
+
+
+def _bumped(outcome):
+    return IterationOutcome(
+        outcome.total_time + 100.0,
+        outcome.computation_time,
+        outcome.communication_time + 100.0,
+        outcome.workers_heard,
+        outcome.communication_load,
+        outcome.workers_finished_compute,
+        outcome.heard_workers,
+    )
+
+
+#: Every list mutation, applied alike to a loop log and a columnar log.
+MUTATIONS = {
+    "append": lambda log: log.append(_bumped(log[0])),
+    "extend": lambda log: log.extend([_bumped(log[0])]),
+    "insert": lambda log: log.insert(1, _bumped(log[0])),
+    "remove": lambda log: log.remove(log[2]),
+    "pop": lambda log: log.pop(),
+    "clear": lambda log: log.clear(),
+    "sort": lambda log: log.sort(key=lambda outcome: outcome.total_time),
+    "reverse": lambda log: log.reverse(),
+    "setitem": lambda log: log.__setitem__(0, _bumped(log[0])),
+    "delitem": lambda log: log.__delitem__(slice(1, 3)),
+    "iadd": lambda log: log.__iadd__([_bumped(log[0])]),
+    "imul": lambda log: log.__imul__(2),
+}
+
+
+class TestColumnarOutcomeLog:
+    def test_vectorized_jobs_return_columns(self, twins):
+        loop, vectorized = twins
+        log = vectorized.iterations
+        assert isinstance(log, ColumnarOutcomeLog)
+        assert not isinstance(loop.iterations, ColumnarOutcomeLog)
+        assert log.heard_workers.dtype == np.int32
+        assert log.heard_workers.tolist() == [
+            worker for outcome in loop.iterations for worker in outcome.heard_workers
+        ]
+        assert log.workers_heard.tolist() == [
+            outcome.workers_heard for outcome in loop.iterations
+        ]
+
+    def test_reads_like_the_loop_engine_list(self, twins):
+        loop, vectorized = twins
+        log, outcomes = vectorized.iterations, list(loop.iterations)
+        assert len(log) == 4 and log
+        assert list(log) == outcomes
+        assert log == outcomes and loop.iterations == log and not log != outcomes
+        assert [log[i] for i in range(-4, 4)] == outcomes + outcomes
+        assert log[1:3] == outcomes[1:3] and log[::-1] == outcomes[::-1]
+        assert list(reversed(log)) == outcomes[::-1]
+        assert outcomes[2] in log and _bumped(outcomes[2]) not in log
+        assert log.count(outcomes[2]) == 1 and log.index(outcomes[2]) == 2
+        assert log + [] == outcomes and [] + log == outcomes
+        assert log * 2 == outcomes * 2 and log.copy() == outcomes
+        with pytest.raises(IndexError):
+            log[4]
+        with pytest.raises(ValueError):
+            log.index(outcomes[0], 1)
+        assert vectorized.summary() == loop.summary()
+
+    def test_columns_are_read_only(self, twins):
+        with pytest.raises(ValueError):
+            twins[1].iterations.total_time[0] = 0.0
+
+    def test_pickles_as_its_arrays(self, twins):
+        loop, vectorized = twins
+        payload = pickle.dumps(vectorized)
+        assert b"IterationOutcome" not in payload
+        clone = pickle.loads(payload)
+        assert isinstance(clone.iterations, ColumnarOutcomeLog)
+        assert clone.iterations == loop.iterations
+        assert clone.summary() == loop.summary()
+
+    @pytest.mark.parametrize("name", sorted(MUTATIONS))
+    def test_first_mutation_turns_it_into_a_counting_list(self, twins, name):
+        loop, vectorized = twins
+        assert vectorized.total_time == loop.total_time  # both caches filled
+        version = vectorized.iterations.version
+        for result in twins:
+            MUTATIONS[name](result.iterations)
+        assert type(vectorized.iterations) is type(loop.iterations)
+        assert vectorized.iterations.version == version + 1
+        assert list(vars(vectorized.iterations)) == ["version"]
+        assert list(vectorized.iterations) == list(loop.iterations)
+        assert vectorized.total_time == loop.total_time
 
 
 class TestSemanticTrainingRun:

@@ -22,6 +22,7 @@ from repro.api import JobSpec, TimingSimBackend
 from repro.cluster.dynamic import ChurnEvent, DynamicClusterSpec
 from repro.cluster.spec import ClusterSpec
 from repro.exceptions import ConfigurationError
+from repro.schemes.base import ExecutionPlan
 from repro.schemes.registry import scheme_from_config
 from repro.simulation import vectorized
 from repro.simulation.job import simulate_job
@@ -98,7 +99,9 @@ def assert_batch_matches_solo(
     assert len(batch) == len(seeds)
     # Re-derive the shared plan exactly as the batch does: from seeds[0].
     generator = np.random.default_rng(seeds[0])
-    plan = scheme.build_feasible_plan(num_units, cluster.num_workers, generator)
+    plan = scheme
+    if not isinstance(scheme, ExecutionPlan):
+        plan = scheme.build_feasible_plan(num_units, cluster.num_workers, generator)
     for trial, seed in enumerate(seeds):
         rng = generator if trial == 0 else np.random.default_rng(seed)
         solo = simulate_job(
@@ -142,6 +145,17 @@ class TestDynamicBitIdentity:
         assert_batch_matches_solo(
             scheme, cluster, num_units, serialize=serialize
         )
+
+
+@pytest.mark.parametrize("serialize", [True, False], ids=["serialized", "parallel"])
+class TestExactnessHazards:
+    def test_every_trial_matches_its_loop_run(self, exactness_hazard, serialize):
+        # Arrival ties the completion order ranks larger worker first, and
+        # communication loads np.sum adds pairwise (tests/conftest.py).
+        for plan, cluster, num_units in exactness_hazard:
+            assert_batch_matches_solo(
+                plan, cluster, num_units, serialize=serialize, engine="loop"
+            )
 
 
 class TestDrawSchedules:

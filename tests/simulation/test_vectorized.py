@@ -137,6 +137,24 @@ class TestSchemeEquivalence:
         assert_identical(loop, vectorized)
         assert block_draws and set(block_draws) == {stochastic_case.block}
 
+    @pytest.mark.parametrize("serialize", [True, False], ids=["serialized", "parallel"])
+    def test_exactness_hazards_identical(self, exactness_hazard, serialize):
+        # Arrival ties the completion order ranks larger worker first, and
+        # communication loads np.sum adds pairwise (tests/conftest.py).
+        for plan, cluster, num_units in exactness_hazard:
+            loop, vectorized = (
+                engine(
+                    plan,
+                    cluster,
+                    num_units,
+                    9,
+                    rng=np.random.default_rng(123),
+                    serialize_master_link=serialize,
+                )
+                for engine in (simulate_job, simulate_job_vectorized)
+            )
+            assert_identical(loop, vectorized)
+
     def test_unit_size_scales_identically(self):
         loop, vectorized = run_both(
             {"name": "bcc", "load": 4}, make_cluster("bcc"), 24, unit_size=50

@@ -67,6 +67,14 @@ class TestSpawnGenerators:
         children = spawn_generators(np.random.SeedSequence(9), 3)
         assert len(children) == 3
 
+    def test_seed_sequence_repeats_without_advancing(self):
+        sequence = np.random.SeedSequence(9)
+        first = [g.random(3) for g in spawn_generators(sequence, 3)]
+        second = [g.random(3) for g in spawn_generators(sequence, 3)]
+        for a, b in zip(first, second):
+            np.testing.assert_array_equal(a, b)
+        assert sequence.n_children_spawned == 0
+
     def test_nonpositive_count_raises(self):
         with pytest.raises(ValueError):
             spawn_generators(0, 0)
@@ -78,8 +86,12 @@ class TestHelpers:
         assert isinstance(
             random_seed_sequence(np.random.default_rng(0)), np.random.SeedSequence
         )
-        sequence = np.random.SeedSequence(1)
-        assert random_seed_sequence(sequence) is sequence
+        sequence = np.random.SeedSequence(1, spawn_key=(3,), pool_size=8)
+        copy = random_seed_sequence(sequence)
+        assert copy is not sequence
+        assert (copy.entropy, copy.spawn_key, copy.pool_size) == (1, (3,), 8)
+        copy.spawn(2)
+        assert sequence.n_children_spawned == 0
 
     def test_permutation_is_permutation(self):
         result = permutation(0, 10)
