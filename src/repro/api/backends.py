@@ -173,10 +173,13 @@ class TimingSimBackend:
         The trial-batched fast path behind
         :func:`~repro.api.sweep.run_sweep`'s cell dispatch: one
         :func:`~repro.simulation.vectorized.simulate_job_batch` entry
-        resolves the spec's scheme once and simulates every trial over the
-        stacked draw tensor (see that function for the RNG contract making
-        each trial bit-identical to a solo run at the same seed). The spec's
-        own ``seed`` is unused — the per-trial ``seeds`` replace it.
+        resolves the spec's scheme once, builds every trial's plan from that
+        trial's seed, and simulates every trial over the stacked rows (see
+        that function for the RNG contract making each trial bit-identical
+        to a solo run of the spec at the same seed). A spec carrying an
+        :class:`~repro.schemes.base.ExecutionPlan` shares that plan across
+        trials instead. The spec's own ``seed`` is unused — the per-trial
+        ``seeds`` replace it.
 
         ``record="summary"`` compacts each result before returning it, so a
         process pool ships aggregate statistics instead of pickling full

@@ -155,7 +155,8 @@ class JobSpec:
     unit_size: Optional[int] = None
     serialize_master_link: bool = True
     workload: Optional[Workload] = None
-    backend_options: Mapping[str, object] = field(default_factory=dict)
+    # A mapping cannot be hashed; equality still compares it.
+    backend_options: Mapping[str, object] = field(default_factory=dict, hash=False)
 
     def __post_init__(self) -> None:
         check_positive_int(self.num_iterations, "num_iterations")

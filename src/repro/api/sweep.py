@@ -23,27 +23,29 @@ The hot path
 Trial count is the knob Monte-Carlo users turn most, so :func:`run_sweep`
 works hard to keep its cost sub-linear:
 
-* **Plan hoisting.** A cell's scheme planning depends only on the cell's
-  parameters whenever it consumes no randomness (every deterministic
-  placement). ``run_sweep`` detects that with a probe build (comparing the
-  probe generator's state before and after) and re-plans once per cell
-  instead of once per trial, passing the frozen
+* **Plan hoisting.** A per-trial cell's scheme planning depends only on
+  the cell's parameters whenever it consumes no randomness (every
+  deterministic placement). ``run_sweep`` detects that with a probe build
+  (comparing the probe generator's state before and after) and re-plans
+  once per cell instead of once per trial, passing the frozen
   :class:`~repro.schemes.base.ExecutionPlan` through the spec. Random
-  placements (BCC, randomized, Reed-Solomon's seed draw) are left alone —
-  their plan *is* part of what a trial samples — so hoisting never changes
-  a single bit of any result, on either engine.
+  placements (BCC, randomized, cyclic-repetition's coefficient draw) are
+  left alone — their plan *is* part of what a trial samples — so hoisting
+  never changes a single bit of any result, on either engine.
 * **Trial batching** (``trial_batching=``). A whole cell can be
   dispatched as *one* task that simulates every trial in one vectorized
   engine entry (:meth:`TimingSimBackend.run_batch
   <repro.api.backends.TimingSimBackend.run_batch>`). ``"auto"`` (default)
-  batches exactly the cells where that is bit-identical to per-trial tasks
-  (vectorized engine + draw-free planning); ``"always"`` also batches cells
-  with random placements, freezing one placement per cell — each trial is
-  then bit-identical to a solo run with the shared plan at the same spawned
-  seed (the :func:`~repro.simulation.vectorized.simulate_job_batch`
-  contract), but the trial average estimates the runtime *given* that
-  placement rather than averaged over placements; ``"never"`` keeps
-  per-trial tasks.
+  batches every cell the backend can batch (the vectorized engine) except a
+  two-trial cell whose planning draws, which keeps per-trial tasks: every
+  trial still builds its own plan from its own spawned seed (the
+  :func:`~repro.simulation.vectorized.simulate_job_batch` contract), so a
+  random placement is re-drawn per trial and the records are bit-identical
+  to per-trial tasks. ``"always"`` batches every such cell but freezes one
+  placement per cell, built from trial 0's seed — each trial is then
+  bit-identical to a solo run with that shared plan at the same spawned
+  seed, and the trial average estimates the runtime *given* that placement
+  rather than averaged over placements. ``"never"`` keeps per-trial tasks.
 * **Summary records** (``record="summary"``). Each task compacts its
   :class:`~repro.api.result.RunResult` before returning it, so a process
   pool ships a few hundred bytes of aggregates per trial instead of
@@ -385,8 +387,10 @@ def run_sweep(
         ``"auto"`` (default), ``"always"``, or ``"never"`` — whether whole
         cells are dispatched as single trial-batched engine entries instead
         of one task per (cell, trial). See the module docstring: ``"auto"``
-        batches exactly when bit-identical to per-trial execution,
-        ``"always"`` additionally freezes one random placement per cell.
+        batches every cell the backend can batch (a two-trial cell only
+        when its planning is draw-free), with every trial drawing its own
+        placement, so its records equal ``"never"``'s; ``"always"``
+        batches every such cell but freezes one placement per cell.
     cache:
         ``None`` (default) computes every task. A
         :class:`~repro.service.cache.ResultCache` instance (or a directory

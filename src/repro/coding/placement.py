@@ -70,9 +70,7 @@ def bcc_placement(
     n = check_positive_int(num_workers, "num_workers")
     generator = as_generator(rng)
     batch_choices = generator.integers(0, batch_spec.num_batches, size=n)
-    assignments = tuple(batch_spec.batch_indices(int(b)) for b in batch_choices)
-    assignment = DataAssignment(num_examples=batch_spec.num_examples, assignments=assignments)
-    return assignment, batch_choices
+    return DataAssignment.from_batches(batch_spec, batch_choices), batch_choices
 
 
 def random_subset_placement(
@@ -82,6 +80,8 @@ def random_subset_placement(
 
     Selection is uniform without replacement, independently across workers
     (the scheme sketched in the paper's "Prior Art" section, Eq. 5–6).
+    Worker ``i``'s draw is row ``i`` of one ``(n, load)`` index matrix in the
+    narrowest signed integer dtype that holds every index.
     """
     m = check_positive_int(num_examples, "num_examples")
     n = check_positive_int(num_workers, "num_workers")
@@ -89,10 +89,10 @@ def random_subset_placement(
     if r > m:
         raise AssignmentError(f"load {r} cannot exceed the number of examples {m}")
     generator = as_generator(rng)
-    assignments = tuple(
-        generator.choice(m, size=r, replace=False) for _ in range(n)
-    )
-    return DataAssignment(num_examples=m, assignments=assignments)
+    rows = np.empty((n, r), dtype=np.min_scalar_type(-m))
+    for worker in range(n):
+        rows[worker] = generator.choice(m, size=r, replace=False)
+    return DataAssignment.from_rows(m, rows)
 
 
 def cyclic_placement(num_items: int, num_workers: int, load: int) -> DataAssignment:

@@ -243,9 +243,11 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         help=(
             "dispatch whole cells as single trial-batched vectorized runs: "
-            "'auto' only where bit-identical to per-trial execution, "
-            "'always' also for random placements (one frozen placement per "
-            "cell), 'never' keeps one task per (cell, trial)"
+            "'auto' batches every such cell (a two-trial cell only when its "
+            "placement is draw-free) and re-draws random placements per "
+            "trial (same tables as 'never'), "
+            "'always' batches every such cell with one frozen placement per "
+            "cell, 'never' keeps one task per (cell, trial)"
         ),
     )
     sweep.add_argument(

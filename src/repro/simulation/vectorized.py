@@ -87,25 +87,33 @@ fallback is still far faster than the loop engine.
 Trial batching
 --------------
 :func:`simulate_job_batch` adds a third axis: it simulates ``T`` independent
-Monte-Carlo *trials* of the same job in one engine entry. The plan is
-resolved once, the draws are made (one ``(trials x iterations x workers)``
+Monte-Carlo *trials* of the same job in one engine entry. Each trial's plan
+is resolved, the draws are made (one ``(trials x iterations x workers)``
 tensor through :meth:`~repro.stragglers.base.DelayModel.sample_trials` under a
-deterministic link, one draw schedule per trial otherwise), and the arrival
-recurrence + completion kernels run over the stacked
-``(trials * iterations, workers)`` row matrix — rows are independent, so the
-per-row machinery of :func:`_complete_batch` applies unchanged. The **RNG
-contract** extends the solo engine's:
+deterministic link when the trials' loads agree, one draw schedule per trial
+otherwise), and the arrival recurrence + completion kernels run over the
+stacked ``(trials * iterations, workers)`` row matrix — rows are
+independent, so the per-row machinery of :func:`_complete_batch` applies
+unchanged. The **RNG contract** extends the solo engine's:
 
 * ``seeds[t]`` drives trial ``t`` and only trial ``t``. When a
-  :class:`~repro.schemes.base.Scheme` (not a plan) is passed, the plan is
-  resolved from ``seeds[0]``'s generator first — exactly where a solo run at
-  ``seeds[0]`` would resolve it — and then *shared* by every trial.
-* Consequently trial ``0`` is bit-identical to
-  ``simulate_job_vectorized(scheme, ..., rng=seeds[0])`` and every trial
-  ``t`` is bit-identical to ``simulate_job_vectorized(plan, ...,
-  rng=seeds[t])`` with the shared plan passed in (plan resolution consumes
-  no randomness then). For schemes whose placement is deterministic the two
-  statements coincide: every trial matches a solo *scheme* run at its seed.
+  :class:`~repro.schemes.base.Scheme` (not a plan) is passed, trial ``t``
+  builds its own plan from its own generator — exactly where a solo run at
+  ``seeds[t]`` would build it — and then draws. A random placement (BCC,
+  randomized, generalized BCC, cyclic-repetition's coefficients) is re-drawn
+  per trial, and every trial ``t`` is bit-identical to
+  ``simulate_job_vectorized(scheme, ..., rng=seeds[t])``.
+* When building trial 0's plan leaves its generator's state unchanged, the
+  placement cannot depend on the seed, and that one plan serves every
+  trial. A passed :class:`~repro.schemes.base.ExecutionPlan` is shared by
+  every trial; trial ``t`` then matches a solo run of that plan at
+  ``seeds[t]``.
+* The per-trial plans stack: compute draws use each trial's own loads (BCC
+  loads vary with the placement when ``r`` does not divide ``m``), and one
+  coverage-kernel call per chunk takes one (owner, segment) layout per
+  trial. A chunk never mixes trials whose active workers or message sizes
+  differ; other per-trial aggregators run their own kernel over their
+  trial's rows.
 
 Memory stays bounded: trials are processed in chunks so the stacked row
 matrices never exceed ``_BATCH_CELL_BUDGET`` cells, whatever the trial
@@ -115,7 +123,7 @@ count.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -126,12 +134,12 @@ from repro.coding.linear_code import LinearGradientCode
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.schemes.approximate import PartialSumAggregator
 from repro.schemes.base import (
-    BatchCoverageAggregator,
     CodedAggregator,
     CountAggregator,
     ExecutionPlan,
+    MasterAggregator,
     Scheme,
-    UnitCoverageAggregator,
+    coverage_pairs,
 )
 from repro.simulation.iteration import incomplete_iteration_error
 from repro.simulation.job import ColumnarOutcomeLog, JobResult, _resolve_plan
@@ -167,11 +175,14 @@ _Kernel = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 #: Trial-batched runs chunk the trial axis so the stacked
 #: ``(trials * iterations, workers)`` row matrices stay below this many
-#: cells (~128 MiB of float64 per matrix at the default): a sweep cell with
-#: thousands of trials streams through in bounded memory. Chunk boundaries
-#: fall between whole trials and rows are independent, so chunking cannot
-#: change any result.
-_BATCH_CELL_BUDGET = 1 << 24
+#: cells (always at least one trial). A short job (fig. 2: one iteration on
+#: 100 workers) stacks 163 trials per chunk; a long one (fig. 4: 200
+#: iterations) runs one trial per chunk. Sized from the end-to-end
+#: benchmark's fig4-serial peak RSS with every cell batched: 76 MB at 2^14
+#: cells, 80 MB at 2^16 and 119 MB at 2^24, against 80 MB with per-trial
+#: tasks (2-vCPU Xeon, NumPy 2.4.6). Chunk boundaries fall between whole
+#: trials and rows are independent, so chunking cannot change any result.
+_BATCH_CELL_BUDGET = 1 << 14
 
 
 def validate_engine(engine: str) -> str:
@@ -220,35 +231,18 @@ def simulate_job_vectorized(
     Drop-in replacement for :func:`repro.simulation.job.simulate_job` with
     ``engine="loop"``: same signature, same random-stream consumption, and a
     bit-identical :class:`JobResult` at a fixed seed (see the module
-    docstring for the draw-order contract the guarantee rests on).
+    docstring for the draw-order contract the guarantee rests on). It is
+    the one-trial case of :func:`simulate_job_batch`.
     """
-    check_positive_int(num_iterations, "num_iterations")
-    suite = get_suite("numpy")
-    generator = as_generator(rng)
-    plan = _resolve_plan(scheme_or_plan, num_units, cluster.num_workers, generator)
-    if isinstance(cluster, DynamicClusterSpec):
-        columns = _simulate_dynamic_batch(
-            plan,
-            cluster,
-            generator,
-            num_iterations=num_iterations,
-            unit_size=unit_size,
-            serialize_master_link=serialize_master_link,
-            suite=suite,
-        )
-    else:
-        columns = _simulate_plan_batch(
-            plan,
-            cluster,
-            generator,
-            num_iterations=num_iterations,
-            unit_size=unit_size,
-            serialize_master_link=serialize_master_link,
-            suite=suite,
-        )
-    return JobResult(
-        scheme_name=plan.scheme_name, iterations=ColumnarOutcomeLog(*columns)
-    )
+    return simulate_job_batch(
+        scheme_or_plan,
+        cluster,
+        num_units,
+        num_iterations,
+        [rng],
+        unit_size=unit_size,
+        serialize_master_link=serialize_master_link,
+    )[0]
 
 
 def simulate_job_batch(
@@ -264,24 +258,18 @@ def simulate_job_batch(
     """Simulate ``len(seeds)`` independent Monte-Carlo trials of one job.
 
     The trial-batched engine entry point (see the module docstring's "Trial
-    batching" section): the plan is resolved **once** — from ``seeds[0]``'s
-    generator, exactly where a solo run at ``seeds[0]`` would resolve it —
-    and shared by every trial; each trial ``t`` then consumes its own
-    ``seeds[t]`` stream precisely like :func:`simulate_job_vectorized` with
-    the shared plan passed in, which makes every returned
-    :class:`~repro.simulation.job.JobResult` bit-identical to the
-    corresponding solo run. The arrival recurrence and completion kernels
-    run once over the stacked ``(trials * iterations, workers)`` rows (in
-    memory-bounded trial chunks), so per-trial Python and planning overhead
-    — the cost that dominates short Monte-Carlo replications — is paid once
-    per *cell* instead of once per trial.
-
-    Note the shared-plan semantics: a scheme with a *random* placement
-    (e.g. BCC) freezes one placement for all trials here, whereas a loop of
-    solo scheme runs would re-draw it per trial. Callers that need to
-    average over placements (not just over completion-time draws) should
-    keep per-trial runs; :func:`repro.api.sweep.run_sweep`'s ``"auto"``
-    trial-batching mode makes exactly that distinction.
+    batching" section). Trial ``t`` builds its plan from its own
+    ``seeds[t]`` generator and then draws from it, exactly like
+    :func:`simulate_job_vectorized` at ``seeds[t]``, so every returned
+    :class:`~repro.simulation.job.JobResult` is bit-identical to the
+    corresponding solo *scheme* run — a random placement is re-drawn per
+    trial, as a loop of solo runs would. When building trial 0's plan
+    leaves its generator untouched (a deterministic placement), that one
+    plan serves every trial; a passed :class:`ExecutionPlan` is shared by
+    every trial. The arrival recurrence and completion kernels run once
+    over the stacked ``(trials * iterations, workers)`` rows of each
+    memory-bounded trial chunk, so per-trial Python overhead — the cost
+    that dominates short Monte-Carlo replications — is paid once per chunk.
 
     Parameters
     ----------
@@ -299,62 +287,44 @@ def simulate_job_batch(
     if len(seeds) == 0:
         raise ConfigurationError("simulate_job_batch needs at least one trial seed")
     suite = get_suite("numpy")
-    generators = [as_generator(seed) for seed in seeds]
-    plan = _resolve_plan(
-        scheme_or_plan, num_units, cluster.num_workers, generators[0]
-    )
-    active, active_loads, message_sizes, active_sizes = _active_arrays(
-        plan, cluster, unit_size
-    )
     dynamic = isinstance(cluster, DynamicClusterSpec)
-    if not dynamic:
-        models = cluster.delay_models()
-        active_models = [models[int(worker)] for worker in active]
     communication = cluster.communication
-    n_active = int(active.size)
-
-    # Chunk the trial axis so the stacked row matrices stay memory-bounded;
-    # chunk boundaries fall between whole trials and every row is
-    # independent, so the chunking is invisible in the results.
-    trials_per_chunk = max(1, _BATCH_CELL_BUDGET // max(num_iterations * n_active, 1))
+    models = [] if dynamic else cluster.delay_models()
     results: List[JobResult] = []
-    for start in range(0, len(generators), trials_per_chunk):
-        chunk = generators[start : start + trials_per_chunk]
+    for chunk in _trial_chunks(
+        scheme_or_plan, cluster, num_units, num_iterations, seeds, unit_size
+    ):
+        active = chunk.active
+        n_active = int(active.size)
+        num_trials = len(chunk.plans)
         order = None
-        if not dynamic and communication.is_deterministic:
+        if not dynamic:
+            active_models = [models[worker] for worker in active.tolist()]
+        if not dynamic and communication.is_deterministic and chunk.uniform_loads:
             # The 3-D fast path: one tensor through sample_trials (trial-
             # major, so the C-order reshape keeps each trial's rows intact).
             compute = type(active_models[0]).sample_trials(
-                active_models, active_loads, chunk, num_iterations
-            ).reshape(len(chunk) * num_iterations, n_active)
+                active_models, chunk.loads[0], chunk.generators, num_iterations
+            ).reshape(num_trials * num_iterations, n_active)
             transfer = np.broadcast_to(
-                communication.sample_batch(active_sizes), compute.shape
+                communication.sample_batch(chunk.active_sizes), compute.shape
             )
         else:
-            compute = np.empty((len(chunk) * num_iterations, n_active), dtype=float)
+            compute = np.empty((num_trials * num_iterations, n_active), dtype=float)
             transfer = np.empty_like(compute)
             if serialize_master_link and not communication.is_deterministic:
                 order = np.empty(compute.shape, dtype=np.intp)
-            for t, generator in enumerate(chunk):
+            for t, (generator, loads) in enumerate(zip(chunk.generators, chunk.loads)):
                 rows = slice(t * num_iterations, (t + 1) * num_iterations)
                 if dynamic:
                     draws = _draw_dynamic_matrices(
-                        cluster,
-                        plan,
-                        active,
-                        active_loads,
-                        active_sizes,
-                        generator,
+                        cluster, active, loads, chunk.active_sizes, generator,
                         num_iterations,
                     )
                 else:
                     draws = _draw_stationary_matrices(
-                        active_models,
-                        active_loads,
-                        active_sizes,
-                        communication,
-                        generator,
-                        num_iterations,
+                        active_models, loads, chunk.active_sizes, communication,
+                        generator, num_iterations,
                     )
                 compute[rows], transfer[rows], ranked = _for_link(
                     draws, serialize_master_link
@@ -363,14 +333,14 @@ def simulate_job_batch(
                     order[rows] = ranked
         totals, computations, communications, counts, loads, finished, heard = (
             _complete_batch(
-                plan, active, message_sizes, compute, transfer,
+                chunk.plans, active, chunk.message_sizes, compute, transfer,
                 serialize_master_link, suite, order,
             )
         )
         # Each trial's log views its rows of the columns and its span of
         # the heard index (row r's heard workers end at heard_ends[r + 1]).
         heard_ends = np.concatenate(([0], np.cumsum(counts)))
-        for t in range(len(chunk)):
+        for t, plan in enumerate(chunk.plans):
             rows = slice(t * num_iterations, (t + 1) * num_iterations)
             log = ColumnarOutcomeLog(
                 totals[rows],
@@ -383,6 +353,94 @@ def simulate_job_batch(
             )
             results.append(JobResult(scheme_name=plan.scheme_name, iterations=log))
     return results
+
+
+class _TrialChunk:
+    """Consecutive trials that one engine pass stacks.
+
+    Every trial of a chunk has the same active workers and message sizes;
+    each keeps its own plan, generator and per-active-worker loads.
+    """
+
+    def __init__(
+        self,
+        active: np.ndarray,
+        message_sizes: np.ndarray,
+        active_sizes: np.ndarray,
+        capacity: int,
+    ) -> None:
+        self.active = active
+        self.message_sizes = message_sizes
+        self.active_sizes = active_sizes
+        self.capacity = capacity
+        self.plans: List[ExecutionPlan] = []
+        self.generators: List[np.random.Generator] = []
+        self.loads: List[np.ndarray] = []
+        self.uniform_loads = True
+
+    def admits(self, active: np.ndarray, message_sizes: np.ndarray) -> bool:
+        return (
+            len(self.plans) < self.capacity
+            and np.array_equal(active, self.active)
+            and np.array_equal(message_sizes, self.message_sizes)
+        )
+
+    def add(self, plan: ExecutionPlan, generator: np.random.Generator, loads: np.ndarray) -> None:
+        if self.loads and not np.array_equal(loads, self.loads[0]):
+            self.uniform_loads = False
+        self.plans.append(plan)
+        self.generators.append(generator)
+        self.loads.append(loads)
+
+
+def _trial_chunks(
+    scheme_or_plan: Scheme | ExecutionPlan,
+    cluster: ClusterSpec,
+    num_units: int,
+    num_iterations: int,
+    seeds: Sequence[RandomState],
+    unit_size: int,
+) -> Iterator[_TrialChunk]:
+    """Each trial's plan, grouped into the chunks the engine stacks.
+
+    Trial ``t`` resolves its plan from its own generator, where a solo run
+    would, before any of its draws. A chunk never mixes trials whose active
+    workers or message sizes differ, and holds at most as many trials as
+    keep its ``(trials * iterations, workers)`` matrices within
+    ``_BATCH_CELL_BUDGET`` cells (always at least one). Chunk boundaries
+    fall between whole trials and rows are independent, so the chunking is
+    invisible in the results.
+    """
+    shared = scheme_or_plan if isinstance(scheme_or_plan, ExecutionPlan) else None
+    chunk: Optional[_TrialChunk] = None
+    plan: Optional[ExecutionPlan] = None
+    arrays: tuple = ()
+    for trial, seed in enumerate(seeds):
+        generator = as_generator(seed)
+        if shared is not None:
+            trial_plan = shared
+        else:
+            before = generator.bit_generator.state if trial == 0 else None
+            trial_plan = _resolve_plan(
+                scheme_or_plan, num_units, cluster.num_workers, generator
+            )
+            if before is not None and generator.bit_generator.state == before:
+                # Planning drew nothing, so the placement cannot depend on
+                # the seed: one plan stands in for every trial.
+                shared = trial_plan
+        if trial_plan is not plan:
+            plan = trial_plan
+            arrays = _active_arrays(plan, cluster, unit_size)
+        active, loads, message_sizes, active_sizes = arrays
+        if chunk is not None and not chunk.admits(active, message_sizes):
+            yield chunk
+            chunk = None
+        if chunk is None:
+            capacity = _BATCH_CELL_BUDGET // max(num_iterations * int(active.size), 1)
+            chunk = _TrialChunk(active, message_sizes, active_sizes, max(1, capacity))
+        chunk.add(trial_plan, generator, loads)
+    assert chunk is not None
+    yield chunk
 
 
 # --------------------------------------------------------------------------- #
@@ -453,7 +511,6 @@ def _draw_stationary_matrices(
 
 def _draw_dynamic_matrices(
     cluster: DynamicClusterSpec,
-    plan: ExecutionPlan,
     active: np.ndarray,
     active_loads: np.ndarray,
     active_sizes: np.ndarray,
@@ -475,7 +532,7 @@ def _draw_dynamic_matrices(
     communication = cluster.communication
     n_active = int(active.size)
 
-    if n_active == plan.num_workers:
+    if n_active == cluster.num_workers:
         model_rows = timeline.models  # every worker active: no reshaping
         up = timeline.availability
     else:
@@ -610,70 +667,8 @@ def _draw_timeline_block(
     return compute, transfer, order
 
 
-def _simulate_plan_batch(
-    plan: ExecutionPlan,
-    cluster: ClusterSpec,
-    rng: RandomState,
-    *,
-    num_iterations: int,
-    unit_size: int,
-    serialize_master_link: bool,
-    suite: KernelSuite,
-) -> Tuple[np.ndarray, ...]:
-    generator = as_generator(rng)
-    active, active_loads, message_sizes, active_sizes = _active_arrays(
-        plan, cluster, unit_size
-    )
-    models = cluster.delay_models()
-    active_models = [models[int(worker)] for worker in active]
-    draws = _draw_stationary_matrices(
-        active_models,
-        active_loads,
-        active_sizes,
-        cluster.communication,
-        generator,
-        num_iterations,
-    )
-    compute, transfer, order = _for_link(draws, serialize_master_link)
-    return _complete_batch(
-        plan, active, message_sizes, compute, transfer, serialize_master_link, suite,
-        order,
-    )
-
-
-def _simulate_dynamic_batch(
-    plan: ExecutionPlan,
-    cluster: DynamicClusterSpec,
-    rng: RandomState,
-    *,
-    num_iterations: int,
-    unit_size: int,
-    serialize_master_link: bool,
-    suite: KernelSuite,
-) -> Tuple[np.ndarray, ...]:
-    """Batch-simulate a job on a :class:`DynamicClusterSpec`.
-
-    Everything downstream of the draws (arrival recurrence, completion
-    kernels, metric assembly) is the same batched code the stationary path
-    runs, so the bit-identity guarantee carries over; see
-    :func:`_draw_dynamic_matrices` for the draw schedule.
-    """
-    generator = as_generator(rng)
-    active, active_loads, message_sizes, active_sizes = _active_arrays(
-        plan, cluster, unit_size
-    )
-    draws = _draw_dynamic_matrices(
-        cluster, plan, active, active_loads, active_sizes, generator, num_iterations
-    )
-    compute, transfer, order = _for_link(draws, serialize_master_link)
-    return _complete_batch(
-        plan, active, message_sizes, compute, transfer, serialize_master_link, suite,
-        order,
-    )
-
-
 def _complete_batch(
-    plan: ExecutionPlan,
+    plans: Sequence[ExecutionPlan],
     active: np.ndarray,
     message_sizes: np.ndarray,
     compute: np.ndarray,
@@ -684,7 +679,9 @@ def _complete_batch(
 ) -> Tuple[np.ndarray, ...]:
     """Completion search + metric assembly over drawn timing matrices.
 
-    Shared tail of the stationary and dynamic paths. ``compute`` may hold
+    Shared tail of the stationary and dynamic paths. The rows split evenly
+    into consecutive per-trial blocks, block ``t`` run under ``plans[t]``;
+    every plan has the same active workers and message sizes. ``compute`` may hold
     ``inf`` for workers that are vacant in an iteration (dynamic clusters):
     infinite entries sort after every finite arrival, the serialized-link
     recurrence propagates them unchanged, and an iteration whose completing
@@ -755,13 +752,9 @@ def _complete_batch(
         np.broadcast_to(np.arange(n_active), arrival_order.shape),
         axis=1,
     )
-    kernel = _build_kernel(plan, active, suite)
-    if kernel is None:
-        completing = _fallback_positions(plan, active, arrival_order)
-    else:
-        completing = kernel(positions, arrival_order)
+    completing = _build_kernel(plans, active, suite)(positions, arrival_order)
     if np.any(completing >= n_active):
-        raise _infeasible(plan)
+        raise _infeasible(plans[0])
 
     # 4. Assemble the columns. Every batched reduction below is order-exact
     #    (max is a selection, counting sums are integer), so the metrics
@@ -774,7 +767,7 @@ def _complete_batch(
         # for that iteration (dynamic clusters only). Report the first
         # failing iteration's vacancy count, like the loop engine would.
         first_bad = int(np.argmin(np.isfinite(total_times)))
-        raise _infeasible(plan, int(np.sum(~np.isfinite(compute[first_bad]))))
+        raise _infeasible(plans[0], int(np.sum(~np.isfinite(compute[first_bad]))))
     computation_times = np.maximum.accumulate(compute_ranked, axis=1)[rows, completing]
     workers_finished = np.count_nonzero(compute <= total_times[:, None], axis=1)
     counts = completing + 1
@@ -899,28 +892,93 @@ def _draw_compute_grid(
 # Completion kernels
 # --------------------------------------------------------------------------- #
 def _build_kernel(
-    plan: ExecutionPlan, active: np.ndarray, suite: KernelSuite
-) -> Optional[_Kernel]:
-    """Vectorized completion kernel for the plan's aggregator, or ``None``.
+    plans: Sequence[ExecutionPlan], active: np.ndarray, suite: KernelSuite
+) -> _Kernel:
+    """Completion kernel over rows split evenly into one block per plan.
+
+    One plan shared by every trial gets that plan's kernel. Per-trial plans
+    of one coverage aggregator type with equally sized layouts stack their
+    (owner, segment) layouts into one coverage call; any other mix runs
+    each trial's own kernel over its block of rows.
+    """
+    first = plans[0]
+    if all(plan is first for plan in plans):
+        return _plan_kernel(first, active, suite)
+    stacked = _stacked_coverage_layouts(plans, _position_of_worker(first, active))
+    if stacked is not None:
+        owners, starts = stacked
+        return lambda positions, order: suite.coverage_completion(positions, owners, starts)
+    kernels = [_plan_kernel(plan, active, suite) for plan in plans]
+
+    def per_trial(positions: np.ndarray, order: np.ndarray) -> np.ndarray:
+        rows = positions.shape[0] // len(kernels)
+        return np.concatenate(
+            [
+                kernel(positions[t * rows : (t + 1) * rows], order[t * rows : (t + 1) * rows])
+                for t, kernel in enumerate(kernels)
+            ]
+        )
+
+    return per_trial
+
+
+def _stacked_coverage_layouts(
+    plans: Sequence[ExecutionPlan], position_of_worker: np.ndarray
+) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """Every plan's coverage layout as one ``(trials, ...)`` pair of arrays.
+
+    ``None`` unless every plan's aggregator is of one coverage type and
+    every layout exists and has the first one's shape.
+    """
+    owners: Optional[np.ndarray] = None
+    starts: Optional[np.ndarray] = None
+    kind: Optional[type] = None
+    for t, plan in enumerate(plans):
+        probe = plan.new_aggregator()
+        kind = type(probe) if kind is None else kind
+        layout = _coverage_layout(probe, position_of_worker)
+        if type(probe) is not kind or layout is None:
+            return None
+        if owners is None or starts is None:
+            owners = np.empty((len(plans), layout[0].size), dtype=layout[0].dtype)
+            starts = np.empty((len(plans), layout[1].size), dtype=layout[1].dtype)
+        if layout[0].size != owners.shape[1] or layout[1].size != starts.shape[1]:
+            return None
+        owners[t], starts[t] = layout
+    assert owners is not None and starts is not None
+    return owners, starts
+
+
+def _position_of_worker(plan: ExecutionPlan, active: np.ndarray) -> np.ndarray:
+    """Each worker's active column, ``-1`` for a worker that never computes."""
+    position_of_worker = np.full(plan.num_workers, -1, dtype=int)
+    position_of_worker[active] = np.arange(active.size)
+    return position_of_worker
+
+
+def _never(n_active: int) -> _Kernel:
+    """The kernel of a plan no iteration can complete under."""
+    return lambda positions, order: np.full(positions.shape[0], n_active, dtype=int)
+
+
+def _plan_kernel(plan: ExecutionPlan, active: np.ndarray, suite: KernelSuite) -> _Kernel:
+    """One plan's completion kernel.
 
     Dispatch is on the *exact* aggregator type produced by a probe
     instantiation — subclasses may change the stopping rule, so they take
     the scalar fallback. The aggregator-specific preprocessing (index
     translation, feasibility screens, segment layout) happens here, once per
-    batch; the per-row searches run on ``suite``'s kernels.
+    plan; the per-row searches run on ``suite``'s kernels.
     """
     probe = plan.new_aggregator()
     n_active = int(active.size)
-    position_of_worker = np.full(plan.num_workers, -1, dtype=int)
-    position_of_worker[active] = np.arange(n_active)
+    position_of_worker = _position_of_worker(plan, active)
 
     if type(probe) is CountAggregator:
         required = position_of_worker[np.asarray(probe.required_workers, dtype=int)]
         if np.any(required < 0):
             # A required worker never computes, so no iteration completes.
-            return lambda positions, order: np.full(
-                positions.shape[0], n_active, dtype=int
-            )
+            return _never(n_active)
         return lambda positions, order: suite.count_completion(positions, required)
 
     if type(probe) is PartialSumAggregator:
@@ -928,62 +986,54 @@ def _build_kernel(
         eligible = eligible[eligible >= 0]
         needed = probe.required_count
         if needed > eligible.size:
-            return lambda positions, order: np.full(
-                positions.shape[0], n_active, dtype=int
-            )
+            return _never(n_active)
         return lambda positions, order: suite.partial_sum_completion(
             positions, eligible, needed
         )
 
-    if type(probe) is BatchCoverageAggregator:
-        batches = np.asarray(probe.worker_batches, dtype=int)[active]
-        return _coverage_kernel(
-            batches, np.arange(n_active), probe.num_batches, suite
-        )
-
-    if type(probe) is UnitCoverageAggregator:
-        assignment = probe.assignment
-        units = [assignment.assignments[worker] for worker in active.tolist()]
-        return _coverage_kernel(
-            np.concatenate(units),
-            np.repeat(np.arange(n_active), assignment.loads[active]),
-            probe.num_units,
-            suite,
-        )
+    if coverage_pairs(probe) is not None:
+        layout = _coverage_layout(probe, position_of_worker)
+        if layout is None:
+            return _never(n_active)
+        owners, starts = layout
+        return lambda positions, order: suite.coverage_completion(positions, owners, starts)
 
     if type(probe) is CodedAggregator:
         return _coded_kernel(probe, active, position_of_worker, suite)
 
-    return None
+    return lambda positions, order: _fallback_positions(plan, active, order)
 
 
-def _coverage_kernel(
-    items: np.ndarray,
-    owner_positions: np.ndarray,
-    num_items: int,
-    suite: KernelSuite,
-) -> _Kernel:
-    """Coupon-collector completion: last item to be covered for the first time.
+def _coverage_layout(
+    probe: MasterAggregator, position_of_worker: np.ndarray
+) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """A coverage aggregator's (owner, segment) layout, or ``None``.
 
-    ``items[p]`` is covered whenever the active worker at column
-    ``owner_positions[p]`` arrives; an iteration completes at the maximum
-    over items of the earliest covering arrival. The (item, owner) pairs are
-    sorted by item once here; each row then reduces to a segment minimum
-    followed by a row maximum on the suite's coverage kernel.
+    Item ``i`` is covered whenever an active worker holding it arrives; an
+    iteration completes at the maximum over items of the earliest covering
+    arrival. The (item, owner column) pairs are sorted by item once here, so
+    each row reduces to a segment minimum followed by a row maximum on the
+    suite's coverage kernel. The owner columns come in the narrowest signed
+    dtype that holds them. ``None`` means the probe is no coverage
+    aggregator (see :func:`~repro.schemes.base.coverage_pairs`) or some item
+    has no active owner: no amount of waiting covers it.
     """
+    coverage = coverage_pairs(probe)
+    if coverage is None:
+        return None
+    items, workers, num_items = coverage
+    owners = position_of_worker[workers].astype(
+        np.min_scalar_type(-position_of_worker.size)
+    )
+    held = owners >= 0
+    items, owners = items[held], owners[held]
     if items.size == 0 or np.unique(items).size < num_items:
-        # Some item has no owner: no amount of waiting covers it.
-        return lambda positions, order: np.full(
-            positions.shape[0], positions.shape[1], dtype=int
-        )
+        return None
     by_item = np.argsort(items, kind="stable")
-    owners_sorted = owner_positions[by_item]
     segment_starts = np.flatnonzero(
         np.concatenate(([True], np.diff(items[by_item]) > 0))
     )
-    return lambda positions, order: suite.coverage_completion(
-        positions, owners_sorted, segment_starts
-    )
+    return owners[by_item], segment_starts
 
 
 def _coded_kernel(
@@ -1008,9 +1058,7 @@ def _coded_kernel(
         ]
         viable = [members for members in member_positions if np.all(members >= 0)]
         if not viable:
-            return lambda positions, order: np.full(
-                positions.shape[0], n_active, dtype=int
-            )
+            return _never(n_active)
         members = np.concatenate(viable)
         group_starts = np.cumsum([0] + [m.size for m in viable[:-1]])
         return lambda positions, order: suite.group_completion(

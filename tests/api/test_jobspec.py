@@ -133,3 +133,20 @@ class TestSeeding:
         assert a.integers(0, 100) == b.integers(0, 100)
         shared = np.random.default_rng(0)
         assert JobSpec(scheme="uncoded", num_units=4, seed=shared).rng() is shared
+
+
+class TestPlanCarryingSpecs:
+    def test_a_spec_carrying_a_plan_is_hashable(self, cluster):
+        plan = BCCScheme(load=2).build_feasible_plan(8, 8, rng=0)
+        spec = JobSpec(scheme=plan, cluster=cluster, num_units=8)
+        assert hash(spec) == hash(spec.replace())
+        assert spec == spec.replace()
+
+    def test_separately_built_plans_compare_by_identity(self):
+        scheme = BCCScheme(load=2)
+        first = scheme.build_feasible_plan(8, 8, rng=0)
+        second = scheme.build_feasible_plan(8, 8, rng=0)
+        # Same placement, but a plan holds closures: identity decides.
+        assert first.unit_assignment == second.unit_assignment
+        assert first == first
+        assert first != second

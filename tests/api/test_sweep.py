@@ -225,8 +225,10 @@ class TestTrialBatchingModes:
         )
 
     def test_auto_is_identical_to_never(self, base):
-        """Auto batches only where provably bit-identical — including the
-        fallback for random placements (bcc re-draws per trial)."""
+        """Auto batches every cell, random placements included: each trial
+        of a batched bcc cell re-draws its placement from its own seed."""
+        from repro.scheduling import build_sweep_plan
+
         sweep = self._vector_sweep(
             base,
             [
@@ -235,12 +237,36 @@ class TestTrialBatchingModes:
                 {"name": "cyclic-repetition", "load": 2},
             ],
         )
+        for mode, frozen in (("auto", False), ("always", True)):
+            plan = build_sweep_plan(sweep, backend=sweep.backend, trial_batching=mode)
+            assert [task.kind for task in plan.tasks] == ["cell"] * 3
+            assert {task.frozen_placement for task in plan.tasks} == {frozen}
         auto = run_sweep(sweep, trial_batching="auto")
         never = run_sweep(sweep, trial_batching="never")
         assert len(auto.records) == len(never.records)
         for a, b in zip(auto.records, never.records):
             assert (a.cell, a.trial) == (b.cell, b.trial)
             assert a.result.summary() == b.result.summary()
+
+    def test_auto_batches_two_trial_cells_only_when_planning_is_draw_free(self, base):
+        from repro.scheduling import build_sweep_plan
+
+        schemes = [{"name": "bcc", "load": 4}, {"name": "uncoded"}]
+        expected = {
+            ("auto", 2): ["trial", "trial", "cell"],
+            ("auto", 3): ["cell", "cell"],
+            ("always", 2): ["cell", "cell"],
+        }
+        for (mode, trials), kinds in expected.items():
+            sweep = self._vector_sweep(base, schemes, trials=trials)
+            plan = build_sweep_plan(sweep, backend=sweep.backend, trial_batching=mode)
+            assert [task.kind for task in plan.tasks] == kinds, (mode, trials)
+        sweep = self._vector_sweep(base, schemes, trials=2)
+        auto = run_sweep(sweep, trial_batching="auto")
+        never = run_sweep(sweep, trial_batching="never")
+        assert [r.result.summary() for r in auto.records] == [
+            r.result.summary() for r in never.records
+        ]
 
     def test_always_matches_solo_runs_with_the_shared_plan(self, base):
         from repro.api import TimingSimBackend

@@ -136,3 +136,116 @@ class TestViews:
     def test_describe(self, assignment):
         text = assignment.describe()
         assert "n=3" in text and "m=6" in text and "r=4" in text
+
+
+class TestArrayForms:
+    """The rows and batch forms validate and read like the tuple form."""
+
+    def test_rows_form_equals_the_tuple_form(self):
+        rows = np.array([[0, 1], [3, 2]], dtype=np.int8)
+        from_rows = DataAssignment.from_rows(4, rows)
+        from_tuple = DataAssignment(4, (np.array([0, 1]), np.array([3, 2])))
+        assert from_rows == from_tuple and from_tuple == from_rows
+        assert from_rows.loads.tolist() == [2, 2]
+        assert all(indices.dtype == int for indices in from_rows.assignments)
+        # Order within a worker is part of the placement.
+        assert from_rows != DataAssignment(4, (np.array([0, 1]), np.array([2, 3])))
+
+    def test_batch_form_equals_the_tuple_form(self):
+        from repro.datasets.batching import contiguous_partition
+
+        partition = contiguous_partition(5, 2)  # batches [0, 1], [2, 3, 4]
+        assignment = DataAssignment.from_batches(partition, np.array([1, 0, 1]))
+        assert assignment == DataAssignment(5, ([2, 3, 4], [0, 1], [2, 3, 4]))
+        assert assignment.loads.tolist() == [3, 2, 3]
+        assert assignment.example_multiplicity().tolist() == [1, 1, 2, 2, 2]
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[0, 1], [2, 2], [5, 0]],
+            [[0, 1], [2, 4], [3, 3]],
+            [[1, 1, 7]],
+            [[4], [0]],
+            [[0.5, 2.9]],
+            [[True, False]],
+        ],
+    )
+    def test_rows_form_raises_the_constructors_errors(self, rows):
+        with pytest.raises(AssignmentError) as from_tuple:
+            DataAssignment(4, tuple(np.array(row) for row in rows))
+        with pytest.raises(AssignmentError) as from_rows:
+            DataAssignment.from_rows(4, np.array(rows))
+        assert str(from_rows.value) == str(from_tuple.value)
+
+    def test_rows_form_rejects_a_non_matrix(self):
+        with pytest.raises(AssignmentError, match="2-D"):
+            DataAssignment.from_rows(4, np.array([0, 1]))
+        with pytest.raises(AssignmentError, match="at least one worker"):
+            DataAssignment.from_rows(4, np.empty((0, 2), dtype=int))
+
+    def test_batch_form_rejects_bad_choices(self):
+        from repro.datasets.batching import contiguous_partition
+
+        partition = contiguous_partition(4, 2)
+        with pytest.raises(AssignmentError, match="worker 1 chose a batch"):
+            DataAssignment.from_batches(partition, np.array([0, 2]))
+        with pytest.raises(AssignmentError, match="integers"):
+            DataAssignment.from_batches(partition, np.array([0.0, 1.0]))
+        with pytest.raises(AssignmentError, match="non-empty"):
+            DataAssignment.from_batches(partition, np.array([], dtype=int))
+
+    def test_every_form_pickles_to_an_equal_assignment(self):
+        import pickle
+
+        from repro.datasets.batching import contiguous_partition
+
+        forms = [
+            DataAssignment(4, ([0, 1], [2, 3])),
+            DataAssignment.from_rows(4, np.array([[0, 1], [2, 3]])),
+            DataAssignment.from_batches(contiguous_partition(4, 2), np.array([0, 1])),
+        ]
+        for assignment in forms:
+            assert pickle.loads(pickle.dumps(assignment)) == assignment
+
+    def test_assignments_are_immutable(self, assignment):
+        with pytest.raises(AttributeError):
+            assignment.num_examples = 7
+
+
+class TestValueSemantics:
+    def test_equal_placements_compare_equal(self):
+        first = DataAssignment(4, (np.array([0, 1]), np.array([2, 3])))
+        second = DataAssignment(4, (np.array([0, 1]), np.array([2, 3])))
+        assert first == second
+        assert first != DataAssignment(5, (np.array([0, 1]), np.array([2, 3])))
+        assert first != DataAssignment(4, (np.array([0, 1]), np.array([2])))
+        assert first != "not an assignment"
+
+    def test_placements_are_unhashable(self):
+        # Declared unhashable, not unhashable by accident of an array field.
+        with pytest.raises(TypeError, match="unhashable type: 'DataAssignment'"):
+            hash(DataAssignment(4, (np.array([0, 1]), np.array([2, 3]))))
+
+
+class TestCoveredWorkerValidation:
+    def test_boolean_mask_is_not_read_as_worker_ids(self):
+        two = DataAssignment(2, (np.array([0]), np.array([1])))
+        with pytest.raises(AssignmentError, match="integer worker ids"):
+            two.covered_examples([True, False])
+        with pytest.raises(AssignmentError, match="integer worker ids"):
+            two.covers_all(np.array([True, True]))
+
+    def test_float_ids_are_not_truncated(self):
+        two = DataAssignment(2, (np.array([0]), np.array([1])))
+        with pytest.raises(AssignmentError, match="integer worker ids"):
+            two.covered_examples([0.9])
+
+    def test_empty_and_out_of_range_worker_lists(self):
+        two = DataAssignment(2, (np.array([0]), np.array([1])))
+        assert two.covered_examples([]).tolist() == [False, False]
+        assert not two.covers_all([])
+        with pytest.raises(AssignmentError, match="worker must lie"):
+            two.covered_examples([2])
+        with pytest.raises(AssignmentError, match="worker must lie"):
+            two.covered_examples([-1])

@@ -111,3 +111,69 @@ class TestGroupPlacement:
     def test_too_many_workers_per_group_rejected(self):
         with pytest.raises(AssignmentError):
             group_placement(num_examples=3, num_groups=2, workers_per_group=4)
+
+
+class TestPlacementStreams:
+    """The array placements draw exactly what a per-worker loop draws."""
+
+    @pytest.mark.parametrize("m, r", [(100, 5), (100, 50), (100, 100), (40, 1)])
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_random_subset_matches_per_worker_choice(self, m, r, seed):
+        n = 30
+        generator = np.random.default_rng(seed)
+        reference = np.random.default_rng(seed)
+        assignment = random_subset_placement(m, n, r, generator)
+        expected = [reference.choice(m, size=r, replace=False) for _ in range(n)]
+        assert assignment.num_workers == n
+        for indices, want in zip(assignment.assignments, expected):
+            np.testing.assert_array_equal(indices, want)
+        assert generator.bit_generator.state == reference.bit_generator.state
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_bcc_matches_one_integers_draw(self, seed):
+        spec = make_batches(23, 5)
+        generator = np.random.default_rng(seed)
+        reference = np.random.default_rng(seed)
+        assignment, choices = bcc_placement(spec, 40, generator)
+        expected = reference.integers(0, spec.num_batches, size=40)
+        np.testing.assert_array_equal(choices, expected)
+        for worker, batch in enumerate(expected):
+            np.testing.assert_array_equal(
+                assignment.worker_indices(worker), spec.batch_indices(int(batch))
+            )
+        assert generator.bit_generator.state == reference.bit_generator.state
+
+
+class TestFeasiblePlanAttempts:
+    def test_redraws_consume_the_same_draws_as_a_coverage_loop(self):
+        from repro.schemes.randomized import SimpleRandomizedScheme
+
+        m = n = 100
+        load = 5
+        redrawn = 0
+        for seed in range(12):
+            reference = np.random.default_rng(seed)
+            attempts = 0
+            while True:
+                attempts += 1
+                rows = [reference.choice(m, size=load, replace=False) for _ in range(n)]
+                if np.unique(np.concatenate(rows)).size == m:
+                    break
+            calls = []
+            scheme = SimpleRandomizedScheme(load)
+            build = scheme.build_plan
+
+            def counting(*args, **kwargs):
+                calls.append(1)
+                return build(*args, **kwargs)
+
+            scheme.build_plan = counting
+            generator = np.random.default_rng(seed)
+            plan = scheme.build_feasible_plan(m, n, generator)
+            assert len(calls) == attempts
+            assert generator.bit_generator.state == reference.bit_generator.state
+            for indices, want in zip(plan.unit_assignment.assignments, rows):
+                np.testing.assert_array_equal(indices, want)
+            redrawn += attempts > 1
+        # About 40% of these placements miss a unit, so some seeds redraw.
+        assert redrawn > 0

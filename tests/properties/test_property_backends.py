@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 from repro.api import JobSpec, TimingSimBackend, run
 from repro.cluster.dynamic import ChurnEvent, DynamicClusterSpec
 from repro.cluster.spec import ClusterSpec
-from repro.exceptions import SimulationError
+from repro.exceptions import CoverageError, SimulationError
 from repro.stragglers.communication import (
     LinearCommunicationModel,
     ZeroCommunicationModel,
@@ -264,32 +264,26 @@ class TestTrialBatchedBitIdentity:
                 unit_size=spec.resolved_unit_size,
                 serialize_master_link=spec.serialize_master_link,
             )
-        except SimulationError:
+        except (SimulationError, CoverageError):
             batch = None
-        # Re-derive the shared plan exactly as the batch does (from
-        # seeds[0]); trial 0 continues that generator, later trials start
-        # fresh at their own child.
-        generator = np.random.default_rng(seeds[0])
-        plan = scheme.build_feasible_plan(
-            spec.resolved_num_units, spec.cluster.num_workers, generator
-        )
+        # Every trial is a solo *scheme* run at its own seed: it builds its
+        # own plan from that seed, then draws.
         solos = []
         failed = False
         for trial in range(num_trials):
-            rng = generator if trial == 0 else np.random.default_rng(seeds[trial])
             try:
                 solos.append(
                     simulate_job_vectorized(
-                        plan,
+                        scheme,
                         spec.cluster,
                         spec.resolved_num_units,
                         spec.num_iterations,
-                        rng,
+                        np.random.default_rng(seeds[trial]),
                         unit_size=spec.resolved_unit_size,
                         serialize_master_link=spec.serialize_master_link,
                     )
                 )
-            except SimulationError:
+            except (SimulationError, CoverageError):
                 failed = True
                 break
         if batch is None:

@@ -94,3 +94,40 @@ class TestPlacementProperties:
         ]
         assignment = heterogeneous_random_placement(m, loads, rng=seed)
         assert assignment.loads.tolist() == loads
+
+
+class TestFeasibilityRule:
+    """``can_ever_complete`` answers what feeding every worker would."""
+
+    @staticmethod
+    def _fed_every_worker(plan) -> bool:
+        aggregator = plan.new_aggregator()
+        for worker in range(plan.num_workers):
+            if aggregator.receive(worker, None):
+                return True
+        return aggregator.is_complete()
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        data=st.data(),
+        name=st.sampled_from(["bcc", "randomized", "generalized-bcc"]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_matches_feeding_every_worker(self, data, name, seed):
+        from repro.schemes.bcc import BCCScheme
+        from repro.schemes.heterogeneous import GeneralizedBCCScheme
+        from repro.schemes.randomized import SimpleRandomizedScheme
+
+        # Small worker pools make infeasible placements common.
+        m = data.draw(st.integers(min_value=1, max_value=30), label="m")
+        n = data.draw(st.integers(min_value=1, max_value=20), label="n")
+        if name == "generalized-bcc":
+            loads = data.draw(
+                st.lists(st.integers(0, m), min_size=n, max_size=n), label="loads"
+            )
+            scheme = GeneralizedBCCScheme(loads=loads)
+        else:
+            load = data.draw(st.integers(min_value=-(-m // n), max_value=m), label="r")
+            scheme = (BCCScheme if name == "bcc" else SimpleRandomizedScheme)(load)
+        plan = scheme.build_plan(m, n, np.random.default_rng(seed))
+        assert plan.can_ever_complete() == self._fed_every_worker(plan)

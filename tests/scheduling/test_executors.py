@@ -220,21 +220,25 @@ class TestPlanShape:
         # trial tasks carry theirs on the spec, cell tasks in ``seeds``
         # with a seedless spec.
         sweep = make_sweep(trials=4, seed=np.random.SeedSequence(9))
-        plan = build_sweep_plan(sweep, backend=TimingSimBackend(engine="vectorized"))
-        assert {task.kind for task in plan.tasks} == {"trial", "cell"}
-        seeds = {}
-        for task in plan.tasks:
-            if task.kind == "cell":
-                assert task.spec.seed is None
-                task_seeds = task.seeds
-            else:
-                task_seeds = (task.spec.seed,)
-            for (cell, _, trial), seed in zip(task.entries, task_seeds):
-                seeds[cell, trial] = seed
-        children = np.random.SeedSequence(9).spawn(len(seeds))
-        assert [seeds[key].spawn_key for key in sorted(seeds)] == [
-            child.spawn_key for child in children
-        ]
+        for trial_batching in ("auto", "never"):
+            plan = build_sweep_plan(
+                sweep,
+                backend=TimingSimBackend(engine="vectorized"),
+                trial_batching=trial_batching,
+            )
+            seeds = {}
+            for task in plan.tasks:
+                if task.kind == "cell":
+                    assert task.spec.seed is None
+                    task_seeds = task.seeds
+                else:
+                    task_seeds = (task.spec.seed,)
+                for (cell, _, trial), seed in zip(task.entries, task_seeds):
+                    seeds[cell, trial] = seed
+            children = np.random.SeedSequence(9).spawn(len(seeds))
+            assert [seeds[key].spawn_key for key in sorted(seeds)] == [
+                child.spawn_key for child in children
+            ]
 
     def test_entries_cover_every_cell_and_trial(self):
         sweep = make_sweep(trials=4)

@@ -195,6 +195,30 @@ class TestCacheCorrectness:
         run_sweep(sweep, cache=cache)
         assert (cache.stats.stores, cache.stats.uncacheable) == (1, 0)
 
+    def test_frozen_and_per_trial_cells_never_share_an_entry(self):
+        # The same bcc cells batch under both modes, at the same spawned
+        # seeds; only the placement choice tells their results apart.
+        sweep = make_sweep(trials=3)
+        cache = ResultCache()
+        always = run_sweep(sweep, trial_batching="always", cache=cache)
+        auto = run_sweep(sweep, trial_batching="auto", cache=cache)
+        assert cache.stats.hits == 0
+        assert records_of(always) == records_of(run_sweep(sweep, trial_batching="always"))
+        assert records_of(auto) == records_of(run_sweep(sweep, trial_batching="never"))
+        assert records_of(auto) != records_of(always)
+
+    def test_only_cell_keys_name_the_placement_choice(self):
+        import dataclasses
+
+        cache = ResultCache()
+        backend = TimingSimBackend(engine="vectorized")
+        for mode, kind in (("auto", "cell"), ("never", "trial")):
+            sweep = make_sweep(trials=3)
+            task = build_sweep_plan(sweep, backend=backend, trial_batching=mode).tasks[0]
+            assert task.kind == kind
+            flipped = dataclasses.replace(task, frozen_placement=not task.frozen_placement)
+            assert (cache.task_key(task) != cache.task_key(flipped)) == (kind == "cell")
+
     def test_task_keys_differ_per_task(self):
         sweep = make_sweep()
         cache = ResultCache()

