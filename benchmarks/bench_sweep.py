@@ -1,6 +1,6 @@
 """Benchmarks of the unified sweep engine.
 
-Three pins:
+Two pins:
 
 1. ``test_sweep_parallel_matches_serial`` — the spawn seed strategy's
    determinism guarantee: a process pool produces byte-identical tables.
@@ -9,10 +9,6 @@ Three pins:
    trials) dispatching whole cells through the vectorized engine must be at
    least ``5x`` faster than per-trial execution, with every batched trial
    bit-identical to a solo run at the same spawned seed.
-3. ``test_distributed_nodes_match_serial`` — the multi-node path: the same
-   sweep sharded across two real ``repro serve`` subprocess nodes (the TCP
-   lease protocol, pull-based stealing and all) renders the serial table
-   byte for byte.
 
 The tests append their measurements to ``benchmarks/BENCH_sweep.json`` — a
 machine-readable perf trajectory (one entry per run, newest last) that CI
@@ -23,8 +19,6 @@ identity assertions are never relaxed.
 
 import json
 import os
-import subprocess
-import sys
 import time
 from pathlib import Path
 
@@ -34,7 +28,6 @@ from repro.analysis.validation import load_benchmark_history
 from repro.api import JobSpec, Sweep, TimingSimBackend, run_sweep
 from repro.cluster.spec import ClusterSpec
 from repro.experiments.ec2 import ec2_like_cluster
-from repro.scheduling import DistributedExecutor
 from repro.simulation.vectorized import simulate_job_vectorized
 from repro.stragglers.models import ExponentialDelay
 from repro.utils.rng import random_seed_sequence
@@ -230,72 +223,3 @@ def test_trial_batched_speedup(benchmark, report):
         f"(per-trial {per_trial_seconds:.3f}s, batched {batched_seconds:.3f}s)"
     )
     assert per_trial.num_cells == batched.num_cells == len(loads) * 2
-
-
-def _spawn_node() -> "tuple[subprocess.Popen, str]":
-    """Start one ``repro serve`` node on an ephemeral port; return its endpoint.
-
-    ``--port 0`` makes the server announce ``repro serve: listening on
-    HOST:PORT`` on stdout once bound — the same handshake scripted callers
-    use — so there is no port-picking race.
-    """
-    process = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", "--port", "0"],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT,
-        text=True,
-    )
-    line = process.stdout.readline()
-    prefix = "repro serve: listening on "
-    if not line.startswith(prefix):
-        process.terminate()
-        raise AssertionError(f"unexpected serve announcement: {line!r}")
-    return process, line[len(prefix) :].strip()
-
-
-def test_distributed_nodes_match_serial(benchmark, report):
-    """Two real nodes over TCP render the serial sweep table byte for byte."""
-    sweep = _sweep()
-
-    serial_started = time.perf_counter()
-    serial = run_sweep(sweep)
-    serial_seconds = time.perf_counter() - serial_started
-
-    nodes = [_spawn_node() for _ in range(2)]
-    try:
-        executor = DistributedExecutor(",".join(endpoint for _, endpoint in nodes))
-        with executor:
-            distributed = benchmark.pedantic(
-                lambda: run_sweep(sweep, executor=executor),
-                rounds=1,
-                iterations=1,
-            )
-        distributed_seconds = benchmark.stats.stats.total
-    finally:
-        for process, _ in nodes:
-            process.terminate()
-        for process, _ in nodes:
-            process.wait(timeout=10)
-
-    serial_table = serial.to_table(title="Sweep — 5 schemes x 4 trials").render()
-    distributed_table = distributed.to_table(
-        title="Sweep — 5 schemes x 4 trials"
-    ).render()
-    assert distributed_table == serial_table
-
-    report(
-        "Sweep engine — serial vs 2 distributed serve nodes (identical tables)",
-        distributed_table,
-        serial_seconds=serial_seconds,
-        distributed_seconds=distributed_seconds,
-    )
-    _append_history(
-        {
-            "test": "distributed_nodes_match_serial",
-            "level": "node",
-            "quick": QUICK,
-            "nodes": 2,
-            "serial_seconds": serial_seconds,
-            "distributed_seconds": distributed_seconds,
-        }
-    )

@@ -11,7 +11,7 @@ Seeding
 -------
 Every (cell, trial) gets its own :class:`numpy.random.SeedSequence` child,
 spawned from the base spec's seed, so the records are identical whether the
-sweep runs serially, in parallel, or on remote nodes. An int or
+sweep runs serially or on a process pool. An int or
 ``SeedSequence`` base seed repeats: every ``run_sweep`` call of the same
 sweep yields the same records (and a cache serves the repeats). A live
 :class:`numpy.random.Generator` base seed is consumed instead — each
@@ -340,7 +340,7 @@ def run_sweep(
     sweep: Sweep,
     *,
     max_workers: Optional[int] = None,
-    executor: Union[str, Executor] = "thread",
+    executor: Union[str, Executor] = "process",
     record: str = "full",
     trial_batching: str = "auto",
     cache: Optional[Union[str, "ResultCache"]] = None,
@@ -349,9 +349,9 @@ def run_sweep(
 
     ``run_sweep`` is a thin façade over the shared scheduling core
     (:mod:`repro.scheduling`): build the cell-task plan once, hand it to an
-    executor, collect the records. Every execution mode — serial, thread
-    pool, process pool, async, distributed — dispatches the same plan
-    through the same task runner, so they produce bit-identical records.
+    executor, collect the records. Both execution modes — serial and
+    process pool — dispatch the same plan through the same task runner, so
+    they produce bit-identical records.
     With an int or ``SeedSequence`` base seed, repeated calls do too; a
     live ``Generator`` base seed is consumed (one draw per call), so
     repeated calls differ.
@@ -364,18 +364,14 @@ def run_sweep(
         ``None``/``0``/``1`` runs serially; anything larger fans the tasks
         out over the chosen executor. Results are identical either way.
     executor:
-        ``"thread"`` (default), ``"process"``, ``"async"``, ``"serial"``,
-        ``"distributed"``, or an
-        :class:`~repro.scheduling.executors.Executor` instance.
-        Process pools give real multi-core speed-up for the CPU-bound
-        simulation backends but require picklable specs and backends — see
-        the *Parallel sweeps and pickling* section of :doc:`the performance
-        guide </performance>` for the constraints. ``"distributed"``
-        shards the cell tasks across the ``repro serve`` nodes named by
-        the ``REPRO_NODES`` environment variable (pass a configured
-        :class:`~repro.scheduling.distributed.DistributedExecutor` for
-        lease/retry/join control); it ignores ``max_workers`` —
-        concurrency belongs to the nodes.
+        ``"process"`` (default), ``"serial"``, or an
+        :class:`~repro.scheduling.executors.Executor` instance, which is
+        used as given whatever ``max_workers`` says. A process pool gives
+        the CPU-bound simulation backends multi-core speed-up but requires
+        picklable specs and backends; a task that cannot pickle raises
+        :class:`~repro.exceptions.ConfigurationError` — see the *Parallel
+        sweeps and pickling* section of :doc:`the performance guide
+        </performance>` for the constraints.
     record:
         ``"full"`` (default) keeps every result's per-iteration log;
         ``"summary"`` compacts each result to its aggregate statistics in
@@ -441,9 +437,7 @@ def run_sweep(
         )
     backend = get_backend(sweep.backend)
     parallel = max_workers is not None and max_workers > 1
-    if parallel or not isinstance(executor, str) or executor == "distributed":
-        # "distributed" executes on remote nodes whatever max_workers says —
-        # a one-task sweep still belongs on the node that may have it cached.
+    if parallel or not isinstance(executor, str):
         runner = resolve_executor(executor, max_workers)
     else:
         # max_workers of None/0/1 has always meant serial execution,

@@ -204,27 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="run up to N trials concurrently (default: serial)",
-    )
-    sweep.add_argument(
-        "--executor",
-        choices=("process", "thread"),
-        default="process",
-        help=(
-            "pool type for --parallel; the simulation is CPU-bound, so "
-            "processes (the default) are what actually speed it up"
-        ),
-    )
-    sweep.add_argument(
-        "--nodes",
-        metavar="HOST:PORT,...",
-        default=None,
-        help=(
-            "shard the sweep's cells across running 'repro serve' nodes "
-            "(comma-separated addresses) with pull-based work stealing; "
-            "overrides --executor/--parallel — concurrency then belongs "
-            "to the nodes"
-        ),
+        help="run the sweep's tasks on N worker processes (default: serial)",
     )
     sweep.add_argument(
         "--record",
@@ -407,17 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="exit after the first connection closes (scripted/CI use)",
     )
     serve.add_argument(
-        "--join",
-        metavar="HOST:PORT",
-        default=None,
-        help=(
-            "worker mode: instead of listening, dial out to a waiting "
-            "distributed-sweep coordinator (repro sweep --nodes / "
-            "DistributedExecutor(listen=...)) and serve task leases over "
-            "that connection until the coordinator hangs up"
-        ),
-    )
-    serve.add_argument(
         "--self-test",
         dest="self_test",
         action="store_true",
@@ -560,23 +529,13 @@ def run_cli_sweep(args: argparse.Namespace) -> str:
         trials=args.trials,
         backend=backend,
     )
-    executor = args.executor
-    if getattr(args, "nodes", None):
-        from repro.scheduling import DistributedExecutor
-
-        executor = DistributedExecutor(args.nodes)
-    try:
-        result = run_sweep(
-            sweep,
-            max_workers=args.parallel,
-            executor=executor,
-            record=getattr(args, "record", "full"),
-            trial_batching=getattr(args, "trial_batching", "auto"),
-            cache=getattr(args, "cache", None),
-        )
-    finally:
-        if not isinstance(executor, str):
-            executor.close()
+    result = run_sweep(
+        sweep,
+        max_workers=args.parallel,
+        record=getattr(args, "record", "full"),
+        trial_batching=getattr(args, "trial_batching", "auto"),
+        cache=getattr(args, "cache", None),
+    )
     dynamics_note = f", dynamics={dynamics_spec}" if dynamics_spec else ""
     table = result.to_table(
         title=(
@@ -734,20 +693,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     elif args.experiment == "tune":
         print(run_cli_tune(args))
     elif args.experiment == "serve":
-        from repro.service.server import run_server, run_worker, self_test
+        from repro.service.server import run_server, self_test
 
         if args.self_test:
             return self_test(args.host)
-        if args.join:
-            from repro.scheduling import parse_endpoint
-
-            join_host, join_port = parse_endpoint(args.join)
-            return run_worker(
-                join_host,
-                join_port,
-                cache_dir=args.cache,
-                max_workers=args.max_workers,
-            )
         return run_server(
             host=args.host,
             port=args.port,

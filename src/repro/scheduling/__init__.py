@@ -14,13 +14,11 @@ halves:
   :func:`execute_task` is the single task runner every executor
   dispatches.
 * :mod:`repro.scheduling.executors` — *how* to run it: the
-  :class:`Executor` protocol with :class:`SerialExecutor`,
-  :class:`PoolExecutor` (thread or process ``concurrent.futures`` pools)
-  and :class:`AsyncExecutor` (the asyncio entry the sweep service builds
-  on); :mod:`repro.scheduling.distributed` adds
-  :class:`DistributedExecutor`, which shards the same plan across N
-  ``repro serve`` nodes over TCP with pull-based work stealing. Every
-  executor consumes the same plan and produces bit-identical results.
+  :class:`Executor` protocol with :class:`SerialExecutor` and
+  :class:`PoolExecutor` (a ``concurrent.futures`` process pool), plus
+  :class:`AsyncExecutor`, the bounded awaitable task runner the sweep
+  service builds on. Every executor consumes the same plan and produces
+  bit-identical results.
 
 :func:`repro.api.sweep.run_sweep` is now a thin façade over
 build-plan → execute → collect; :mod:`repro.service` mounts the same core
@@ -36,11 +34,6 @@ from repro.scheduling.core import (
     hoist_cell_plan,
     probe_rng_free_plan,
     should_batch_cell,
-)
-from repro.scheduling.distributed import (
-    DistributedExecutor,
-    parse_endpoint,
-    parse_nodes,
 )
 from repro.scheduling.executors import (
     AsyncExecutor,
@@ -59,12 +52,9 @@ __all__ = [
     "hoist_cell_plan",
     "probe_rng_free_plan",
     "should_batch_cell",
-    "DistributedExecutor",
     "Executor",
     "SerialExecutor",
     "PoolExecutor",
     "AsyncExecutor",
-    "parse_endpoint",
-    "parse_nodes",
     "resolve_executor",
 ]

@@ -4,8 +4,8 @@ A sweep's execution decomposes into an ordered list of :class:`CellTask`
 work items: either one ``(cell, trial)`` run or a whole trial-batched cell.
 :func:`build_sweep_plan` makes every per-cell decision — seed derivation,
 trial batching, plan hoisting, record mode — exactly once, so serial,
-thread-pool, process-pool, and async-service execution cannot drift apart;
-:func:`execute_task` is the single runner each of them dispatches.
+process-pool and service execution cannot drift apart; :func:`execute_task`
+is the single runner each of them dispatches.
 
 The scheduler core deliberately contains no execution policy (pools, event
 loops, caches): those live in :mod:`repro.scheduling.executors` and

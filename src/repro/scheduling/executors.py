@@ -1,31 +1,29 @@
-"""Executors: the *how* of sweep execution, one protocol, four strategies.
+"""Executors: the *how* of sweep execution, one protocol, two strategies.
 
 Every executor consumes the same :class:`~repro.scheduling.core.SweepPlan`
 and dispatches each task through the one
 :func:`~repro.scheduling.core.execute_task` runner, so the strategies can
 only differ in wall-clock, never in results (the executor-equivalence suite
-pins serial == thread == process == async bit-identity).
+pins serial == process bit-identity).
 
 * :class:`SerialExecutor` — in-order, in-thread; the reference.
-* :class:`PoolExecutor` — a ``concurrent.futures`` thread or process pool.
-  Process pools require picklable tasks; see :doc:`the performance guide
-  </performance>` for the constraints.
-* :class:`AsyncExecutor` — tasks as awaitables on an asyncio loop (each
-  task still runs in a worker thread: the simulators are synchronous,
-  CPU-bound code). This is the substrate :class:`repro.service.SweepService`
-  schedules on, and it doubles as a plain executor via :meth:`execute`.
-* :class:`~repro.scheduling.distributed.DistributedExecutor` — tasks
-  sharded across N ``repro serve`` nodes over TCP with pull-based work
-  stealing and retry-with-reassignment; resolved by name
-  (``"distributed"``) from the ``REPRO_NODES`` environment variable.
+* :class:`PoolExecutor` — a ``concurrent.futures`` process pool. Tasks
+  must pickle; see :doc:`the performance guide </performance>` for the
+  constraints.
+
+Any object with ``name``, ``pickle_safe`` and ``execute`` is an executor
+too: ``run_sweep`` uses such an instance as given. :class:`AsyncExecutor`
+is not an executor in that sense; it is the bounded, awaitable task runner
+:class:`repro.service.SweepService` schedules on.
 """
 
 from __future__ import annotations
 
 import asyncio
+import pickle
 import threading
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Callable, List, Optional, Protocol, Sequence, Union, runtime_checkable
+from concurrent.futures import ProcessPoolExecutor
+from typing import List, Optional, Protocol, Sequence, Union, runtime_checkable
 
 from repro.api.result import RunResult
 from repro.exceptions import ConfigurationError
@@ -69,57 +67,60 @@ class SerialExecutor:
         return [execute_task(task) for task in tasks]
 
 
+def _pickle_task(task: CellTask) -> bytes:
+    """One task's bytes for a pool worker, or a typed error if it cannot pickle."""
+    try:
+        return pickle.dumps(task)
+    except (pickle.PicklingError, AttributeError, TypeError) as error:
+        raise ConfigurationError(
+            f"a sweep task cannot cross the process boundary ({error}); "
+            "run the sweep serially (max_workers=None) or pass an Executor "
+            "instance that runs tasks in this process"
+        ) from error
+
+
+def _run_pickled(blob: bytes) -> List[RunResult]:
+    """Pool-worker side of :meth:`PoolExecutor.execute`: unpickle, then run."""
+    return execute_task(pickle.loads(blob))
+
+
 class PoolExecutor:
-    """A ``concurrent.futures`` pool: ``kind="thread"`` or ``"process"``.
+    """A ``concurrent.futures`` process pool.
 
     The simulation backends are CPU-bound Python/NumPy that hold the GIL,
-    so real speed-up on a multi-core machine needs ``"process"`` — which
-    requires the spec and backend to be picklable (named backends and
-    config-mapping schemes are; custom runner closures usually are not).
-    Threads still help when the backend itself waits on other processes or
-    IO (e.g. :class:`~repro.api.backends.MultiprocessBackend`).
+    so a process pool is what gives a sweep multi-core speed-up. Its tasks
+    must pickle: named backends and config-mapping schemes do, custom
+    runner closures usually do not. :meth:`execute` pickles every task in
+    the calling process first, so a task that cannot cross the boundary
+    raises :class:`~repro.exceptions.ConfigurationError` before any worker
+    runs; an exception raised *inside* a task reaches the caller unchanged.
 
     The underlying pool is created lazily on the first :meth:`execute` and
-    **reused across calls** — repeated ``run_sweep`` invocations and
-    :class:`repro.service.SweepService` traffic pay worker startup (process
-    forking, thread creation) once, not per sweep. Call :meth:`close` (or
-    use the executor as a context manager) to release the workers; a closed
-    executor transparently builds a fresh pool if executed again.
+    **reused across calls** — repeated ``run_sweep`` invocations pay worker
+    startup once, not per sweep. Call :meth:`close` (or use the executor as
+    a context manager) to release the workers; a closed executor
+    transparently builds a fresh pool if executed again.
     """
 
-    def __init__(self, kind: str = "thread", max_workers: Optional[int] = None) -> None:
-        if kind not in ("thread", "process"):
-            raise ConfigurationError(
-                f"pool kind must be 'thread' or 'process', got {kind!r}"
-            )
-        self.kind = kind
+    name = "process"
+    pickle_safe = True
+
+    def __init__(self, max_workers: Optional[int] = None) -> None:
         self.max_workers = max_workers
-        self._pool: Optional[Union[ThreadPoolExecutor, ProcessPoolExecutor]] = None
+        self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_lock = threading.Lock()
 
-    @property
-    def name(self) -> str:
-        """The pool flavour, usable as a ``run_sweep(executor=...)`` value."""
-        return self.kind
-
-    @property
-    def pickle_safe(self) -> bool:
-        """Process pools pickle every task across the boundary."""
-        return self.kind == "process"
-
-    def _ensure_pool(self) -> Union[ThreadPoolExecutor, ProcessPoolExecutor]:
+    def _ensure_pool(self) -> ProcessPoolExecutor:
         """The live pool, building one under the lock on first use."""
         with self._pool_lock:
             if self._pool is None:
-                pool_cls = (
-                    ThreadPoolExecutor if self.kind == "thread" else ProcessPoolExecutor
-                )
-                self._pool = pool_cls(max_workers=self.max_workers)
+                self._pool = ProcessPoolExecutor(max_workers=self.max_workers)
             return self._pool
 
     def execute(self, tasks: Sequence[CellTask]) -> List[List[RunResult]]:
         """Fan the tasks out over the (persistent) pool; results stay in task order."""
-        return list(self._ensure_pool().map(execute_task, tasks))
+        blobs = [_pickle_task(task) for task in tasks]
+        return list(self._ensure_pool().map(_run_pickled, blobs))
 
     def close(self) -> None:
         """Shut the pool down and release its workers; idempotent."""
@@ -136,18 +137,14 @@ class PoolExecutor:
 
 
 class AsyncExecutor:
-    """Task execution as awaitables on an asyncio event loop.
+    """Bounded task execution as awaitables on an asyncio event loop.
 
     Each task runs in a worker thread (the simulators are synchronous,
     CPU-bound code), bounded by ``max_workers`` concurrent slots; the event
     loop stays free to accept submissions, stream completions, and
     deduplicate work — which is exactly what
-    :class:`repro.service.SweepService` does with it. :meth:`execute` is
-    the synchronous wrapper for executor-protocol use.
+    :class:`repro.service.SweepService` does with it.
     """
-
-    name = "async"
-    pickle_safe = False
 
     def __init__(self, max_workers: Optional[int] = None) -> None:
         self.max_workers = max_workers
@@ -158,9 +155,11 @@ class AsyncExecutor:
         """The concurrency semaphore for the *running* loop, or ``None``.
 
         A semaphore is bound to the event loop it is first awaited on, and
-        every :meth:`execute` call runs on a fresh ``asyncio.run`` loop —
-        so a cached semaphore must be replaced whenever the executor is
-        reused on a new loop, or the second use raises ``RuntimeError``.
+        every :meth:`SweepService.submit
+        <repro.service.service.SweepService.submit>` runs on a fresh
+        ``asyncio.run`` loop — so a cached semaphore must be replaced
+        whenever the executor is reused on a new loop, or the second use
+        raises ``RuntimeError``.
         """
         if self.max_workers is None or self.max_workers <= 0:
             return None
@@ -178,73 +177,24 @@ class AsyncExecutor:
                 return await asyncio.to_thread(execute_task, task)
         return await asyncio.to_thread(execute_task, task)
 
-    async def execute_async(self, tasks: Sequence[CellTask]) -> List[List[RunResult]]:
-        """Await every task concurrently; results stay in task order."""
-        return list(await asyncio.gather(*(self.run_task(task) for task in tasks)))
-
-    def execute(self, tasks: Sequence[CellTask]) -> List[List[RunResult]]:
-        """Synchronous entry: drive :meth:`execute_async` on a fresh loop."""
-        return asyncio.run(self.execute_async(tasks))
-
-
-def _distributed_from_env(max_workers: Optional[int]) -> object:
-    """Build the ``executor="distributed"`` instance from ``REPRO_NODES``.
-
-    The node list cannot be a hard-coded default, so the *name* form reads
-    it from the environment: a comma-separated ``HOST:PORT,...`` list of
-    running ``repro serve`` nodes. Pass a configured
-    :class:`~repro.scheduling.distributed.DistributedExecutor` instance
-    instead for lease-size/retry/join control. ``max_workers`` is ignored:
-    concurrency is the nodes' affair.
-    """
-    import os
-
-    from repro.scheduling.distributed import DistributedExecutor
-
-    nodes = os.environ.get("REPRO_NODES", "").strip()
-    if not nodes:
-        raise ConfigurationError(
-            "executor='distributed' reads its node list from the "
-            "REPRO_NODES environment variable (comma-separated HOST:PORT "
-            "entries of running 'repro serve' nodes); set it, or pass a "
-            "DistributedExecutor instance"
-        )
-    return DistributedExecutor(nodes)
-
-
-#: ``run_sweep(executor=...)`` string values and their executor factories.
-_EXECUTOR_FACTORIES: dict[str, Callable[[Optional[int]], object]] = {
-    "serial": lambda max_workers: SerialExecutor(),
-    "thread": lambda max_workers: PoolExecutor("thread", max_workers),
-    "process": lambda max_workers: PoolExecutor("process", max_workers),
-    "async": lambda max_workers: AsyncExecutor(max_workers),
-    "distributed": _distributed_from_env,
-}
-
 
 def resolve_executor(
     executor: Union[str, Executor], max_workers: Optional[int] = None
 ) -> Executor:
     """Resolve an executor name (or pass an instance through) to an Executor.
 
-    Recognised names: ``"serial"``, ``"thread"``, ``"process"``,
-    ``"async"``, and ``"distributed"`` (node list from the ``REPRO_NODES``
-    environment variable). Instances satisfying the :class:`Executor`
-    protocol pass through unchanged (``max_workers`` is ignored for them —
-    it is baked into the instance).
+    ``"serial"`` and ``"process"`` (a :class:`PoolExecutor` of
+    ``max_workers`` processes) are the names. Instances satisfying the
+    :class:`Executor` protocol pass through unchanged (``max_workers`` is
+    ignored for them — it is baked into the instance).
     """
-    if isinstance(executor, str):
-        try:
-            factory = _EXECUTOR_FACTORIES[executor]
-        except KeyError:
-            raise ConfigurationError(
-                f"executor must be one of {sorted(_EXECUTOR_FACTORIES)} or an "
-                f"Executor instance, got {executor!r}"
-            ) from None
-        return factory(max_workers)  # type: ignore[return-value]
+    if executor == "serial":
+        return SerialExecutor()
+    if executor == "process":
+        return PoolExecutor(max_workers)
     if isinstance(executor, Executor):
         return executor
     raise ConfigurationError(
-        f"cannot use {executor!r} as an executor; expected a name "
-        f"({sorted(_EXECUTOR_FACTORIES)}) or an Executor instance"
+        f"executor must be 'serial', 'process' or an Executor instance, "
+        f"got {executor!r}"
     )

@@ -29,32 +29,16 @@ follow the ``repro tune`` grammar
 ``done`` event. Tune confirmations run through the same service cache, so
 recommending and then sweeping the winners re-simulates nothing.
 
-A request carrying ``"request": "cells"`` is a **task lease** from a
-:class:`~repro.scheduling.distributed.DistributedExecutor` coordinator:
-``"tasks"`` holds base64-pickled :class:`~repro.scheduling.core.CellTask`
-items, each executed through the service's content-addressed cache
-(:meth:`~repro.service.service.SweepService.execute_cell`) and streamed
-back as ``{"event": "cell_result", "index": i, "payload": <b64 pickle>}``
-— or ``{"event": "cell_error", "index": i, "kind": ..., "error": ...}`` —
-in completion order, followed by ``done``. The same protocol runs in
-reverse over a dialled-out connection in ``repro serve --join HOST:PORT``
-worker mode (:func:`run_worker`): the worker connects to a waiting
-coordinator, announces itself, and serves leases until the coordinator
-hangs up.
-
 The protocol is deliberately minimal — a laboratory-scale result server,
-not an internet-facing one: bind it to localhost. Cell leases carry
-*pickled* payloads, so a node must only ever be pointed at a coordinator
-it trusts (and vice versa).
+not an internet-facing one: bind it to localhost. Requests are plain JSON
+and the server never unpickles client bytes; any other ``"request"`` type
+is answered with an error event.
 """
 
 from __future__ import annotations
 
 import asyncio
-import base64
 import json
-import os
-import pickle
 from typing import List, Mapping, Optional, Tuple
 
 from repro.api import JobSpec, Sweep
@@ -68,7 +52,6 @@ __all__ = [
     "sweep_from_request",
     "serve",
     "run_server",
-    "run_worker",
     "self_test",
 ]
 
@@ -200,15 +183,11 @@ async def _handle_request(
             await _handle_recommend(service, send, payload)
             await writer.drain()
             return
-        if payload.get("request") == "cells":
-            await _handle_cells(service, send, payload, writer)
-            await writer.drain()
-            return
         if "request" in payload:
             raise ConfigurationError(
                 f"unknown request type {payload['request']!r}; the server "
-                "understands sweep submissions (no 'request' key), "
-                "'recommend', and 'cells'"
+                "understands sweep submissions (no 'request' key) and "
+                "'recommend'"
             )
         sweep, record, trial_batching = sweep_from_request(payload)
         hits_before = service.cache.stats.hits
@@ -247,102 +226,6 @@ async def _handle_request(
     except (ReproError, ValueError) as error:
         send({"event": "error", "error": str(error)})
     await writer.drain()
-
-
-async def _handle_cells(
-    service: SweepService,
-    send,
-    payload: Mapping[str, object],
-    writer: asyncio.StreamWriter,
-) -> None:
-    """One distributed-executor lease: run the tasks, stream their results.
-
-    Every task flows through :meth:`SweepService.execute_cell` — the
-    content-addressed cache plus in-flight deduplication — which is what
-    makes the coordinator's retry-with-reassignment at-most-once per
-    *result*. Events stream in completion order; a per-task failure becomes
-    a ``cell_error`` event (the lease keeps going) rather than a request
-    error.
-    """
-    from repro.scheduling.core import CellTask
-
-    unknown = set(payload) - {"request", "tasks"}
-    if unknown:
-        raise ConfigurationError(
-            f"unknown cells-request key(s) {sorted(unknown)}; a lease "
-            "carries only 'request' and 'tasks'"
-        )
-    blobs = payload.get("tasks")
-    if not isinstance(blobs, list) or not blobs:
-        raise ConfigurationError(
-            "a 'cells' request carries a non-empty 'tasks' list of "
-            "base64-pickled CellTask payloads"
-        )
-    tasks: List[CellTask] = []
-    for position, blob in enumerate(blobs):
-        try:
-            task = pickle.loads(base64.b64decode(blob))
-        except (
-            # The full menagerie unpickling raises on corrupt or
-            # version-skewed payloads; anything else is a local bug and
-            # propagates (EXC002 keeps catch-alls out of the service).
-            pickle.UnpicklingError,
-            ValueError,
-            TypeError,
-            EOFError,
-            AttributeError,
-            ImportError,
-            IndexError,
-        ) as error:
-            raise ConfigurationError(
-                f"lease task {position} could not be decoded: {error}"
-            ) from error
-        if not isinstance(task, CellTask):
-            raise ConfigurationError(
-                f"lease task {position} decodes to "
-                f"{type(task).__name__}, expected a CellTask"
-            )
-        tasks.append(task)
-
-    async def run_cell(position: int, task: CellTask):
-        try:
-            results = await service.execute_cell(task)
-        except (ReproError, ValueError) as error:
-            return position, None, error
-        return position, base64.b64encode(pickle.dumps(results)).decode("ascii"), None
-
-    pending = [
-        asyncio.ensure_future(run_cell(position, task))
-        for position, task in enumerate(tasks)
-    ]
-    completed = 0
-    try:
-        for future in asyncio.as_completed(pending):
-            position, blob, error = await future
-            if error is not None:
-                send(
-                    {
-                        "event": "cell_error",
-                        "index": position,
-                        "kind": type(error).__name__,
-                        "error": str(error),
-                    }
-                )
-            else:
-                send({"event": "cell_result", "index": position, "payload": blob})
-                completed += 1
-            await writer.drain()
-    finally:
-        for future in pending:
-            if not future.done():
-                future.cancel()
-    send(
-        {
-            "event": "done",
-            "results": completed,
-            "errors": len(tasks) - completed,
-        }
-    )
 
 
 async def _handle_recommend(service, send, payload: Mapping[str, object]) -> None:
@@ -513,40 +396,8 @@ def run_server(
         cache=cache_dir, max_workers=max_workers, cell_budget=cell_budget
     )
     # Announce when the OS picks the port — otherwise scripted callers
-    # (benchmarks spawning nodes on ephemeral ports) cannot find the server.
+    # (benchmarks spawning servers on ephemeral ports) cannot find them.
     asyncio.run(
         serve(service, host=host, port=port, once=once, announce=port == 0)
     )
-    return 0
-
-
-async def _join_coordinator(service: SweepService, host: str, port: int) -> None:
-    """Dial a coordinator, announce ourselves, serve leases until EOF."""
-    reader, writer = await asyncio.open_connection(host, port)
-    hello = {"event": "joined", "worker": f"pid-{os.getpid()}"}
-    writer.write(json.dumps(hello).encode("utf-8") + b"\n")
-    await writer.drain()
-    await _connection(service, reader, writer)
-
-
-def run_worker(
-    host: str,
-    port: int,
-    *,
-    cache_dir: Optional[str] = None,
-    max_workers: Optional[int] = None,
-) -> int:
-    """Blocking entry point for ``repro serve --join HOST:PORT``.
-
-    Instead of binding a listening socket, the worker dials *out* to a
-    :class:`~repro.scheduling.distributed.DistributedExecutor` coordinator
-    (``DistributedExecutor(listen=...)`` or ``repro sweep --nodes`` with a
-    listen endpoint), sends one hello line, and then speaks the ordinary
-    request/event protocol over that single connection — leases in, result
-    streams out — until the coordinator closes it. Everything runs through
-    the worker's own :class:`SweepService`, cache included, so a worker
-    with a disk cache (``--cache DIR``) serves repeat leases instantly.
-    """
-    service = SweepService(cache=cache_dir, max_workers=max_workers)
-    asyncio.run(_join_coordinator(service, host, port))
     return 0

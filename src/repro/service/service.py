@@ -212,19 +212,6 @@ class SweepService:
         self.stats.submissions += 1
         return await asyncio.to_thread(tune, spec, cache=self.cache)
 
-    async def execute_cell(self, task: CellTask) -> List[RunResult]:
-        """Execute one externally built cell task through the service cache.
-
-        The node-side entry point of the distributed executor's ``cells``
-        leases (see :mod:`repro.service.server`): the task flows through
-        the same content-addressed cache and in-flight deduplication as
-        sweep submissions. That is what makes the coordinator's
-        retry-with-reassignment **at-most-once per result** — a task
-        re-sent to this node after an ambiguous failure either finds the
-        already-computed result or recomputes the same deterministic value.
-        """
-        return await self._cached_task(task)
-
     # ------------------------------------------------------------------ #
     async def _cached_task(self, task: CellTask) -> List[RunResult]:
         """One task through the cache, with in-flight deduplication."""

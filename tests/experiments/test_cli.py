@@ -158,6 +158,34 @@ class TestSweepCommand:
         parallel = capsys.readouterr().out
         assert parallel == serial
 
+    def test_parallel_flag_runs_on_a_process_pool(self, monkeypatch, capsys):
+        import repro.api.sweep as sweep_module
+        from repro.scheduling import PoolExecutor, resolve_executor
+
+        resolved = []
+
+        def spy(executor, max_workers=None):
+            runner = resolve_executor(executor, max_workers)
+            resolved.append(runner)
+            return runner
+
+        monkeypatch.setattr(sweep_module, "resolve_executor", spy)
+        argv = ["sweep", "--scheme", "bcc", "--loads", "5", "--workers", "20",
+                "--units", "20", "--iterations", "3", "--trials", "2",
+                "--parallel", "2"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert [type(runner) for runner in resolved] == [PoolExecutor]
+        assert resolved[0].max_workers == 2
+
+    @pytest.mark.parametrize(
+        "flag", (["--nodes", "127.0.0.1:8123"], ["--executor", "thread"])
+    )
+    def test_removed_parallelism_flags_rejected(self, flag):
+        # --parallel N is the one parallelism knob: a process pool of N.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["sweep", *flag])
+
     def test_semantic_sweep_reports_loss(self, capsys):
         code = main(
             [
@@ -198,3 +226,29 @@ class TestSweepCommand:
             assert main(argv + ["--engine", engine]) == 0
             outputs[engine] = capsys.readouterr().out
         assert outputs["loop"] == outputs["vectorized"] == outputs["auto"]
+
+
+class TestServeCommand:
+    def test_defaults(self):
+        args = build_parser().parse_args(["serve"])
+        assert (args.host, args.port) == ("127.0.0.1", 8123)
+        assert args.cache is None
+        assert args.max_workers is None
+        assert args.budget is None
+        assert not args.once
+        assert not args.self_test
+
+    def test_scripted_flags_parse(self):
+        args = build_parser().parse_args(
+            ["serve", "--port", "0", "--cache", "results", "--once",
+             "--max-workers", "2", "--budget", "50"]
+        )
+        assert args.port == 0
+        assert args.cache == "results"
+        assert args.once
+        assert (args.max_workers, args.budget) == (2, 50)
+
+    def test_worker_mode_flag_removed(self):
+        # A server only listens; there is no dial-out worker mode.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--join", "127.0.0.1:8123"])

@@ -9,7 +9,9 @@ protocol — is behaviour on top, pinned here.
 from __future__ import annotations
 
 import asyncio
+import base64
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -36,6 +38,60 @@ MALFORMED_REQUESTS = [
     {"loads": ["5"]},
     {"trials": True},
 ]
+
+
+#: A small sweep request the server answers with two records.
+VALID_REQUEST = {"schemes": ["bcc"], "loads": [4], "workers": 10, "units": 10,
+                 "iterations": 3, "trials": 2}
+
+#: Calls made by unpickling a :class:`_Payload`; the server must make none.
+UNPICKLED_CALLS = []
+
+
+def _record_call(tag):
+    UNPICKLED_CALLS.append(tag)
+
+
+class _Payload:
+    """Pickles to a call of :func:`_record_call` when it is loaded."""
+
+    def __reduce__(self):
+        return _record_call, ("unpickled",)
+
+
+def converse(payloads):
+    """Send each request over one connection to an in-process server.
+
+    Returns one event list per request, each ending at its ``done`` or
+    ``error`` event.
+    """
+
+    async def scenario():
+        service = SweepService()
+        server = await asyncio.start_server(
+            lambda reader, writer: _connection(service, reader, writer),
+            "127.0.0.1",
+            0,
+        )
+        port = server.sockets[0].getsockname()[1]
+        async with server:
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            try:
+                replies = []
+                for payload in payloads:
+                    writer.write(json.dumps(payload).encode("utf-8") + b"\n")
+                    await writer.drain()
+                    events = []
+                    while not events or events[-1]["event"] not in ("done", "error"):
+                        line = await reader.readline()
+                        assert line, f"connection closed after {payload!r}"
+                        events.append(json.loads(line))
+                    replies.append(events)
+            finally:
+                writer.close()
+        return replies
+
+    return asyncio.run(scenario())
 
 
 def make_sweep(trials=2, seed=0):
@@ -249,40 +305,40 @@ class TestServer:
             sweep_from_request(payload)
 
     def test_malformed_requests_get_error_events_and_keep_the_connection(self):
-        valid = {"schemes": ["bcc"], "loads": [4], "workers": 10, "units": 10,
-                 "iterations": 3, "trials": 2}
-
-        async def scenario():
-            service = SweepService()
-            server = await asyncio.start_server(
-                lambda reader, writer: _connection(service, reader, writer),
-                "127.0.0.1",
-                0,
-            )
-            port = server.sockets[0].getsockname()[1]
-            async with server:
-                reader, writer = await asyncio.open_connection("127.0.0.1", port)
-                try:
-                    replies = []
-                    for payload in [*MALFORMED_REQUESTS, valid]:
-                        writer.write(json.dumps(payload).encode("utf-8") + b"\n")
-                        await writer.drain()
-                        events = []
-                        while not events or events[-1]["event"] not in ("done", "error"):
-                            line = await reader.readline()
-                            assert line, f"connection closed after {payload!r}"
-                            events.append(json.loads(line))
-                        replies.append(events)
-                finally:
-                    writer.close()
-            return replies
-
-        replies = asyncio.run(scenario())
+        replies = converse([*MALFORMED_REQUESTS, VALID_REQUEST])
         for payload, events in zip(MALFORMED_REQUESTS, replies):
             assert [event["event"] for event in events] == ["error"], payload
             assert "request field" in events[0]["error"]
         assert replies[-1][-1]["event"] == "done"
         assert replies[-1][-1]["records"] == 2
+
+    def test_cells_request_is_never_unpickled(self):
+        # The server speaks JSON only: a pickle smuggled into a request is
+        # rejected as an unknown request type without being loaded, and the
+        # connection still answers a sweep.
+        blob = base64.b64encode(pickle.dumps(_Payload())).decode("ascii")
+        UNPICKLED_CALLS.clear()
+        rejected, answered = converse(
+            [{"request": "cells", "tasks": [blob]}, VALID_REQUEST]
+        )
+        assert UNPICKLED_CALLS == []
+        assert [event["event"] for event in rejected] == ["error"]
+        assert "unknown request type 'cells'" in rejected[0]["error"]
+        assert answered[-1]["event"] == "done"
+        assert answered[-1]["records"] == 2
+
+    @pytest.mark.parametrize("kind", ("join", "lease", None))
+    def test_unknown_request_types_keep_the_connection(self, kind):
+        # The error names the rejected type and only what the server does
+        # understand; the next request on the connection is still answered.
+        rejected, answered = converse([{"request": kind}, VALID_REQUEST])
+        assert [event["event"] for event in rejected] == ["error"]
+        message = rejected[0]["error"]
+        assert f"unknown request type {kind!r}" in message
+        assert "'recommend'" in message
+        assert "cells" not in message
+        assert answered[-1]["event"] == "done"
+        assert answered[-1]["records"] == 2
 
     def test_self_test_round_trip(self):
         # The full TCP story: serve on an ephemeral port, submit the same
