@@ -38,6 +38,23 @@ from repro.utils.validation import check_positive_int
 __all__ = ["GeneralizedBCCScheme", "LoadBalancedScheme"]
 
 
+def _integer_loads(loads: Optional[Sequence[int]]) -> Optional[np.ndarray]:
+    """Explicit per-worker loads as an int array (``None`` passes through).
+
+    Casting would truncate fractional loads and read booleans as 0/1, so
+    anything but a 1-D integer sequence is refused.
+    """
+    if loads is None:
+        return None
+    array = np.asarray(loads)
+    if array.ndim != 1 or array.dtype.kind not in "iu":
+        raise ConfigurationError(
+            f"loads must be a 1-D integer sequence, got dtype {array.dtype} "
+            f"with shape {array.shape}"
+        )
+    return array.astype(int)
+
+
 @register_scheme("generalized-bcc")
 class GeneralizedBCCScheme(Scheme):
     """The generalized BCC scheme for heterogeneous clusters.
@@ -77,7 +94,7 @@ class GeneralizedBCCScheme(Scheme):
             raise ConfigurationError(
                 "provide exactly one of `loads` or `cluster` to GeneralizedBCCScheme"
             )
-        self._explicit_loads = None if loads is None else np.asarray(loads, dtype=int)
+        self._explicit_loads = _integer_loads(loads)
         if self._explicit_loads is not None and np.any(self._explicit_loads < 0):
             raise ConfigurationError("loads must be non-negative")
         self.cluster = cluster
@@ -205,7 +222,7 @@ class LoadBalancedScheme(Scheme):
                 "provide exactly one of `loads` or `cluster` to LoadBalancedScheme"
             )
         self.cluster = cluster
-        self._explicit_loads = None if loads is None else np.asarray(loads, dtype=int)
+        self._explicit_loads = _integer_loads(loads)
 
     def resolve_loads(self, num_units: int, num_workers: int) -> np.ndarray:
         """Per-worker share sizes (they sum to ``num_units``)."""

@@ -1,5 +1,7 @@
 """Tests for the placement generators."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,12 @@ class TestHeterogeneousPlacement:
         with pytest.raises(AssignmentError):
             heterogeneous_random_placement(4, [-1])
 
+    @pytest.mark.parametrize("loads", [[2.7, 3.2], [True, True], [[1, 2]], np.array([2.0, 3.0])])
+    def test_non_integer_or_non_vector_loads_rejected(self, loads):
+        # Casting used to truncate [2.7, 3.2] to [2, 3] and [True, True] to [1, 1].
+        with pytest.raises(AssignmentError, match="1-D integer"):
+            heterogeneous_random_placement(10, loads, rng=0)
+
 
 class TestGroupPlacement:
     def test_groups_replicate_dataset(self):
@@ -113,8 +121,99 @@ class TestGroupPlacement:
             group_placement(num_examples=3, num_groups=2, workers_per_group=4)
 
 
+def _choice_rows(generator, m, n, r):
+    return [generator.choice(m, size=r, replace=False) for _ in range(n)]
+
+
+def _state(generator):
+    """The bit generator's state with its arrays as lists, so ``==`` compares it."""
+
+    def plain(value):
+        if isinstance(value, dict):
+            return {key: plain(item) for key, item in value.items()}
+        return value.tolist() if isinstance(value, np.ndarray) else value
+
+    return plain(generator.bit_generator.state)
+
+
+class _ChoiceSpy(np.random.Generator):
+    """A generator that counts its ``choice`` calls."""
+
+    calls = 0
+
+    def choice(self, *args, **kwargs):
+        self.calls += 1
+        return super().choice(*args, **kwargs)
+
+
+# (m, n, r) on both sides of the array-draw rule r <= 64 and n >= max(12, 2r):
+# r = 64/65, n = 2r/2r-1, n = 12/11, r = 1, r = m, m = 64, 10_001 and 20_000
+# (where ``choice`` switches to a tail shuffle for r > m // 50).
+_INSIDE_RULE = [
+    (100, 100, 5),
+    (100, 100, 50),
+    (64, 128, 64),
+    (1000, 128, 64),
+    (100, 12, 6),
+    (100, 12, 1),
+    (5, 12, 5),
+    (10_001, 130, 64),
+    (20_000, 128, 64),
+]
+_OUTSIDE_RULE = [
+    (64, 127, 64),
+    (100, 130, 65),
+    (10_001, 130, 65),
+    (100, 11, 5),
+    (100, 11, 1),
+    (100, 13, 7),
+    (20_000, 30, 401),
+    (64, 20, 64),
+    (1, 1, 1),
+]
+
+
 class TestPlacementStreams:
     """The array placements draw exactly what a per-worker loop draws."""
+
+    @pytest.mark.parametrize("m, n, r", _INSIDE_RULE + _OUTSIDE_RULE)
+    @pytest.mark.parametrize(
+        "bit_generator",
+        [np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64],
+    )
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_random_subset_is_the_per_worker_choice_stream(
+        self, m, n, r, bit_generator, seed
+    ):
+        # Guards the array path's replay of NumPy's ``choice`` internals.
+        generator = np.random.Generator(bit_generator(seed))
+        reference = np.random.Generator(bit_generator(seed))
+        assignment = random_subset_placement(m, n, r, generator)
+        for indices, want in zip(assignment.assignments, _choice_rows(reference, m, n, r)):
+            np.testing.assert_array_equal(indices, want)
+        assert _state(generator) == _state(reference)
+
+    @pytest.mark.parametrize(
+        "m, n, r, calls", [(100, 100, 5, 0), (100, 12, 6, 0), (100, 11, 5, 11), (1000, 130, 65, 130)]
+    )
+    def test_choice_runs_only_outside_the_array_rule(self, m, n, r, calls):
+        generator = _ChoiceSpy(np.random.PCG64(3))
+        random_subset_placement(m, n, r, generator)
+        assert generator.calls == calls
+
+    def test_array_draws_stay_small_for_a_huge_population(self):
+        m, n, r = 10**9, 200, 5
+        expected = _choice_rows(np.random.default_rng(11), m, n, r)
+        generator = np.random.default_rng(11)
+        tracemalloc.start()
+        try:
+            assignment = random_subset_placement(m, n, r, generator)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+        for indices, want in zip(assignment.assignments, expected):
+            np.testing.assert_array_equal(indices, want)
 
     @pytest.mark.parametrize("m, r", [(100, 5), (100, 50), (100, 100), (40, 1)])
     @pytest.mark.parametrize("seed", [0, 1, 7])

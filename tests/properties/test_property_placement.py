@@ -74,6 +74,22 @@ class TestPlacementProperties:
             indices = assignment.worker_indices(worker)
             assert len(np.unique(indices)) == r
 
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_random_subset_placement_is_the_per_worker_choice_stream(self, data, seed):
+        # Small loads take the one-draw array path, the rest the choice loop;
+        # both must leave the rows and generator of n choice calls.
+        m = data.draw(st.integers(min_value=1, max_value=300), label="m")
+        r = data.draw(st.integers(min_value=1, max_value=m), label="r")
+        n = data.draw(st.integers(min_value=1, max_value=160), label="n")
+        generator = np.random.default_rng(seed)
+        reference = np.random.default_rng(seed)
+        assignment = random_subset_placement(m, n, r, rng=generator)
+        for worker in range(n):
+            want = reference.choice(m, size=r, replace=False)
+            np.testing.assert_array_equal(assignment.worker_indices(worker), want)
+        assert generator.bit_generator.state == reference.bit_generator.state
+
     @settings(max_examples=50, deadline=None)
     @given(data=st.data())
     def test_cyclic_placement_equal_replication(self, data):

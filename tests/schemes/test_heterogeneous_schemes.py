@@ -36,6 +36,25 @@ class TestGeneralizedBCC:
         with pytest.raises(ConfigurationError):
             GeneralizedBCCScheme(loads=[-1, 2])
 
+    @pytest.mark.parametrize("loads", [[2.5, 3.5], [True, True], [[1, 2]]])
+    def test_non_integer_or_non_vector_loads_rejected(self, loads):
+        # Casting used to keep [2.5, 3.5] as [2, 3].
+        with pytest.raises(ConfigurationError, match="1-D integer"):
+            GeneralizedBCCScheme(loads=loads)
+
+    def test_fractional_loads_rejected_from_a_job_spec(self):
+        from repro.api import JobSpec, run
+
+        spec = JobSpec(
+            scheme={"name": "generalized-bcc", "loads": [2.5, 3.5]},
+            cluster=ClusterSpec.paper_fig5_cluster(num_workers=2, num_fast=1, shift=2.0),
+            num_units=6,
+            num_iterations=1,
+            seed=0,
+        )
+        with pytest.raises(ConfigurationError, match="1-D integer"):
+            run(spec)
+
     def test_cluster_derived_loads_favor_fast_workers(self, cluster, rng):
         scheme = GeneralizedBCCScheme(cluster=cluster)
         loads = scheme.resolve_loads(num_units=50, num_workers=10)
@@ -82,6 +101,11 @@ class TestLoadBalanced:
         scheme = LoadBalancedScheme(loads=[3, 3])
         with pytest.raises(ConfigurationError):
             scheme.build_plan(num_units=7, num_workers=2)
+
+    def test_fractional_loads_rejected(self):
+        # Casting used to keep [2.5, 3.5] as [2, 3], which sums to 5 units.
+        with pytest.raises(ConfigurationError, match="1-D integer"):
+            LoadBalancedScheme(loads=[2.5, 3.5])
 
     def test_disjoint_full_coverage(self, cluster, rng):
         scheme = LoadBalancedScheme(cluster=cluster)
