@@ -7,8 +7,7 @@ the dynamic extension of the RNG draw-order contract — and asserts the
 vectorized engine is at least 5x faster, the acceptance bar of the
 dynamic-cluster subsystem. The bar is lower than the stationary engine
 benchmark's 10x because both engines share the timeline materialisation
-cost, and churn rows force the vectorized engine onto per-iteration
-(row-vectorized) draws.
+cost.
 """
 
 import time

@@ -90,7 +90,7 @@ class TimingSimBackend:
         engine executes the job. A spec-level ``backend_options["engine"]``
         overrides this per run, so one sweep can compare engines. The
         engines consume the random stream identically and therefore return
-        bit-identical results; ``auto`` simply picks by job size.
+        bit-identical results; ``auto`` is the vectorized engine.
     """
 
     name = "timing"
@@ -137,29 +137,17 @@ class TimingSimBackend:
         """The engine a spec would run on (spec-level option wins)."""
         return spec.backend_options.get("engine", self.engine)
 
-    def supports_trial_batching(self, spec: JobSpec, *, num_trials: int = 1) -> bool:
+    def supports_trial_batching(self, spec: JobSpec) -> bool:
         """Whether :meth:`run_batch` can execute this spec.
 
-        True when the spec's effective engine resolves to ``"vectorized"``
-        for the spec's job size — the trial-batched entry point is a
-        vectorized-engine feature; under ``"loop"`` (or an ``"auto"`` that
-        picks the loop) the sweep engine keeps per-trial tasks.
-        ``num_trials`` feeds the ``auto`` cutover: a batched cell amortises
-        the vectorized setup over all its trials, so small-but-replicated
-        cells batch too.
+        True when the spec has a cluster and its effective engine resolves
+        to ``"vectorized"`` — the trial-batched entry point is a
+        vectorized-engine feature; under ``"loop"`` the sweep engine keeps
+        per-trial tasks.
         """
-        cluster = spec.cluster
-        if cluster is None:
+        if spec.cluster is None:
             return False
-        return (
-            resolve_engine(
-                self._spec_engine(spec),
-                num_iterations=spec.num_iterations,
-                num_workers=cluster.num_workers,
-                num_trials=num_trials,
-            )
-            == "vectorized"
-        )
+        return resolve_engine(self._spec_engine(spec)) == "vectorized"
 
     def run_batch(
         self,
@@ -187,7 +175,7 @@ class TimingSimBackend:
         """
         validate_record(record)
         self._checked_options(spec)
-        if not self.supports_trial_batching(spec, num_trials=len(seeds)):
+        if not self.supports_trial_batching(spec):
             raise ConfigurationError(
                 "trial batching needs the vectorized engine; this spec "
                 f"resolves to engine={self._spec_engine(spec)!r}"

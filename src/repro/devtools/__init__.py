@@ -1,8 +1,8 @@
 """``repro.devtools`` — the ``reprolint`` static-analysis engine.
 
 The repo's correctness guarantees — loop==vectorized bit-identity, the RNG
-draw-order contract and ``sample_batch``/``sample_grid``/``sample_trials``
-hierarchy, the typed :mod:`repro.exceptions` hierarchy, and the
+draw-order contract and the ``sample``/``sample_grid``/``exponential_form``
+delay-model contract, the typed :mod:`repro.exceptions` hierarchy, and the
 ``analytic_runtime``-or-:class:`~repro.exceptions.AnalyticIntractableError`
 obligation on every registered scheme — are invariants of the *source*, not
 just of whichever tests exercise a path. This package enforces them the way

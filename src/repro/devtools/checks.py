@@ -197,23 +197,21 @@ class BatchPathParityRule(Rule):
     title = "sample() overrides must provide (or pragma-inherit) the batch paths"
     severity = Severity.ERROR
     rationale = (
-        "The vectorized and trial-batched engines reach delay and "
-        "communication models through sample_batch/sample_grid/sample_trials. "
-        "DelayModel's grid paths dispatch as *classmethods*, so a subclass "
-        "that changes sample() while silently inheriting an ancestor's "
-        "vectorized grid formula diverges from the loop engine without any "
-        "test necessarily noticing. Each override must either implement the "
-        "batch paths or carry an explicit pragma documenting why the "
-        "inherited path is bit-exact for it."
+        "The vectorized and trial-batched engines reach delay models through "
+        "sample_grid and communication models through sample_batch (or draw "
+        "a model's values themselves from its exponential_form, which "
+        "answers None for any class that overrides sample()). sample_grid "
+        "dispatches as a *classmethod*, so a subclass that changes sample() "
+        "while silently inheriting an ancestor's vectorized grid formula "
+        "diverges from the loop engine without any test necessarily "
+        "noticing. Each override must either implement the batch path or "
+        "carry an explicit pragma documenting why the inherited path is "
+        "bit-exact for it."
     )
 
-    # Required batch paths per contract root. CommunicationModel's
-    # sample_trials is defined in terms of *instance-dispatched*
-    # sample_batch, so overriding sample_batch alone keeps every path
-    # consistent; DelayModel's grid/trials paths dispatch per-class and must
-    # each be addressed.
+    # The batch path each contract root's engines call, per sample() override.
     _ROOTS: Dict[str, Set[str]] = {
-        "DelayModel": {"sample_batch", "sample_grid", "sample_trials"},
+        "DelayModel": {"sample_grid"},
         "CommunicationModel": {"sample_batch"},
     }
 

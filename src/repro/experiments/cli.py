@@ -178,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         help=(
             "timing-engine for the timing backend: the Python per-iteration "
-            "loop, the NumPy batch engine, or size-based auto selection "
+            "loop, the NumPy batch engine, or auto (the NumPy engine) "
             "(both produce identical results; ignored by --backend semantic)"
         ),
     )

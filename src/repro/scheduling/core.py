@@ -212,7 +212,7 @@ def should_batch_cell(
     if not isinstance(backend, TimingSimBackend):
         return False
     try:
-        if not backend.supports_trial_batching(spec, num_trials=trials):
+        if not backend.supports_trial_batching(spec):
             return False
     except ConfigurationError:
         return False

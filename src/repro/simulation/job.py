@@ -541,9 +541,10 @@ def simulate_job(
     Parameters
     ----------
     engine:
-        ``"loop"`` (default) iterates :func:`simulate_iteration` in Python;
-        ``"vectorized"`` batches every iteration's timing in NumPy
-        (:mod:`repro.simulation.vectorized`); ``"auto"`` picks by job size.
+        ``"loop"`` (default, the reference oracle) iterates
+        :func:`simulate_iteration` in Python; ``"vectorized"`` batches every
+        iteration's timing in NumPy (:mod:`repro.simulation.vectorized`), and
+        ``"auto"`` means ``"vectorized"``.
         The engines consume the random stream identically — on dynamic
         clusters too — so the result is the same bit for bit; only the
         speed differs.
@@ -551,12 +552,7 @@ def simulate_job(
     check_positive_int(num_iterations, "num_iterations")
     from repro.simulation.vectorized import resolve_engine, simulate_job_vectorized
 
-    if (
-        resolve_engine(
-            engine, num_iterations=num_iterations, num_workers=cluster.num_workers
-        )
-        == "vectorized"
-    ):
+    if resolve_engine(engine) == "vectorized":
         return simulate_job_vectorized(
             scheme_or_plan,
             cluster,

@@ -19,52 +19,58 @@ The loop engine consumes the job's random stream in this order:
    in computation-completion order (stable sort).
 
 The vectorized engine is bit-identical to the loop at a fixed seed because it
-consumes exactly that stream, in one of three draw schedules picked from the
-models alone:
+consumes exactly that stream, one trial at a time, in one of three draw
+schedules picked from the models alone:
 
-* A **deterministic** communication model (``is_deterministic`` true, e.g.
-  jitter-free :class:`~repro.stragglers.communication.LinearCommunicationModel`
-  or :class:`~repro.stragglers.communication.ZeroCommunicationModel`) draws
-  nothing in either engine, so the stream holds nothing but compute draws,
-  iteration-major. One :meth:`~repro.stragglers.base.DelayModel.sample_grid`
-  call draws the whole compute matrix: its contract is a row-major
-  (iteration-major, worker-minor) fill that consumes the stream like the
-  scalar loop, and NumPy's broadcast samplers fill C-order element by
-  element.
-* **The block draw.** When the communication model is stochastic and both
-  the delay models and the link have an exponential form (the
+* **The block draw.** When every delay model has an exponential form (the
   ``exponential_form`` hooks of :mod:`repro.stragglers.base`: every draw is
-  ``offset + scale * E`` for one standard exponential ``E``), the stream
-  of a trial is a flat sequence of standard exponentials: per iteration,
-  ``n`` compute draws in worker order, then ``n`` transfer draws in
-  completion order. The engine draws one ``(iterations, 2n)`` block of
-  ``standard_exponential`` per trial and applies the affine maps itself —
-  the same float operations the samplers perform, so the values and the
-  generator's end state are bit-identical. On a dynamic cluster a row with
-  ``u`` up workers holds ``2u`` draws (vacant slots draw nothing) and the
-  rows sit at cumulative offsets of one flat block. The shift-exponential
-  workers of the paper with a jittered link take this path.
-* **The per-iteration interleave.** Any other stochastic combination —
-  Pareto, trace or bimodal delays, mixed-class groups, subclasses that
-  override ``sample`` — replays the loop's schedule: one ``sample_grid``
-  row, then one batched transfer draw in completion order, per iteration.
+  ``offset + scale * E`` for one standard exponential ``E``) and the link
+  either draws nothing (``is_deterministic``: a jitter-free
+  :class:`~repro.stragglers.communication.LinearCommunicationModel` or
+  :class:`~repro.stragglers.communication.ZeroCommunicationModel`) or has
+  an exponential form too (a jittered one), the stream of a trial is a flat
+  sequence of standard exponentials. A row with ``u`` up workers owns
+  ``u`` of them on a deterministic link, its compute draws in worker
+  order, and ``2u`` on a jittered one, its transfer draws following in
+  completion order. The engine draws one ``standard_exponential`` block per
+  trial and applies the affine maps itself — the same float operations the
+  samplers perform, so the values and the generator's end state are
+  bit-identical. On a stationary cluster every row has ``u = n``; on a
+  dynamic one vacant slots draw nothing and the rows sit at cumulative
+  offsets of the block. The paper's shift-exponential workers take this
+  path behind either link.
+* **The grid draw.** Any other model on a stationary cluster behind a
+  deterministic link draws the whole compute matrix with one
+  :meth:`~repro.stragglers.base.DelayModel.sample_grid` call per trial: its
+  contract is a row-major (iteration-major, worker-minor) fill that
+  consumes the stream like the scalar loop, and NumPy's broadcast samplers
+  fill C-order element by element.
+* **Row by row.** Everything else — Pareto, trace, bimodal or mixed-class
+  workers on a timeline or behind a stochastic link, and any model or link
+  that overrides ``sample`` — replays the loop's schedule: per iteration,
+  one ``sample_grid`` row over the up workers, then, on a stochastic link,
+  one batched transfer draw in completion order.
 
-Under a stochastic model both schedules already rank each row by
-completion time to order the transfer draws; that ranking is handed to the
-serialized-link recurrence, so compute is argsorted once per row. On the
-serialized link that one sort is also the arrival ranking: the recurrence
-``a_k = max(c_k, a_{k-1}) + t_k`` never decreases along completion order,
-so its input and output are the ranked compute and arrival times. Only the
-rows where two equal arrivals sit with the larger worker index first are
-argsorted again, because the loop breaks arrival ties by worker index (so
-would rows whose arrivals decrease, which only a negative transfer time
-could cause). On the parallel link the arrivals ``c + t`` are argsorted
-once. The
-serialized-link recurrence and all completion kernels are pure computation:
-they consume no randomness and reproduce the loop's floating-point
-operation order (``max`` then ``+``, metric reductions over identically
-ordered gathers), so the resulting summaries match byte for byte — the
-property the equivalence suite pins down.
+Within a chunk of trials (see "Trial batching"), a stationary cluster's
+compute form is resolved once while consecutive trials' loads agree, and a
+deterministic link's transfer times are evaluated once.
+
+On a stochastic link the block and row-by-row schedules already rank each
+row by completion time to order the transfer draws; that ranking is handed
+to the serialized-link recurrence, so compute is argsorted once per row. On
+the serialized link that one sort is also the arrival ranking: the
+recurrence ``a_k = max(c_k, a_{k-1}) + t_k`` never decreases along
+completion order, so its input and output are the ranked compute and
+arrival times. Only the rows where two equal arrivals sit with the larger
+worker index first are argsorted again, because the loop breaks arrival
+ties by worker index (so would rows whose arrivals decrease, which only a
+negative transfer time could cause). On the parallel link the arrivals
+``c + t`` are argsorted once. The serialized-link recurrence and all
+completion kernels are pure computation: they consume no randomness and
+reproduce the loop's floating-point operation order (``max`` then ``+``,
+metric reductions over identically ordered gathers), so the resulting
+summaries match byte for byte — the property the equivalence suite pins
+down.
 
 The engine returns its outcomes as columns, one array per
 :class:`~repro.simulation.iteration.IterationOutcome` field with the heard
@@ -88,10 +94,8 @@ Trial batching
 --------------
 :func:`simulate_job_batch` adds a third axis: it simulates ``T`` independent
 Monte-Carlo *trials* of the same job in one engine entry. Each trial's plan
-is resolved, the draws are made (one ``(trials x iterations x workers)``
-tensor through :meth:`~repro.stragglers.base.DelayModel.sample_trials` under a
-deterministic link when the trials' loads agree, one draw schedule per trial
-otherwise), and the arrival recurrence + completion kernels run over the
+is resolved, each trial draws from its own generator through its draw
+schedule, and the arrival recurrence + completion kernels run over the
 stacked ``(trials * iterations, workers)`` row matrix — rows are
 independent, so the per-row machinery of :func:`_complete_batch` applies
 unchanged. The **RNG contract** extends the solo engine's:
@@ -145,7 +149,7 @@ from repro.simulation.iteration import incomplete_iteration_error
 from repro.simulation.job import ColumnarOutcomeLog, JobResult, _resolve_plan
 from repro.simulation.kernels import KernelSuite, get_suite
 from repro.stragglers.base import DelayModel
-from repro.stragglers.dynamics import UnavailableDelay, memoize_by_id
+from repro.stragglers.communication import CommunicationModel
 from repro.utils.rng import RandomState, as_generator
 from repro.utils.validation import check_positive_int
 
@@ -159,14 +163,6 @@ __all__ = [
 
 #: Recognised engine names for the ``engine=`` knobs across the stack.
 ENGINES = ("loop", "vectorized", "auto")
-
-#: ``auto`` picks the vectorized engine once the job is at least this many
-#: (trial, iteration, worker) cells; below it the loop's lower setup cost
-#: wins. Measured with an uncoded job on a shift-exponential cluster: the
-#: loop is faster at 8 cells (~0.31 vs ~0.44 ms), the vectorized engine at
-#: 16 (~0.46 vs ~0.55 ms). The two engines produce identical results either
-#: way, so the constant only moves the speed crossover, never a result.
-_AUTO_THRESHOLD = 16
 
 #: A completion kernel maps (positions, arrival order) matrices to the
 #: 0-based arrival position that completes each iteration; the sentinel
@@ -198,22 +194,15 @@ def validate_engine(engine: str) -> str:
     return engine
 
 
-def resolve_engine(
-    engine: str, *, num_iterations: int, num_workers: int, num_trials: int = 1
-) -> str:
+def resolve_engine(engine: str) -> str:
     """Resolve an ``engine`` knob value to ``"loop"`` or ``"vectorized"``.
 
-    ``num_trials`` sizes the cutover for trial-batched execution: a batched
-    cell amortises the vectorized engine's setup over every trial, so
-    ``auto`` decides on the full ``trials x iterations x workers`` volume,
-    not the solo job size.
+    ``"auto"`` is the vectorized engine at every job size. ``"loop"`` stays
+    selectable as the reference oracle; both engines produce identical
+    results.
     """
     validate_engine(engine)
-    if engine == "auto":
-        if num_iterations * num_workers * max(int(num_trials), 1) >= _AUTO_THRESHOLD:
-            return "vectorized"
-        return "loop"
-    return engine
+    return "vectorized" if engine == "auto" else engine
 
 
 def simulate_job_vectorized(
@@ -287,53 +276,16 @@ def simulate_job_batch(
     if len(seeds) == 0:
         raise ConfigurationError("simulate_job_batch needs at least one trial seed")
     suite = get_suite("numpy")
-    dynamic = isinstance(cluster, DynamicClusterSpec)
-    communication = cluster.communication
-    models = [] if dynamic else cluster.delay_models()
     results: List[JobResult] = []
     for chunk in _trial_chunks(
         scheme_or_plan, cluster, num_units, num_iterations, seeds, unit_size
     ):
-        active = chunk.active
-        n_active = int(active.size)
-        num_trials = len(chunk.plans)
-        order = None
-        if not dynamic:
-            active_models = [models[worker] for worker in active.tolist()]
-        if not dynamic and communication.is_deterministic and chunk.uniform_loads:
-            # The 3-D fast path: one tensor through sample_trials (trial-
-            # major, so the C-order reshape keeps each trial's rows intact).
-            compute = type(active_models[0]).sample_trials(
-                active_models, chunk.loads[0], chunk.generators, num_iterations
-            ).reshape(num_trials * num_iterations, n_active)
-            transfer = np.broadcast_to(
-                communication.sample_batch(chunk.active_sizes), compute.shape
-            )
-        else:
-            compute = np.empty((num_trials * num_iterations, n_active), dtype=float)
-            transfer = np.empty_like(compute)
-            if serialize_master_link and not communication.is_deterministic:
-                order = np.empty(compute.shape, dtype=np.intp)
-            for t, (generator, loads) in enumerate(zip(chunk.generators, chunk.loads)):
-                rows = slice(t * num_iterations, (t + 1) * num_iterations)
-                if dynamic:
-                    draws = _draw_dynamic_matrices(
-                        cluster, active, loads, chunk.active_sizes, generator,
-                        num_iterations,
-                    )
-                else:
-                    draws = _draw_stationary_matrices(
-                        active_models, loads, chunk.active_sizes, communication,
-                        generator, num_iterations,
-                    )
-                compute[rows], transfer[rows], ranked = _for_link(
-                    draws, serialize_master_link
-                )
-                if order is not None:
-                    order[rows] = ranked
+        compute, transfer, order = _for_link(
+            _draw_chunk(chunk, cluster, num_iterations), serialize_master_link
+        )
         totals, computations, communications, counts, loads, finished, heard = (
             _complete_batch(
-                chunk.plans, active, chunk.message_sizes, compute, transfer,
+                chunk.plans, chunk.active, chunk.message_sizes, compute, transfer,
                 serialize_master_link, suite, order,
             )
         )
@@ -376,7 +328,6 @@ class _TrialChunk:
         self.plans: List[ExecutionPlan] = []
         self.generators: List[np.random.Generator] = []
         self.loads: List[np.ndarray] = []
-        self.uniform_loads = True
 
     def admits(self, active: np.ndarray, message_sizes: np.ndarray) -> bool:
         return (
@@ -386,8 +337,6 @@ class _TrialChunk:
         )
 
     def add(self, plan: ExecutionPlan, generator: np.random.Generator, loads: np.ndarray) -> None:
-        if self.loads and not np.array_equal(loads, self.loads[0]):
-            self.uniform_loads = False
         self.plans.append(plan)
         self.generators.append(generator)
         self.loads.append(loads)
@@ -467,106 +416,68 @@ def _active_arrays(plan: ExecutionPlan, cluster, unit_size: int):
     return active, loads_examples[active], message_sizes, message_sizes[active]
 
 
-def _draw_stationary_matrices(
-    active_models: List[DelayModel],
-    active_loads: np.ndarray,
-    active_sizes: np.ndarray,
-    communication,
-    generator: np.random.Generator,
+def _draw_chunk(
+    chunk: _TrialChunk,
+    cluster: ClusterSpec | DynamicClusterSpec,
     num_iterations: int,
 ) -> tuple:
-    """One trial's ``(compute, transfer, order)`` draws.
+    """A chunk's ``(compute, transfer, order)`` draws, stacked trial-major.
 
-    The single shared implementation of the stationary draw schedule (see
-    the module docstring). Each matrix is ``(num_iterations, n_active)``.
-    Under a deterministic communication model ``order`` is ``None`` and
-    ``transfer`` is in worker order. Under a stochastic one ``order`` is
-    each row's stable completion order and ``transfer`` is laid out in it.
+    Each trial draws from its own generator, through the first of the
+    module docstring's three schedules its models allow: the block, the
+    grid, then row by row. Every matrix is ``(trials * num_iterations,
+    n_active)``, and a vacant slot's compute time is ``inf``. On a
+    deterministic link ``order`` is ``None`` and ``transfer`` broadcasts the
+    link's one evaluation. On a stochastic link ``order`` is each row's
+    stable completion order and ``transfer`` is laid out in it, ``0`` where
+    a slot is vacant.
     """
-    if communication.is_deterministic:
-        compute = _draw_compute_grid(
-            active_models, active_loads, generator, num_iterations
-        )
-        transfer = np.broadcast_to(
-            communication.sample_batch(active_sizes), compute.shape
-        )
-        return compute, transfer, None
-    fused = _draw_grid_block(
-        active_models, active_loads, active_sizes, communication, generator,
-        num_iterations,
-    )
-    if fused is not None:
-        return fused
-    # Any other sampler: replay the loop's per-iteration interleave.
-    n_active = int(active_loads.size)
-    compute = np.empty((num_iterations, n_active), dtype=float)
-    transfer = np.empty((num_iterations, n_active), dtype=float)
-    order = np.empty((num_iterations, n_active), dtype=np.intp)
-    for i in range(num_iterations):
-        compute[i] = _draw_compute_grid(active_models, active_loads, generator, 1)[0]
-        order[i] = np.argsort(compute[i], kind="stable")
-        transfer[i] = communication.sample_batch(active_sizes[order[i]], generator)
-    return compute, transfer, order
-
-
-def _draw_dynamic_matrices(
-    cluster: DynamicClusterSpec,
-    active: np.ndarray,
-    active_loads: np.ndarray,
-    active_sizes: np.ndarray,
-    generator: np.random.Generator,
-    num_iterations: int,
-) -> tuple:
-    """One trial's ``(compute, transfer, order)`` draws on a dynamic cluster.
-
-    The draw schedule mirrors the loop engine's exactly: the timeline is
-    materialised first (one draw when the spec derives its dynamics seed
-    from the job stream), then each iteration draws compute times for its
-    *available* workers in worker order — vacant slots consume nothing —
-    followed, for stochastic communication models, by that iteration's
-    transfer draws in completion order over the workers that finished.
-    The return layout is :func:`_draw_stationary_matrices`'; a vacant
-    slot's compute time is ``inf`` and its transfer time ``0``.
-    """
-    timeline = cluster.materialize(num_iterations, generator)
     communication = cluster.communication
-    n_active = int(active.size)
-
-    if n_active == cluster.num_workers:
-        model_rows = timeline.models  # every worker active: no reshaping
-        up = timeline.availability
+    deterministic = communication.is_deterministic
+    active, sizes = chunk.active, chunk.active_sizes
+    shape = (len(chunk.plans) * num_iterations, int(active.size))
+    compute = np.empty(shape)
+    order: Optional[np.ndarray] = None
+    transfer_form: Optional[Tuple[np.ndarray, np.ndarray]] = None
+    if deterministic:
+        transfer = np.broadcast_to(communication.sample_batch(sizes), shape)
     else:
-        model_rows = [
-            [timeline.models[t][int(worker)] for worker in active]
-            for t in range(num_iterations)
-        ]
-        up = timeline.availability[:, active]
-    if communication.is_deterministic:
-        compute = _draw_timeline_compute(model_rows, active_loads, generator)
-        transfer = np.broadcast_to(
-            communication.sample_batch(active_sizes), compute.shape
-        )
-        return compute, transfer, None
-    fused = _draw_timeline_block(
-        model_rows, up, active_loads, active_sizes, communication, generator
+        transfer = np.empty(shape)
+        order = np.empty(shape, dtype=np.intp)
+        transfer_form = communication.exponential_form(sizes)
+    # The block draw needs a link that draws nothing or draws exponentials.
+    exponential = deterministic or transfer_form is not None
+    form: Optional[Tuple[np.ndarray, np.ndarray]] = None
+    form_loads: Optional[np.ndarray] = None
+    up: Optional[np.ndarray] = None
+    models = (
+        [cluster.workers[worker].compute for worker in active.tolist()]
+        if isinstance(cluster, ClusterSpec)
+        else []
     )
-    if fused is not None:
-        return fused
-    # Any other sampler: replay the loop's per-iteration interleave. Finite
-    # compute times sort first, so the workers that finished are a prefix
-    # of the completion order.
-    compute = np.empty((num_iterations, n_active), dtype=float)
-    transfer = np.zeros((num_iterations, n_active), dtype=float)
-    order = np.empty((num_iterations, n_active), dtype=np.intp)
-    is_down = memoize_by_id(_is_vacant)
-    for i in range(num_iterations):
-        compute[i] = _draw_timeline_row(model_rows[i], active_loads, generator, is_down)
-        order[i] = np.argsort(compute[i], kind="stable")
-        finished = int(np.count_nonzero(np.isfinite(compute[i])))
-        if finished:
-            transfer[i, :finished] = communication.sample_batch(
-                active_sizes[order[i, :finished]], generator
-            )
+    for t, (generator, loads) in enumerate(zip(chunk.generators, chunk.loads)):
+        if isinstance(cluster, DynamicClusterSpec):
+            timeline = cluster.materialize(num_iterations, generator)
+            model_rows, up = timeline.models, timeline.availability
+            if active.size < cluster.num_workers:
+                model_rows = [[row[w] for w in active.tolist()] for row in model_rows]
+                up = up[:, active]
+            form = _timeline_form(model_rows, up, loads) if exponential else None
+            draws = _draw_timeline_block(form, up, transfer_form, generator)
+        else:
+            model_rows = [models] * num_iterations
+            if exponential and (form_loads is None or not np.array_equal(loads, form_loads)):
+                form, form_loads = type(models[0]).exponential_form(models, loads), loads
+            draws = _draw_grid_block(form, transfer_form, generator, num_iterations)
+            if draws is None and deterministic:
+                grid = type(models[0]).sample_grid(models, loads, generator, num_iterations)
+                draws = grid, None, None
+        if draws is None:
+            draws = _draw_rows(model_rows, up, loads, sizes, communication, generator)
+        rows = slice(t * num_iterations, (t + 1) * num_iterations)
+        compute[rows] = draws[0]
+        if order is not None:
+            transfer[rows], order[rows] = draws[1], draws[2]
     return compute, transfer, order
 
 
@@ -575,8 +486,7 @@ def _for_link(draws: tuple, serialize_master_link: bool) -> tuple:
     takes them.
 
     Only the serialized link uses the completion order; for the parallel
-    link the transfers go back to worker order and ``order`` is dropped, so
-    a trial-batched cell does not stack a rank matrix it never reads.
+    link the transfers go back to worker order and ``order`` is dropped.
     """
     compute, transfer, order = draws
     if order is None or serialize_master_link:
@@ -587,57 +497,44 @@ def _for_link(draws: tuple, serialize_master_link: bool) -> tuple:
 
 
 def _draw_grid_block(
-    models: List[DelayModel],
-    loads: np.ndarray,
-    sizes: np.ndarray,
-    communication,
+    form: Optional[Tuple[np.ndarray, np.ndarray]],
+    transfer_form: Optional[Tuple[np.ndarray, np.ndarray]],
     generator: np.random.Generator,
     num_iterations: int,
 ) -> Optional[tuple]:
-    """The block draw over a stationary cluster, or ``None`` when a model
-    has no exponential form.
+    """The block draw over a stationary cluster, or ``None`` without a
+    compute form.
 
-    Row ``i`` of one ``(num_iterations, 2n)`` standard-exponential block
-    holds iteration ``i``'s ``n`` compute draws in worker order, then its
-    ``n`` transfer draws in completion order.
+    ``form`` is the workers' compute ``(offset, scale)`` and
+    ``transfer_form`` the link's, ``None`` on a deterministic link. Row
+    ``i`` of one standard-exponential block holds iteration ``i``'s ``n``
+    compute draws in worker order, then, on a jittered link, its ``n``
+    transfer draws in completion order.
     """
-    transfer_form = communication.exponential_form(sizes)
+    if form is None:
+        return None
+    offset, scale = form
+    n = offset.size
     if transfer_form is None:
-        return None
-    compute_form = type(models[0]).exponential_form(models, loads)
-    if compute_form is None:
-        return None
-    n = len(models)
+        return offset + scale * generator.standard_exponential((num_iterations, n)), None, None
     block = generator.standard_exponential((num_iterations, 2 * n))
-    compute = compute_form[0] + compute_form[1] * block[:, :n]
+    compute = offset + scale * block[:, :n]
     order = np.argsort(compute, axis=1, kind="stable")
     transfer = transfer_form[0][order] + transfer_form[1][order] * block[:, n:]
     return compute, transfer, order
 
 
-def _draw_timeline_block(
-    model_rows: Sequence[Sequence[DelayModel]],
-    up: np.ndarray,
-    loads: np.ndarray,
-    sizes: np.ndarray,
-    communication,
-    generator: np.random.Generator,
-) -> Optional[tuple]:
-    """The block draw over a timeline, or ``None`` when a model has no
-    exponential form.
+def _timeline_form(
+    model_rows: Sequence[Sequence[DelayModel]], up: np.ndarray, loads: np.ndarray
+) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """The exponential form of a timeline's up slots, row-major, or ``None``.
 
-    Row ``i`` with ``u`` up workers owns ``2u`` consecutive draws of one
-    standard-exponential block: ``u`` compute draws in worker order, then
-    ``u`` transfer draws in completion order. Vacant slots draw nothing.
     ``up`` is the timeline's availability matrix, which marks vacant exactly
     the slots :meth:`~repro.cluster.dynamic.DynamicClusterSpec.materialize`
     filled with a vacant model; every other slot goes through the
     exponential-form hook, which refuses a vacant model a process reported
     as available.
     """
-    transfer_form = communication.exponential_form(sizes)
-    if transfer_form is None:
-        return None
     cells = list(
         itertools.compress(
             itertools.chain.from_iterable(model_rows), up.ravel().tolist()
@@ -645,17 +542,35 @@ def _draw_timeline_block(
     )
     if not cells:
         return None
-    compute_form = type(cells[0]).exponential_form(
-        cells, np.broadcast_to(loads, up.shape)[up]
-    )
-    if compute_form is None:
+    return type(cells[0]).exponential_form(cells, np.broadcast_to(loads, up.shape)[up])
+
+
+def _draw_timeline_block(
+    form: Optional[Tuple[np.ndarray, np.ndarray]],
+    up: np.ndarray,
+    transfer_form: Optional[Tuple[np.ndarray, np.ndarray]],
+    generator: np.random.Generator,
+) -> Optional[tuple]:
+    """The block draw over a timeline, or ``None`` without a compute form.
+
+    ``form`` is :func:`_timeline_form`'s and ``transfer_form`` the link's,
+    ``None`` on a deterministic link. Row ``i`` with ``u`` up workers owns
+    consecutive draws of one flat standard-exponential block: its ``u``
+    compute draws in worker order, then, on a jittered link, its ``u``
+    transfer draws in completion order. Vacant slots draw nothing.
+    """
+    if form is None:
         return None
+    compute = np.full(up.shape, np.inf)
+    if transfer_form is None:
+        # Row-major up slots draw consecutive values.
+        compute[up] = form[0] + form[1] * generator.standard_exponential(form[0].size)
+        return compute, None, None
     counts = np.count_nonzero(up, axis=1)
     starts = np.cumsum(2 * counts) - 2 * counts
     block = generator.standard_exponential(2 * int(counts.sum()))
-    compute = np.full(up.shape, np.inf)
     slots = starts[:, None] + np.cumsum(up, axis=1) - 1
-    compute[up] = compute_form[0] + compute_form[1] * block[slots[up]]
+    compute[up] = form[0] + form[1] * block[slots[up]]
     order = np.argsort(compute, axis=1, kind="stable")
     finished = np.arange(up.shape[1]) < counts[:, None]
     workers = order[finished]
@@ -665,6 +580,47 @@ def _draw_timeline_block(
         transfer_form[0][workers] + transfer_form[1][workers] * block[slots[finished]]
     )
     return compute, transfer, order
+
+
+def _draw_rows(
+    model_rows: Sequence[Sequence[DelayModel]],
+    up: Optional[np.ndarray],
+    loads: np.ndarray,
+    sizes: np.ndarray,
+    communication: CommunicationModel,
+    generator: np.random.Generator,
+) -> tuple:
+    """Row by row: the loop engine's own schedule, for any model and link.
+
+    Each iteration draws its up workers' compute times with one
+    ``sample_grid`` row (``up`` is ``None`` on a stationary cluster, where
+    every worker is up), then, on a stochastic link, the transfer times of
+    the workers that finished, in completion order. Returns
+    :func:`_draw_chunk`'s triple for one trial's rows.
+    """
+    stochastic = not communication.is_deterministic
+    compute = np.full((len(model_rows), loads.size), np.inf)
+    transfer = np.zeros(compute.shape)
+    order = np.empty(compute.shape, dtype=np.intp)
+    columns = np.arange(loads.size)
+    for i, row in enumerate(model_rows):
+        models = row
+        if up is not None:
+            columns = np.flatnonzero(up[i])
+            models = [row[j] for j in columns.tolist()]
+        if models:
+            compute[i, columns] = type(models[0]).sample_grid(
+                models, loads[columns], generator, 1
+            )[0]
+        if stochastic:
+            order[i] = np.argsort(compute[i], kind="stable")
+            # Finite times sort first: the workers that finished lead the order.
+            finished = int(np.count_nonzero(np.isfinite(compute[i])))
+            if finished:
+                transfer[i, :finished] = communication.sample_batch(
+                    sizes[order[i, :finished]], generator
+                )
+    return (compute, transfer, order) if stochastic else (compute, None, None)
 
 
 def _complete_batch(
@@ -795,97 +751,8 @@ def _complete_batch(
     )
 
 
-def _is_vacant(model: DelayModel) -> bool:
-    return isinstance(model, UnavailableDelay)
-
-
-def _draw_timeline_row(
-    row: Sequence[DelayModel],
-    loads: np.ndarray,
-    rng: RandomState,
-    is_down: Optional[Callable[[DelayModel], bool]] = None,
-) -> np.ndarray:
-    """One iteration's compute draws over a time-varying model row.
-
-    Vacant slots (:class:`~repro.stragglers.dynamics.UnavailableDelay`) get
-    ``inf`` without touching the generator; the available workers draw in
-    worker-index order through their most specific :meth:`sample_grid` —
-    the loop engine's exact consumption order for that iteration.
-    ``is_down`` (a :func:`~repro.stragglers.dynamics.memoize_by_id`-wrapped
-    vacancy check shared across a job's rows) avoids re-classifying the few
-    distinct model instances a timeline repeats.
-    """
-    if is_down is None:
-        is_down = _is_vacant
-    up = [j for j, model in enumerate(row) if not is_down(model)]
-    out = np.full(len(row), np.inf, dtype=float)
-    if up:
-        models = [row[j] for j in up]
-        up_loads = [int(loads[j]) for j in up]
-        out[up] = type(models[0]).sample_grid(models, up_loads, rng, 1)[0]
-    return out
-
-
-def _draw_timeline_compute(
-    model_rows: List[List[DelayModel]], loads: np.ndarray, rng: RandomState
-) -> np.ndarray:
-    """All iterations' compute draws over a time-varying model grid.
-
-    Contiguous runs of iterations whose rows are *all native* under the run's
-    leading model class are drawn with one :meth:`sample_timeline` call (for
-    shift-exponential timelines — the Markov/drift regimes — that is a single
-    batched NumPy draw); rows containing vacant slots or mixed classes fall
-    back to :func:`_draw_timeline_row`. Either way the stream is consumed
-    iteration-major, worker-minor, matching the loop engine.
-    """
-    generator = as_generator(rng)
-    num_rows = len(model_rows)
-    out = np.empty((num_rows, len(loads)), dtype=float)
-    # Timelines repeat few distinct model objects, so the per-cell
-    # native-sampler and vacancy checks are memoized on object identity
-    # (one memo per lead class) — block detection costs O(cells) dict hits
-    # instead of O(cells) abc instance checks.
-    native_memos: dict = {}
-    is_down = memoize_by_id(_is_vacant)
-
-    def row_native(lead: type, row: Sequence[DelayModel]) -> bool:
-        memo = native_memos.get(lead)
-        if memo is None:
-            memo = memoize_by_id(
-                lambda model: isinstance(model, lead)
-                and type(model).sample is lead.sample
-            )
-            native_memos[lead] = memo
-        return all(memo(model) for model in row)
-
-    start = 0
-    while start < num_rows:
-        lead = type(model_rows[start][0])
-        end = start
-        while end < num_rows and row_native(lead, model_rows[end]):
-            end += 1
-        if end > start:
-            out[start:end] = lead.sample_timeline(
-                model_rows[start:end], loads, generator
-            )
-            start = end
-        else:
-            out[start] = _draw_timeline_row(
-                model_rows[start], loads, generator, is_down
-            )
-            start += 1
-    return out
-
-
 def _infeasible(plan: ExecutionPlan, vacant_workers: int = 0) -> SimulationError:
     return incomplete_iteration_error(plan.scheme_name, vacant_workers)
-
-
-def _draw_compute_grid(
-    models: Sequence, loads: np.ndarray, rng: RandomState, num_draws: int
-) -> np.ndarray:
-    """Dispatch the grid draw to the models' most specific ``sample_grid``."""
-    return type(models[0]).sample_grid(models, loads, rng, num_draws)
 
 
 # --------------------------------------------------------------------------- #

@@ -6,17 +6,13 @@ stateless and receive the RNG explicitly, so the same model object can be
 shared by every worker of a homogeneous cluster while keeping experiments
 reproducible.
 
-Batched sampling
-----------------
-The vectorized timing engine (:mod:`repro.simulation.vectorized`) draws many
-completion times at once through two batched paths:
+Draw contract
+-------------
+Three hooks are the whole contract between a delay model and the timing
+engines:
 
-* :meth:`DelayModel.sample_batch` — ``size`` i.i.d. draws from *one* model.
-  Its contract is equality with the sized draw path
-  ``sample(load, size=size)``. For most models that also equals ``size``
-  successive scalar draws, but not for every model
-  (:class:`~repro.stragglers.models.BimodalStragglerDelay` draws its sized
-  components in blocks rather than interleaved per draw).
+* :meth:`DelayModel.sample` — the scalar draw the loop engine makes, one
+  per active worker and iteration.
 * :meth:`DelayModel.sample_grid` — a ``(num_draws, num_workers)`` matrix of
   draws across *several* model instances, filled in row-major (draw-major,
   worker-minor) order. Its **stream contract** is the one the engine
@@ -26,21 +22,11 @@ completion times at once through two batched paths:
   base implementation *is* that scalar loop; subclasses override it with a
   single vectorized call only when every model in the group uses their
   unmodified scalar sampler (numpy's broadcast sampling fills C-order,
-  element-sequentially, which preserves the stream).
-* :meth:`DelayModel.sample_trials` — a
-  ``(num_trials, num_draws, num_workers)`` tensor of draws for the
-  trial-batched engine (:func:`~repro.simulation.vectorized.simulate_job_batch`).
-  Every Monte-Carlo trial owns an *independent* generator (a spawned
-  :class:`numpy.random.SeedSequence` child in the sweep engine), so the
-  trial axis cannot be collapsed into one numpy call; the **stream
-  contract** is per slice instead: slice ``t`` must consume ``rngs[t]``
-  exactly like ``sample_grid(models, loads, rngs[t], num_draws)`` would.
-  That is what makes each trial of a batched job bit-identical to a solo
-  run at the same seed. The base implementation stacks per-trial
-  :meth:`sample_grid` calls (each already vectorized by the models' most
-  specific override); subclasses override it to hoist the per-model
-  parameter extraction out of the trial loop — or, for draw-free models,
-  to fill the whole tensor in one call.
+  element-sequentially, which preserves the stream). The vectorized engine
+  (:mod:`repro.simulation.vectorized`) calls it once per Monte-Carlo trial
+  for a whole job, or once per iteration for one row of up workers; every
+  trial owns an independent generator, so trials never share a call.
+* :meth:`DelayModel.exponential_form` — below.
 
 Exponential form
 ----------------
@@ -51,14 +37,18 @@ that ``(offset, scale)`` pair per model (the shift-exponential family
 answers; every other model returns ``None``), and
 :meth:`CommunicationModel.exponential_form
 <repro.stragglers.communication.CommunicationModel.exponential_form>` does
-the same for transfers (a jittered linear link answers). When both hooks
-answer, the vectorized engine knows the whole stream of a job is a flat
-sequence of standard exponentials, so it draws one block per trial and
-applies the affine maps itself instead of interleaving per-iteration sampler
-calls. The hook answers ``None`` for any model whose class overrides
+the same for transfers (a jittered linear link answers). When the delay
+models answer and the link either draws nothing or answers too, the
+vectorized engine knows the whole stream of a trial is a flat sequence of
+standard exponentials, so it draws one block per trial and applies the
+affine maps itself instead of calling the samplers. Only a model that
+consumes exactly one standard exponential per value may answer: a model
+that draws nothing (:class:`~repro.stragglers.models.DeterministicDelay`)
+or draws anything else answers ``None``, or the block would shift the
+stream. The hook also answers ``None`` for any model whose class overrides
 :meth:`sample` — such a model's stream is unknown, and the engine must keep
-calling it. The shift-exponential :meth:`sample_grid`, :meth:`sample_trials`
-and :meth:`sample_timeline` read their parameters through the same hook.
+calling it. The shift-exponential :meth:`sample_grid` reads its parameters
+through the same hook.
 """
 
 from __future__ import annotations
@@ -102,21 +92,6 @@ class DelayModel(abc.ABC):
     # ------------------------------------------------------------------ #
     # Batched sampling (see the module docstring for the stream contract)
     # ------------------------------------------------------------------ #
-    def sample_batch(
-        self, load: int, rng: RandomState = None, size: int = 1
-    ) -> np.ndarray:
-        """Draw ``size`` i.i.d. completion times as a 1-D array.
-
-        Consumes the RNG exactly like ``sample(load, size=size)`` (which is
-        what it delegates to). Note that a sized draw does not equal ``size``
-        successive scalar draws for every model — see the module docstring;
-        cross-worker batching with that stronger guarantee goes through
-        :meth:`sample_grid`.
-        """
-        if size < 1:
-            raise ConfigurationError(f"size must be >= 1, got {size}")
-        return np.asarray(self.sample(load, rng=rng, size=int(size)), dtype=float)
-
     @classmethod
     def sample_grid(
         cls,
@@ -143,63 +118,6 @@ class DelayModel(abc.ABC):
         for i in range(int(num_draws)):
             for j, (model, load) in enumerate(zip(models, loads)):
                 out[i, j] = model.sample(int(load), rng=generator)
-        return out
-
-    @classmethod
-    def sample_trials(
-        cls,
-        models: Sequence["DelayModel"],
-        loads: Sequence[int],
-        rngs: Sequence[RandomState],
-        num_draws: int = 1,
-    ) -> np.ndarray:
-        """Draw a ``(len(rngs), num_draws, len(models))`` tensor of completion
-        times — one independent ``(num_draws, num_workers)`` grid per trial.
-
-        ``rngs[t]`` drives trial ``t``'s slice and **only** that slice; the
-        stream contract is that slice ``t`` equals (and consumes ``rngs[t]``
-        exactly like) ``sample_grid(models, loads, rngs[t], num_draws)``.
-        Trials own independent generators, so the base implementation is the
-        per-trial loop below — already one vectorized grid call per trial;
-        subclasses hoist the parameter extraction (or, when no randomness is
-        consumed at all, fill the tensor in a single call).
-        """
-        out = np.empty((len(rngs), int(num_draws), len(models)), dtype=float)
-        for t, rng in enumerate(rngs):
-            out[t] = cls.sample_grid(models, loads, rng, num_draws)
-        return out
-
-    @classmethod
-    def sample_timeline(
-        cls,
-        model_rows: Sequence[Sequence["DelayModel"]],
-        loads: Sequence[int],
-        rng: RandomState = None,
-    ) -> np.ndarray:
-        """Draw a ``(len(model_rows), len(loads))`` matrix of completion times
-        across a *time-varying* model grid.
-
-        ``model_rows[i][j]`` supplies cell ``(i, j)`` with load ``loads[j]`` —
-        the dynamic-cluster analogue of :meth:`sample_grid`, where every row
-        may use different model instances (e.g. a Markov-modulated worker's
-        per-iteration regimes). The **stream contract** matches
-        :meth:`sample_grid`: the matrix is filled row-major, consuming the
-        RNG exactly like nested scalar ``sample`` calls (row ``i`` is drawn
-        before row ``i + 1``, worker-minor within a row). The base
-        implementation dispatches each row through the row's own most
-        specific :meth:`sample_grid`; subclasses override it with a single
-        vectorized call when every cell in the matrix uses their unmodified
-        scalar sampler.
-        """
-        generator = as_generator(rng)
-        num_rows = len(model_rows)
-        out = np.empty((num_rows, len(loads)), dtype=float)
-        for i, row in enumerate(model_rows):
-            if len(row) != len(loads):
-                raise ConfigurationError(
-                    f"model row {i} has {len(row)} models but {len(loads)} loads"
-                )
-            out[i] = type(row[0]).sample_grid(row, loads, generator, 1)[0]
         return out
 
     @classmethod

@@ -10,7 +10,7 @@ function of the message size (in units of one partial-gradient vector).
 from __future__ import annotations
 
 import abc
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -44,13 +44,14 @@ class CommunicationModel(abc.ABC):
     def is_deterministic(self) -> bool:
         """Whether :meth:`sample` consumes no randomness.
 
-        The vectorized timing engine batches all computation-time draws up
-        front only when the communication model is deterministic (the stream
-        then contains nothing but compute draws in both engines). Stochastic
-        models interleave transfer draws with compute draws; the engine then
-        draws one standard-exponential block per trial when both models have
-        an :meth:`exponential_form`, and replays the per-iteration interleave
-        otherwise. The base class conservatively reports ``False``.
+        On a deterministic link the job's stream holds nothing but compute
+        draws, so the vectorized timing engine evaluates the transfer times
+        once and draws the compute matrix up front. Stochastic models
+        interleave transfer draws with compute draws; the engine then draws
+        one standard-exponential block per trial when this model and the
+        delay models have an :meth:`exponential_form`, and replays the
+        per-iteration interleave otherwise. The base class conservatively
+        reports ``False``.
         """
         return False
 
@@ -80,34 +81,6 @@ class CommunicationModel(abc.ABC):
         sizes = np.asarray(message_sizes, dtype=float)
         flat = [float(self.sample(float(s), rng=generator)) for s in sizes.ravel()]
         return np.asarray(flat, dtype=float).reshape(sizes.shape)
-
-    def sample_trials(
-        self, message_sizes: np.ndarray, rngs: Sequence[RandomState]
-    ) -> np.ndarray:
-        """Draw a ``(len(rngs), *message_sizes.shape)`` stack of transfer times.
-
-        The trials-axis counterpart of :meth:`sample_batch` for batch
-        consumers: trial ``t``'s slice consumes ``rngs[t]`` (and only
-        ``rngs[t]``) exactly like ``sample_batch(message_sizes, rngs[t])``,
-        so each slice is bit-identical to a solo draw at the same seed.
-        Deterministic models (``is_deterministic`` true) draw nothing and
-        collapse the trial axis into one broadcast.
-
-        Note the trial-batched *engine* does not route its transfers through
-        this method: under a deterministic model one :meth:`sample_batch`
-        broadcast covers every trial, and under a stochastic model transfers
-        are drawn in completion order, which differs per trial — see
-        :mod:`repro.simulation.vectorized`.
-        """
-        sizes = np.asarray(message_sizes, dtype=float)
-        if self.is_deterministic:
-            return np.broadcast_to(
-                self.sample_batch(sizes), (len(rngs), *sizes.shape)
-            )
-        out = np.empty((len(rngs), *sizes.shape), dtype=float)
-        for t, rng in enumerate(rngs):
-            out[t] = self.sample_batch(sizes, rng)
-        return out
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"

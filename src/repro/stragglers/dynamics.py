@@ -40,9 +40,9 @@ is bit-identical to the corresponding solo run. A spec whose dynamics seed
 is *pinned* draws nothing from any trial's stream and therefore replays the
 same scripted scenario in every trial — by design: pinned scenarios are
 scripts, not samples. :class:`UnavailableDelay` consumes no randomness on
-any path (scalar, grid, timeline, or trial tensor), which is what lets
-vacant slots appear and disappear between trials without shifting a single
-draw.
+any path (scalar or grid), and the engine's block draw skips vacant slots,
+which is what lets vacant slots appear and disappear between trials without
+shifting a single draw.
 
 Scaling a delay model
 ---------------------
@@ -51,9 +51,9 @@ Scaling a delay model
 families are re-parameterised in closed form (a shift-exponential scaled by
 ``c`` is again shift-exponential with shift ``c * a`` and straggling
 ``mu / c``), so a Markov-modulated shift-exponential worker still takes the
-vectorized engine's single-batched-draw fast path. Unknown models fall back
-to a :class:`ScaledDelay` wrapper that delegates sampling to the wrapped
-model (consuming its stream unchanged) and multiplies the result.
+vectorized engine's block draw. Unknown models fall back to a
+:class:`ScaledDelay` wrapper that delegates sampling to the wrapped model
+(consuming its stream unchanged) and multiplies the result.
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ __all__ = [
 Number = Union[float, np.ndarray]
 
 
-# reprolint: allow[RNG002] reason=draw-free infinity sentinel; the inherited generic paths consume no randomness either, so every engine sees the identical (empty) stream
+# reprolint: allow[RNG002] reason=draw-free infinity sentinel; the inherited generic sample_grid consumes no randomness either, so every engine sees the identical (empty) stream
 class UnavailableDelay(DelayModel):
     """A vacant worker slot: the worker never reports.
 
@@ -135,7 +135,7 @@ class UnavailableDelay(DelayModel):
 UNAVAILABLE = UnavailableDelay()
 
 
-# reprolint: allow[RNG002] reason=wrapper delegating every draw to the inner model; the inherited generic paths go through self.sample and stay bit-exact for any wrapped class
+# reprolint: allow[RNG002] reason=wrapper delegating every draw to the inner model; the inherited generic sample_grid goes through self.sample and stays bit-exact for any wrapped class
 class ScaledDelay(DelayModel):
     """``factor`` times an arbitrary wrapped delay model.
 
@@ -183,14 +183,12 @@ def memoize_by_id(function):
     """Memoize a one-argument function on its argument's object identity.
 
     Timelines repeat a handful of model *instances* (a Markov worker
-    alternates between two models, vacant slots share one sentinel), so
-    per-cell classification — vacancy checks, native-sampler checks,
-    parameter extraction — reduces to one dict hit per cell instead of an
-    ``isinstance``/``getattr`` pass. Every hot per-cell predicate of the
-    dynamic subsystem goes through this single helper so the criteria cannot
-    drift apart between the engines. The cache holds strong references to
-    nothing (only ``id()`` keys), so callers must keep it scoped to one
-    materialisation/draw pass where the model objects stay alive.
+    alternates between two models, vacant slots share one sentinel), so a
+    per-cell predicate — materialisation's vacancy check — reduces to one
+    dict hit per cell instead of an ``isinstance`` pass. The cache holds
+    strong references to nothing (only ``id()`` keys), so callers must keep
+    it scoped to one materialisation pass where the model objects stay
+    alive.
     """
     cache: Dict[int, object] = {}
 
@@ -208,9 +206,10 @@ def scale_delay(model: DelayModel, factor: float) -> DelayModel:
     """A delay model whose completion times are ``factor`` times ``model``'s.
 
     The built-in families are re-parameterised in closed form so the scaled
-    model samples through the *same* code path (and therefore keeps the
-    vectorized grid fast paths and the per-draw stream consumption) as the
-    original:
+    model samples through the *same* code path as the original: it keeps
+    the per-draw stream consumption, its class's vectorized ``sample_grid``
+    and, for the shift-exponential family, the exponential form the
+    vectorized engine's block draw reads:
 
     * shift-exponential ``(mu, a)`` → ``(mu / factor, a * factor)``,
     * deterministic ``s`` → ``s * factor``,

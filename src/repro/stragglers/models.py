@@ -62,20 +62,6 @@ class ShiftedExponentialDelay(DelayModel):
         result = self.shift * load + tail
         return float(result) if size is None else result
 
-    def sample_batch(
-        self, load: int, rng: RandomState = None, size: int = 1
-    ) -> np.ndarray:
-        if type(self).sample is not ShiftedExponentialDelay.sample:
-            # A subclass changed the distribution; the generic delegate to
-            # self.sample is the only path guaranteed to match it.
-            return super().sample_batch(load, rng=rng, size=size)
-        if size < 1:
-            raise ConfigurationError(f"size must be >= 1, got {size}")
-        load = self._check_load(load)
-        generator = self._rng(rng)
-        tail = generator.exponential(scale=load / self.straggling, size=int(size))
-        return self.shift * load + tail
-
     def mean(self, load: int) -> float:
         load = self._check_load(load)
         return self.shift * load + load / self.straggling
@@ -110,53 +96,6 @@ class ShiftedExponentialDelay(DelayModel):
         # One broadcast draw fills the matrix in C order, element by element,
         # so the stream matches the scalar draw-major/worker-minor loop.
         shape = (int(num_draws), len(models))
-        return offset + cls._rng(rng).exponential(scale=scale, size=shape)
-
-    @classmethod
-    def sample_trials(
-        cls,
-        models: Sequence[DelayModel],
-        loads: Sequence[int],
-        rngs: Sequence[RandomState],
-        num_draws: int = 1,
-    ) -> np.ndarray:
-        form = cls.exponential_form(models, loads)
-        if form is None:
-            return super().sample_trials(models, loads, rngs, num_draws)
-        offset, scale = form
-        # The (mu, a) extraction above is hoisted out of the trial loop; the
-        # draws themselves stay per trial because every trial consumes its
-        # own independent generator (the sample_trials stream contract).
-        shape = (int(num_draws), len(models))
-        out = np.empty((len(rngs), *shape), dtype=float)
-        for t, rng in enumerate(rngs):
-            out[t] = offset + cls._rng(rng).exponential(scale=scale, size=shape)
-        return out
-
-    @classmethod
-    def sample_timeline(
-        cls,
-        model_rows: Sequence[Sequence[DelayModel]],
-        loads: Sequence[int],
-        rng: RandomState = None,
-    ) -> np.ndarray:
-        if not model_rows:
-            return super().sample_timeline(model_rows, loads, rng)
-        shape = (len(model_rows), len(loads))
-        if any(len(row) != shape[1] for row in model_rows):
-            raise ConfigurationError("model rows must all have one model per load")
-        # Every cell carries its own (mu, a): read them row-major in one
-        # pass over the flattened grid.
-        form = cls.exponential_form(
-            [model for row in model_rows for model in row],
-            np.tile(np.asarray(loads), shape[0]),
-        )
-        if form is None:
-            return super().sample_timeline(model_rows, loads, rng)
-        offset, scale = (values.reshape(shape) for values in form)
-        # One broadcast draw fills the matrix in C order (row-major, cell by
-        # cell), so the stream matches per-row scalar draws — the dynamic
-        # engine's fast path.
         return offset + cls._rng(rng).exponential(scale=scale, size=shape)
 
     def cdf(self, load: int, t: Number) -> Number:
@@ -206,17 +145,6 @@ class DeterministicDelay(DelayModel):
             return float(value)
         return np.full(size, value, dtype=float)
 
-    def sample_batch(
-        self, load: int, rng: RandomState = None, size: int = 1
-    ) -> np.ndarray:
-        if type(self).sample is not DeterministicDelay.sample:
-            return super().sample_batch(load, rng=rng, size=size)
-        if size < 1:
-            raise ConfigurationError(f"size must be >= 1, got {size}")
-        load = self._check_load(load)
-        # No randomness is consumed, matching the scalar path exactly.
-        return np.full(int(size), self.seconds_per_example * load, dtype=float)
-
     def mean(self, load: int) -> float:
         return self.seconds_per_example * self._check_load(load)
 
@@ -235,24 +163,6 @@ class DeterministicDelay(DelayModel):
         loads_row = cls._check_grid_loads(models, loads)
         # Deterministic: no randomness is consumed, matching the scalar path.
         return np.tile(rates * loads_row, (int(num_draws), 1))
-
-    @classmethod
-    def sample_trials(
-        cls,
-        models: Sequence[DelayModel],
-        loads: Sequence[int],
-        rngs: Sequence[RandomState],
-        num_draws: int = 1,
-    ) -> np.ndarray:
-        params = DeterministicDelay._grid_parameters(models, ("seconds_per_example",))
-        if params is None:
-            return super().sample_trials(models, loads, rngs, num_draws)
-        (rates,) = params
-        loads_row = cls._check_grid_loads(models, loads)
-        # No randomness at all: the whole (trials, draws, workers) tensor is
-        # one broadcast — the only model family where the trial axis truly
-        # collapses into a single call without touching any generator.
-        return np.tile(rates * loads_row, (len(rngs), int(num_draws), 1))
 
     def cdf(self, load: int, t: Number) -> Number:
         load = self._check_load(load)
@@ -287,18 +197,6 @@ class ParetoDelay(DelayModel):
         result = self.scale * load * draws
         return float(result) if size is None else result
 
-    def sample_batch(
-        self, load: int, rng: RandomState = None, size: int = 1
-    ) -> np.ndarray:
-        if type(self).sample is not ParetoDelay.sample:
-            return super().sample_batch(load, rng=rng, size=size)
-        if size < 1:
-            raise ConfigurationError(f"size must be >= 1, got {size}")
-        load = self._check_load(load)
-        generator = self._rng(rng)
-        draws = 1.0 + generator.pareto(self.alpha, size=int(size))
-        return self.scale * load * draws
-
     def mean(self, load: int) -> float:
         load = self._check_load(load)
         if self.alpha <= 1.0:
@@ -324,28 +222,6 @@ class ParetoDelay(DelayModel):
         draws = 1.0 + generator.pareto(alphas, size=(int(num_draws), len(models)))
         return scales * loads_row * draws
 
-    @classmethod
-    def sample_trials(
-        cls,
-        models: Sequence[DelayModel],
-        loads: Sequence[int],
-        rngs: Sequence[RandomState],
-        num_draws: int = 1,
-    ) -> np.ndarray:
-        params = ParetoDelay._grid_parameters(models, ("alpha", "scale"))
-        if params is None:
-            return super().sample_trials(models, loads, rngs, num_draws)
-        alphas, scales = params
-        loads_row = cls._check_grid_loads(models, loads)
-        base = scales * loads_row
-        # Parameter extraction is hoisted; the draws stay per trial because
-        # every trial consumes its own generator (the stream contract).
-        shape = (int(num_draws), len(models))
-        out = np.empty((len(rngs), *shape), dtype=float)
-        for t, rng in enumerate(rngs):
-            out[t] = base * (1.0 + cls._rng(rng).pareto(alphas, size=shape))
-        return out
-
     def cdf(self, load: int, t: Number) -> Number:
         load = self._check_load(load)
         t_arr = np.asarray(t, dtype=float)
@@ -358,7 +234,7 @@ class ParetoDelay(DelayModel):
         return f"ParetoDelay(alpha={self.alpha!r}, scale={self.scale!r})"
 
 
-# reprolint: allow[RNG002] reason=sized draws are block-ordered (all jitter then all straggle flags) so no cross-worker vectorization can match the scalar stream; the inherited generic paths delegate to sample() and are the reference
+# reprolint: allow[RNG002] reason=each value draws a jitter then a straggle flag, so no broadcast grid can match the scalar stream; the inherited generic sample_grid loops sample() and is the reference
 class BimodalStragglerDelay(DelayModel):
     """"Occasionally very slow" workers.
 
@@ -439,18 +315,6 @@ class TraceDelay(DelayModel):
         result = draws * load
         return float(result) if size is None else result
 
-    def sample_batch(
-        self, load: int, rng: RandomState = None, size: int = 1
-    ) -> np.ndarray:
-        if type(self).sample is not TraceDelay.sample:
-            return super().sample_batch(load, rng=rng, size=size)
-        if size < 1:
-            raise ConfigurationError(f"size must be >= 1, got {size}")
-        load = self._check_load(load)
-        generator = self._rng(rng)
-        draws = generator.choice(self.trace, size=int(size), replace=True)
-        return draws * load
-
     def mean(self, load: int) -> float:
         return float(self.trace.mean()) * self._check_load(load)
 
@@ -478,32 +342,6 @@ class TraceDelay(DelayModel):
         generator = cls._rng(rng)
         draws = generator.choice(trace, size=(int(num_draws), len(models)), replace=True)
         return draws * loads_row
-
-    @classmethod
-    def sample_trials(
-        cls,
-        models: Sequence[DelayModel],
-        loads: Sequence[int],
-        rngs: Sequence[RandomState],
-        num_draws: int = 1,
-    ) -> np.ndarray:
-        if not TraceDelay._all_native(models):
-            return super().sample_trials(models, loads, rngs, num_draws)
-        trace = models[0].trace
-        if not all(
-            model.trace is trace or np.array_equal(model.trace, trace)
-            for model in models
-        ):
-            return super().sample_trials(models, loads, rngs, num_draws)
-        loads_row = cls._check_grid_loads(models, loads)
-        # The shared-trace check is hoisted out of the trial loop; each
-        # trial's slice still comes from its own generator, one batched
-        # choice per trial exactly like sample_grid would draw it.
-        shape = (int(num_draws), len(models))
-        out = np.empty((len(rngs), *shape), dtype=float)
-        for t, rng in enumerate(rngs):
-            out[t] = cls._rng(rng).choice(trace, size=shape, replace=True) * loads_row
-        return out
 
     def __repr__(self) -> str:
         return f"TraceDelay(num_samples={self.trace.size})"

@@ -49,6 +49,7 @@ from repro.stragglers.models import (
     ExponentialDelay,
     ParetoDelay,
     ShiftedExponentialDelay,
+    TraceDelay,
 )
 
 
@@ -66,12 +67,12 @@ class OffsetLink(LinearCommunicationModel):
         return 0.5 + super().sample(message_size, rng=rng, size=size)
 
 
-class StochasticCase(NamedTuple):
-    """A cluster with jittered transfers and the draw path it must take."""
+class DrawCase(NamedTuple):
+    """A cluster behind one link and the draw path it must take."""
 
     build: Callable[[int], ClusterSpec]
     #: Whether the vectorized engine draws one exponential block per trial
-    #: (True) or replays the per-iteration interleave (False).
+    #: (True) or takes the grid or row-by-row schedule (False).
     block: bool
 
 
@@ -79,45 +80,74 @@ def _jittered(link=LinearCommunicationModel):
     return link(latency=0.01, seconds_per_unit=0.05, jitter=0.2)
 
 
-def _homogeneous(model, link=LinearCommunicationModel):
-    return lambda n: ClusterSpec.homogeneous(n, model, _jittered(link))
+def _jitter_free():
+    return LinearCommunicationModel(latency=0.01, seconds_per_unit=0.05)
 
 
-def _alternating(n):
-    models = [
-        ShiftedExponentialDelay(2.0, 0.01) if i % 2 else ParetoDelay(2.5, 0.05)
-        for i in range(n)
-    ]
-    return ClusterSpec(
-        workers=tuple(WorkerSpec(compute=m, name=f"w{i}") for i, m in enumerate(models)),
-        communication=_jittered(),
-    )
+def _homogeneous(model, link):
+    return lambda n: ClusterSpec.homogeneous(n, model, link())
 
 
-STOCHASTIC_CASES = {
-    "shift-exponential": StochasticCase(
-        _homogeneous(ShiftedExponentialDelay(2.0, 0.01)), True
-    ),
-    "heterogeneous-shift-exponential": StochasticCase(
-        lambda n: ClusterSpec.shifted_exponential(
-            np.linspace(0.5, 4.0, n), np.linspace(0.0, 0.2, n), _jittered()
+def _alternating(link):
+    def build(n):
+        models = [
+            ShiftedExponentialDelay(2.0, 0.01) if i % 2 else ParetoDelay(2.5, 0.05)
+            for i in range(n)
+        ]
+        return ClusterSpec(
+            workers=tuple(
+                WorkerSpec(compute=m, name=f"w{i}") for i, m in enumerate(models)
+            ),
+            communication=link(),
+        )
+
+    return build
+
+
+def _draw_cases(link) -> dict:
+    """The delay-model families of the draw-path matrix behind ``link()``."""
+    return {
+        "shift-exponential": DrawCase(
+            _homogeneous(ShiftedExponentialDelay(2.0, 0.01), link), True
         ),
-        True,
+        "heterogeneous-shift-exponential": DrawCase(
+            lambda n: ClusterSpec.shifted_exponential(
+                np.linspace(0.5, 4.0, n), np.linspace(0.0, 0.2, n), link()
+            ),
+            True,
+        ),
+        "pareto": DrawCase(_homogeneous(ParetoDelay(2.5, 0.05), link), False),
+        "bimodal": DrawCase(_homogeneous(BimodalStragglerDelay(0.05), link), False),
+        "trace": DrawCase(_homogeneous(TraceDelay([0.02, 0.05, 0.3]), link), False),
+        "deterministic": DrawCase(_homogeneous(DeterministicDelay(0.05), link), False),
+        "subclassed-delay": DrawCase(_homogeneous(DoubledDelay(2.0, 0.01), link), False),
+        "mixed-class": DrawCase(_alternating(link), False),
+    }
+
+
+#: Jittered links: every iteration draws its transfers after its compute.
+STOCHASTIC_CASES = {
+    **_draw_cases(_jittered),
+    "subclassed-link": DrawCase(
+        _homogeneous(ShiftedExponentialDelay(2.0, 0.01), lambda: _jittered(OffsetLink)),
+        False,
     ),
-    "pareto": StochasticCase(_homogeneous(ParetoDelay(2.5, 0.05)), False),
-    "bimodal": StochasticCase(_homogeneous(BimodalStragglerDelay(0.05)), False),
-    "subclassed-delay": StochasticCase(_homogeneous(DoubledDelay(2.0, 0.01)), False),
-    "subclassed-link": StochasticCase(
-        _homogeneous(ShiftedExponentialDelay(2.0, 0.01), OffsetLink), False
-    ),
-    "mixed-class": StochasticCase(_alternating, False),
 }
+
+#: Jitter-free links: the stream holds compute draws only.
+JITTER_FREE_CASES = _draw_cases(_jitter_free)
 
 
 @pytest.fixture(params=sorted(STOCHASTIC_CASES))
-def stochastic_case(request) -> StochasticCase:
+def stochastic_case(request) -> DrawCase:
     """One jittered-transfer cluster per draw path of the vectorized engine."""
     return STOCHASTIC_CASES[request.param]
+
+
+@pytest.fixture(params=sorted(JITTER_FREE_CASES))
+def jitter_free_case(request) -> DrawCase:
+    """One jitter-free cluster per delay-model family of the draw-path matrix."""
+    return JITTER_FREE_CASES[request.param]
 
 
 def _with_sizes(plan, sizes):

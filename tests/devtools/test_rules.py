@@ -82,15 +82,8 @@ class MyDelay(DelayModel):
     def sample(self, load, rng=None, size=None):
         return 1.0
 
-    def sample_batch(self, load, rng=None, size=1):
-        return [1.0] * size
-
     @classmethod
     def sample_grid(cls, models, loads, rng=None, num_draws=1):
-        return []
-
-    @classmethod
-    def sample_trials(cls, models, loads, rngs, num_draws=1):
         return []
 """
 
@@ -100,9 +93,10 @@ class TestBatchPathParity:
         findings = findings_for(DELAY_OVERRIDE, "RNG002")
         assert len(findings) == 1
         message = findings[0].message
-        assert "sample_batch" in message
         assert "sample_grid" in message
-        assert "sample_trials" in message
+        # sample_grid is the whole batch contract of a delay model.
+        assert "sample_batch" not in message
+        assert "sample_trials" not in message
 
     def test_complete_override_is_clean(self):
         assert findings_for(DELAY_COMPLETE, "RNG002") == []

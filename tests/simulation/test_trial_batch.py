@@ -28,16 +28,11 @@ from repro.schemes.registry import scheme_from_config
 from repro.simulation import vectorized
 from repro.simulation.job import simulate_job
 from repro.simulation.vectorized import simulate_job_batch
-from repro.stragglers.base import DelayModel
 from repro.stragglers.communication import (
     LinearCommunicationModel,
     ZeroCommunicationModel,
 )
-from repro.stragglers.models import (
-    DeterministicDelay,
-    ParetoDelay,
-    ShiftedExponentialDelay,
-)
+from repro.stragglers.models import ParetoDelay, ShiftedExponentialDelay
 
 NUM_WORKERS = 12
 TRIALS = 4
@@ -155,30 +150,61 @@ class TestExactnessHazards:
             )
 
 
+def with_vacancies(base: ClusterSpec) -> DynamicClusterSpec:
+    """``base`` under Markov regimes, with vacant slots in every iteration."""
+    return DynamicClusterSpec(
+        base,
+        dynamics={"name": "markov", "slowdown": 4.0, "p_slow": 0.2},
+        events=(
+            ChurnEvent("preempt", worker=1, iteration=0, recovery=2),
+            ChurnEvent("leave", worker=6, iteration=2),
+        ),
+        initially_absent=(9,),
+    )
+
+
 class TestDrawSchedules:
     @pytest.mark.parametrize("dynamic", [False, True], ids=["stationary", "churn"])
     def test_stochastic_communication_matches_solo(
         self, stochastic_case, dynamic, block_draws
     ):
         base = stochastic_case.build(NUM_WORKERS)
-        cluster = base
-        if dynamic:
-            # Vacant slots in every iteration: they draw nothing.
-            cluster = DynamicClusterSpec(
-                base,
-                dynamics={"name": "markov", "slowdown": 4.0, "p_slow": 0.2},
-                events=(
-                    ChurnEvent("preempt", worker=1, iteration=0, recovery=2),
-                    ChurnEvent("leave", worker=6, iteration=2),
-                ),
-                initially_absent=(9,),
-            )
+        cluster = with_vacancies(base) if dynamic else base
         scheme = scheme_from_config({"name": "randomized", "load": 12}, cluster=base)
         for serialize in (True, False):
             assert_batch_matches_solo(
                 scheme, cluster, 24, serialize=serialize, engine="loop"
             )
         assert block_draws and set(block_draws) == {stochastic_case.block}
+
+    @pytest.mark.parametrize("dynamic", [False, True], ids=["stationary", "churn"])
+    def test_jitter_free_link_matches_loop_and_solo(
+        self, jitter_free_case, dynamic, block_draws
+    ):
+        # BCC at load 9 over 25 units holds batches of 9 and 8 units, so the
+        # trials' loads differ and each trial resolves its own compute form.
+        # Three batches keep every unit covered through the vacancies.
+        base = jitter_free_case.build(NUM_WORKERS)
+        cluster = with_vacancies(base) if dynamic else base
+        scheme = scheme_from_config({"name": "bcc", "load": 9}, cluster=base)
+        seeds = np.random.SeedSequence(42).spawn(TRIALS)
+        loads = {
+            tuple(
+                scheme.build_feasible_plan(
+                    25, NUM_WORKERS, np.random.default_rng(seed)
+                ).unit_assignment.loads
+            )
+            for seed in seeds
+        }
+        assert len(loads) > 1
+        for serialize in (True, False):
+            for engine in ("loop", "vectorized"):
+                assert_batch_matches_solo(
+                    scheme, cluster, 25, serialize=serialize, seeds=seeds, engine=engine
+                )
+        # The exponential families draw one block per trial; nothing else
+        # (a deterministic delay draws nothing at all) ever does.
+        assert block_draws and set(block_draws) == {jitter_free_case.block}
 
     def test_zero_communication_matches_solo(self):
         cluster = make_cluster("uncoded", ZeroCommunicationModel())
@@ -335,66 +361,6 @@ class TestPerTrialPlans:
             np.testing.assert_array_equal(
                 stacked[block], coverage_completion(positions[block], owners[t], starts[t])
             )
-
-
-class TestSampleTrialsContracts:
-    """The 3-D draw paths: slice t == the 2-D draw at the same seed."""
-
-    def test_delay_sample_trials_slices_match_sample_grid(self):
-        models = [ShiftedExponentialDelay(0.5 + i, 0.1 * i) for i in range(5)]
-        loads = [2, 3, 4, 5, 6]
-        seeds = [np.random.SeedSequence(i) for i in range(3)]
-        tensor = ShiftedExponentialDelay.sample_trials(
-            models, loads, [np.random.default_rng(s) for s in seeds], 7
-        )
-        assert tensor.shape == (3, 7, 5)
-        for t, seed in enumerate(seeds):
-            expected = ShiftedExponentialDelay.sample_grid(
-                models, loads, np.random.default_rng(seed), 7
-            )
-            np.testing.assert_array_equal(tensor[t], expected)
-
-    def test_mixed_models_fall_back_to_the_generic_trials_path(self):
-        models = [ShiftedExponentialDelay(1.0), ParetoDelay(2.0, 0.1)]
-        loads = [2, 3]
-        seeds = [np.random.SeedSequence(i) for i in range(2)]
-        tensor = DelayModel.sample_trials(
-            models, loads, [np.random.default_rng(s) for s in seeds], 4
-        )
-        for t, seed in enumerate(seeds):
-            expected = DelayModel.sample_grid(
-                models, loads, np.random.default_rng(seed), 4
-            )
-            np.testing.assert_array_equal(tensor[t], expected)
-
-    def test_deterministic_delay_consumes_no_randomness(self):
-        models = [DeterministicDelay(0.1 * (i + 1)) for i in range(4)]
-        rngs = [np.random.default_rng(i) for i in range(3)]
-        states = [rng.bit_generator.state for rng in rngs]
-        tensor = DeterministicDelay.sample_trials(models, [1, 2, 3, 4], rngs, 5)
-        assert tensor.shape == (3, 5, 4)
-        assert (tensor == tensor[0, 0]).all()
-        for rng, state in zip(rngs, states):
-            assert rng.bit_generator.state == state
-
-    def test_communication_sample_trials_slices_match_sample_batch(self):
-        comm = LinearCommunicationModel(latency=0.01, seconds_per_unit=0.1, jitter=0.2)
-        sizes = np.array([1.0, 2.0, 0.5])
-        seeds = [np.random.SeedSequence(i) for i in range(3)]
-        stack = comm.sample_trials(sizes, [np.random.default_rng(s) for s in seeds])
-        assert stack.shape == (3, 3)
-        for t, seed in enumerate(seeds):
-            expected = comm.sample_batch(sizes, np.random.default_rng(seed))
-            np.testing.assert_array_equal(stack[t], expected)
-
-    def test_deterministic_communication_broadcasts_without_drawing(self):
-        comm = LinearCommunicationModel(latency=0.01, seconds_per_unit=0.1)
-        rngs = [np.random.default_rng(i) for i in range(2)]
-        states = [rng.bit_generator.state for rng in rngs]
-        stack = comm.sample_trials(np.array([1.0, 2.0]), rngs)
-        np.testing.assert_array_equal(stack[0], stack[1])
-        for rng, state in zip(rngs, states):
-            assert rng.bit_generator.state == state
 
 
 class TestRunBatchBackend:

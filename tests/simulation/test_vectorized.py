@@ -137,6 +137,20 @@ class TestSchemeEquivalence:
         assert_identical(loop, vectorized)
         assert block_draws and set(block_draws) == {stochastic_case.block}
 
+    @pytest.mark.parametrize("name", ["bcc", "uncoded", "fractional-repetition"])
+    def test_jitter_free_link_identical(self, name, jitter_free_case, block_draws):
+        # A jitter-free link draws nothing: shift-exponential workers take
+        # the exponential block with one draw per value, every other
+        # sampler the grid draw.
+        config, num_units = SCHEME_MATRIX[name]
+        cluster = jitter_free_case.build(12)
+        for serialize in (True, False):
+            loop, vectorized = run_both(
+                config, cluster, num_units, serialize_master_link=serialize
+            )
+            assert_identical(loop, vectorized)
+        assert block_draws and set(block_draws) == {jitter_free_case.block}
+
     @pytest.mark.parametrize("serialize", [True, False], ids=["serialized", "parallel"])
     def test_exactness_hazards_identical(self, exactness_hazard, serialize):
         # Arrival ties the completion order ranks larger worker first, and
@@ -242,23 +256,6 @@ class TestDelayModelPaths:
         )
         loop, vectorized = run_both({"name": "uncoded"}, cluster, 12)
         assert_identical(loop, vectorized)
-
-    @pytest.mark.parametrize(
-        "model",
-        [
-            TraceDelay([0.1, 0.4, 0.9, 1.5, 2.2]),
-            BimodalStragglerDelay(),
-            ParetoDelay(alpha=2.5, scale=0.3),
-        ],
-        ids=lambda model: type(model).__name__,
-    )
-    def test_sample_batch_fallback_equals_sized_draws(self, model):
-        # Models without a native sample_batch inherit the base fallback,
-        # whose contract is equality with the sized draw path — the stream
-        # guarantee the engine's communication batching builds on.
-        batch = model.sample_batch(3, np.random.default_rng(11), size=7)
-        sized = model.sample(3, np.random.default_rng(11), size=7)
-        np.testing.assert_array_equal(batch, sized)
 
     def test_trace_grid_native_path_equals_generic_fallback(self):
         from repro.stragglers.base import DelayModel
@@ -415,47 +412,48 @@ class TestEngineKnob:
     def test_engine_names(self):
         assert set(ENGINES) == {"loop", "vectorized", "auto"}
         with pytest.raises(ConfigurationError):
-            resolve_engine("warp", num_iterations=1, num_workers=1)
+            resolve_engine("warp")
         with pytest.raises(ConfigurationError):
             simulate_job(
                 BCCScheme(4), make_cluster("bcc"), 24, 2, rng=0, engine="warp"
             )
 
-    def test_auto_picks_by_job_size(self):
-        assert resolve_engine("auto", num_iterations=1, num_workers=4) == "loop"
-        assert (
-            resolve_engine("auto", num_iterations=1000, num_workers=1000)
-            == "vectorized"
-        )
-        assert resolve_engine("loop", num_iterations=10**6, num_workers=10**6) == "loop"
-        assert resolve_engine("vectorized", num_iterations=1, num_workers=1) == (
-            "vectorized"
-        )
+    def test_auto_is_vectorized_and_loop_stays_selectable(self):
+        assert resolve_engine("auto") == "vectorized"
+        assert resolve_engine("vectorized") == "vectorized"
+        assert resolve_engine("loop") == "loop"
 
-    def test_auto_threshold_keeps_tiny_jobs_on_the_loop(self):
-        # Below the calibrated crossover (iterations x workers x trials)
-        # the loop engine's lower setup cost wins — tiny jobs must not pay
-        # vectorized setup.
-        assert resolve_engine("auto", num_iterations=1, num_workers=1) == "loop"
-        assert resolve_engine("auto", num_iterations=3, num_workers=5) == "loop"
-        assert resolve_engine("auto", num_iterations=1, num_workers=15) == "loop"
-        assert resolve_engine("auto", num_iterations=2, num_workers=8) == "vectorized"
+    def test_auto_runs_the_tiniest_job_vectorized(self, monkeypatch):
+        # One worker, one iteration: "auto" still takes the vectorized
+        # engine, and the loop oracle agrees with it.
+        from repro.simulation import vectorized
 
-    def test_auto_threshold_is_trial_aware(self):
-        # A trial-batched cell amortises vectorized setup over every trial,
-        # so auto decides on the full trials x iterations x workers volume.
-        assert (
-            resolve_engine("auto", num_iterations=1, num_workers=15, num_trials=1)
-            == "loop"
+        entries = []
+        entry = vectorized.simulate_job_vectorized
+
+        def counting(*args, **kwargs):
+            entries.append(1)
+            return entry(*args, **kwargs)
+
+        monkeypatch.setattr(vectorized, "simulate_job_vectorized", counting)
+        cluster = ClusterSpec.homogeneous(1, ShiftedExponentialDelay(2.0, 0.1))
+        auto = simulate_job(UncodedScheme(), cluster, 1, 1, rng=5, engine="auto")
+        loop = simulate_job(UncodedScheme(), cluster, 1, 1, rng=5, engine="loop")
+        assert entries == [1]
+        assert_identical(loop, auto)
+
+    def test_auto_batches_trials_of_the_tiniest_job(self):
+        from repro.api import JobSpec, TimingSimBackend
+
+        spec = JobSpec(
+            scheme={"name": "uncoded"},
+            cluster=ClusterSpec.homogeneous(1, ShiftedExponentialDelay(2.0, 0.1)),
+            num_units=1,
+            num_iterations=1,
+            seed=0,
         )
-        assert (
-            resolve_engine("auto", num_iterations=1, num_workers=15, num_trials=2)
-            == "vectorized"
-        )
-        assert (
-            resolve_engine("auto", num_iterations=1, num_workers=4, num_trials=4)
-            == "vectorized"
-        )
+        assert TimingSimBackend(engine="auto").supports_trial_batching(spec)
+        assert not TimingSimBackend(engine="loop").supports_trial_batching(spec)
 
     def test_auto_equals_both_engines_anyway(self):
         cluster = make_cluster("uncoded")

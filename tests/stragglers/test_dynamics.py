@@ -209,34 +209,3 @@ class TestProcessRegistry:
         with pytest.raises(ConfigurationError, match="'name' key"):
             process_from_config({"slowdown": 2.0})
 
-
-class TestSampleTimeline:
-    def test_shift_exponential_fast_path_matches_generic(self):
-        rows = [
-            [ShiftedExponentialDelay(1.0, 0.1), ShiftedExponentialDelay(2.0, 0.2)],
-            [ShiftedExponentialDelay(4.0, 0.1), ShiftedExponentialDelay(0.5, 0.0)],
-            [ShiftedExponentialDelay(1.5, 0.3), ShiftedExponentialDelay(1.5, 0.3)],
-        ]
-        loads = [5, 9]
-        fast = ShiftedExponentialDelay.sample_timeline(
-            rows, loads, np.random.default_rng(11)
-        )
-        generic = DelayModel.sample_timeline(rows, loads, np.random.default_rng(11))
-        np.testing.assert_array_equal(fast, generic)
-
-    def test_mixed_matrix_falls_back_identically(self):
-        rows = [
-            [ShiftedExponentialDelay(1.0, 0.1), DeterministicDelay(0.2)],
-            [ShiftedExponentialDelay(2.0, 0.1), DeterministicDelay(0.2)],
-        ]
-        loads = [3, 4]
-        via_subclass = ShiftedExponentialDelay.sample_timeline(
-            rows, loads, np.random.default_rng(2)
-        )
-        generic = DelayModel.sample_timeline(rows, loads, np.random.default_rng(2))
-        np.testing.assert_array_equal(via_subclass, generic)
-
-    def test_row_length_mismatch_raises(self):
-        rows = [[ShiftedExponentialDelay(1.0)], [ShiftedExponentialDelay(1.0)]]
-        with pytest.raises(ValueError):
-            DelayModel.sample_timeline(rows, [1, 2], np.random.default_rng(0))

@@ -167,26 +167,6 @@ class TestBatchedSampling:
         )
 
     @pytest.mark.parametrize(
-        "model",
-        [
-            ShiftedExponentialDelay(straggling=2.0, shift=0.5),
-            ExponentialDelay(straggling=1.5),
-            DeterministicDelay(0.3),
-            ParetoDelay(alpha=2.5, scale=0.7),
-            BimodalStragglerDelay(),
-            TraceDelay([0.1, 0.4, 0.9]),
-        ],
-    )
-    def test_sample_batch_matches_sized_sample(self, model):
-        batched = model.sample_batch(5, rng=np.random.default_rng(0), size=64)
-        sized = model.sample(5, rng=np.random.default_rng(0), size=64)
-        np.testing.assert_array_equal(batched, sized)
-
-    def test_sample_batch_rejects_nonpositive_size(self):
-        with pytest.raises(ValueError):
-            DeterministicDelay(1.0).sample_batch(3, size=0)
-
-    @pytest.mark.parametrize(
         "models",
         [
             [ShiftedExponentialDelay(1.0, 0.1), ShiftedExponentialDelay(4.0, 0.0)],
