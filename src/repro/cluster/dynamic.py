@@ -11,13 +11,14 @@ A :class:`DynamicClusterSpec` wraps a stationary
   iterations (elastic scale-out, planned decommissions, injected failures).
 
 Calling :meth:`DynamicClusterSpec.materialize` realises both into a
-:class:`ClusterTimeline`: one effective delay model per (iteration, worker)
-cell, with vacant slots holding
-:class:`~repro.stragglers.dynamics.UnavailableDelay`. Both timing engines
-consume the timeline — the loop engine through per-iteration
-:meth:`ClusterTimeline.cluster_at` snapshots, the vectorized engine through
-the model matrix directly — so their bit-identity guarantee extends to
-dynamic clusters.
+:class:`ClusterTimeline`: one delay factor per (iteration, worker) cell of
+the base cluster (``c`` stands for
+:func:`~repro.stragglers.dynamics.scale_delay` ``(base, c)``, ``inf`` for a
+vacant slot's :class:`~repro.stragglers.dynamics.UnavailableDelay`). Both
+timing engines consume the timeline — the loop engine through
+per-iteration :meth:`ClusterTimeline.cluster_at` snapshots, the vectorized
+engine through the factors directly — so their bit-identity guarantee
+extends to dynamic clusters.
 
 RNG contract
 ------------
@@ -50,10 +51,9 @@ from repro.stragglers.communication import CommunicationModel
 from repro.stragglers.dynamics import (
     UNAVAILABLE,
     ProcessLike,
-    UnavailableDelay,
     WorkerProcess,
-    memoize_by_id,
     process_from_config,
+    scale_delay,
 )
 from repro.utils.rng import RandomState, as_generator
 from repro.utils.validation import check_positive_int
@@ -133,58 +133,61 @@ class ChurnEvent:
 
 
 class ClusterTimeline:
-    """A materialised dynamic cluster: one delay model per (iteration, worker).
+    """A materialised dynamic cluster: one delay factor per (iteration, worker).
 
     Produced by :meth:`DynamicClusterSpec.materialize`; consumed by both
-    timing engines. ``models[t][w]`` is worker ``w``'s effective delay model
-    at iteration ``t`` (:data:`~repro.stragglers.dynamics.UNAVAILABLE`-style
-    models mark vacant slots); ``availability`` is the matching boolean
-    matrix.
+    timing engines. ``factors[t, w]`` scales worker ``w``'s base delay model
+    at iteration ``t`` (``1.0`` is the base model itself, ``inf`` a vacant
+    slot), and ``availability`` is ``factors``' finite mask. Per-cell model
+    objects are built on first read (:attr:`models`, :meth:`cluster_at`)
+    and cached by (worker, factor).
     """
 
-    def __init__(
-        self,
-        base: ClusterSpec,
-        models: Sequence[Sequence[DelayModel]],
-        availability: np.ndarray,
-    ) -> None:
+    def __init__(self, base: ClusterSpec, factors: np.ndarray) -> None:
         self.base = base
-        self.models: List[List[DelayModel]] = [list(row) for row in models]
-        self.availability = np.asarray(availability, dtype=bool)
-        if self.availability.shape != (len(self.models), base.num_workers):
+        self.factors = np.asarray(factors, dtype=float)
+        if self.factors.ndim != 2 or self.factors.shape[1] != base.num_workers:
             raise ConfigurationError(
-                "availability must be an (iterations, workers) matrix matching "
-                "the model grid"
+                f"factors must be an (iterations, {base.num_workers}) matrix, "
+                f"got shape {self.factors.shape}"
             )
-        self._worker_cache: Dict[Tuple[int, int], WorkerSpec] = {}
+        if not np.all(self.factors > 0):
+            raise ConfigurationError("delay factors must be positive (inf: vacant)")
+        self.availability = np.isfinite(self.factors)
+        self._workers: Dict[Tuple[int, float], WorkerSpec] = {}
 
     @property
     def num_iterations(self) -> int:
-        return len(self.models)
+        return self.factors.shape[0]
 
     @property
     def num_workers(self) -> int:
         return self.base.num_workers
 
+    @property
+    def models(self) -> List[List[DelayModel]]:
+        """``models[t][w]``: worker ``w``'s effective delay model at iteration ``t``."""
+        return [
+            [self._worker(w, factor).compute for w, factor in enumerate(row)]
+            for row in self.factors.tolist()
+        ]
+
     def cluster_at(self, iteration: int) -> ClusterSpec:
         """The effective stationary cluster snapshot of one iteration."""
-        row = self.models[iteration]
         workers = tuple(
-            self._worker_spec(index, model) for index, model in enumerate(row)
+            self._worker(w, factor)
+            for w, factor in enumerate(self.factors[iteration].tolist())
         )
         return ClusterSpec(workers=workers, communication=self.base.communication)
 
-    def _worker_spec(self, index: int, model: DelayModel) -> WorkerSpec:
-        # Model instances repeat heavily across iterations (a Markov worker
-        # alternates between two models); cache the frozen WorkerSpec per
-        # (slot, model object) so the loop engine's per-iteration snapshots
-        # stay cheap.
-        # reprolint: allow[CACHE002] reason=intra-process memoization per live model object; identity IS the key semantic here, nothing persists or crosses processes
-        key = (index, id(model))
-        spec = self._worker_cache.get(key)
+    def _worker(self, index: int, factor: float) -> WorkerSpec:
+        # A worker's cells repeat a few factors (a Markov worker alternates
+        # between two), so each (slot, factor) builds its model once.
+        spec = self._workers.get((index, factor))
         if spec is None:
-            spec = WorkerSpec(compute=model, name=self.base.workers[index].name)
-            self._worker_cache[key] = spec
+            worker = self.base.workers[index]
+            model = UNAVAILABLE if factor == np.inf else scale_delay(worker.compute, factor)
+            spec = self._workers[index, factor] = WorkerSpec(model, worker.name)
         return spec
 
 
@@ -355,7 +358,7 @@ class DynamicClusterSpec:
     def materialize(
         self, num_iterations: int, rng: RandomState = None
     ) -> ClusterTimeline:
-        """Realise the per-(iteration, worker) delay-model timeline.
+        """Realise the per-(iteration, worker) delay-factor timeline.
 
         Consumes exactly one ``integers`` draw from ``rng`` when the spec has
         no explicit ``seed`` (and nothing otherwise) — the contract both
@@ -369,36 +372,28 @@ class DynamicClusterSpec:
             dynamics_seed = self.seed
         dynamics_rng = np.random.default_rng(dynamics_seed)
 
-        up = self.availability(num_iterations)
-        processes = self._processes
-        availability = up.copy()
-        is_down = memoize_by_id(lambda model: isinstance(model, UnavailableDelay))
-        columns: List[List[DelayModel]] = []
-        for worker in range(self.base.num_workers):
-            base_model = self.base.workers[worker].compute
-            process = processes[worker] if processes is not None else None
-            if process is None:
-                column = [base_model] * num_iterations
-            else:
-                # The process draws from the dynamics generator regardless of
-                # the scripted schedule, so consumption is schedule-free.
-                column = process.timeline(base_model, num_iterations, dynamics_rng)
-                if len(column) != num_iterations:
+        factors = np.ones((num_iterations, self.base.num_workers))
+        processes = self._processes or ()
+        start = 0
+        while start < len(processes):
+            # One call per run of consecutive workers sharing a process; the
+            # process draws from the dynamics generator regardless of the
+            # scripted schedule, so consumption is schedule-free.
+            process, stop = processes[start], start + 1
+            while stop < len(processes) and processes[stop] is process:
+                stop += 1
+            if process is not None:
+                shape = (num_iterations, stop - start)
+                block = np.asarray(
+                    process.timeline(num_iterations, stop - start, dynamics_rng),
+                    dtype=float,
+                )
+                if block.shape != shape:
                     raise ConfigurationError(
-                        f"process {process!r} returned {len(column)} models "
-                        f"for a {num_iterations}-iteration timeline"
+                        f"process {process!r} returned a {block.shape} factor "
+                        f"block for {shape[0]} iterations x {shape[1]} workers"
                     )
-                if process.can_remove_workers:
-                    availability[:, worker] &= np.fromiter(
-                        (not is_down(model) for model in column),
-                        dtype=bool,
-                        count=num_iterations,
-                    )
-            columns.append(column)
-
-        models = [list(row) for row in zip(*columns)]
-        for t, worker in np.argwhere(~up):
-            models[t][worker] = UNAVAILABLE
-        return ClusterTimeline(
-            base=self.base, models=models, availability=availability
-        )
+                factors[:, start:stop] = block
+            start = stop
+        factors[~self.availability(num_iterations)] = np.inf
+        return ClusterTimeline(self.base, factors)

@@ -54,7 +54,7 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.cluster.dynamic import ClusterTimeline, DynamicClusterSpec
+from repro.cluster.dynamic import DynamicClusterSpec
 from repro.cluster.spec import ClusterSpec
 from repro.datasets.batching import BatchSpec
 from repro.exceptions import ConfigurationError
@@ -253,8 +253,7 @@ def _timeline_models(
 ) -> List[List[object]]:
     """The per-(iteration, worker) effective delay models of the scenario."""
     if isinstance(spec, DynamicClusterSpec):
-        timeline: ClusterTimeline = spec.materialize(num_iterations, rng=rng)
-        return [list(row) for row in timeline.models]
+        return spec.materialize(num_iterations, rng=rng).models
     row = [worker.compute for worker in spec.workers]
     return [list(row) for _ in range(num_iterations)]
 

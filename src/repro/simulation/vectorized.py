@@ -37,8 +37,9 @@ schedules picked from the models alone:
   samplers perform, so the values and the generator's end state are
   bit-identical. On a stationary cluster every row has ``u = n``; on a
   dynamic one vacant slots draw nothing and the rows sit at cumulative
-  offsets of the block. The paper's shift-exponential workers take this
-  path behind either link.
+  offsets of the block, and the hook reads the base models scaled by the
+  timeline's delay factors, so no per-cell model object is built. The
+  paper's shift-exponential workers take this path behind either link.
 * **The grid draw.** Any other model on a stationary cluster behind a
   deterministic link draws the whole compute matrix with one
   :meth:`~repro.stragglers.base.DelayModel.sample_grid` call per trial: its
@@ -126,7 +127,6 @@ count.
 
 from __future__ import annotations
 
-import itertools
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -450,20 +450,20 @@ def _draw_chunk(
     form: Optional[Tuple[np.ndarray, np.ndarray]] = None
     form_loads: Optional[np.ndarray] = None
     up: Optional[np.ndarray] = None
-    models = (
-        [cluster.workers[worker].compute for worker in active.tolist()]
-        if isinstance(cluster, ClusterSpec)
-        else []
-    )
+    dynamic = isinstance(cluster, DynamicClusterSpec)
+    base = cluster.base if dynamic else cluster
+    models = [base.workers[worker].compute for worker in active.tolist()]
     for t, (generator, loads) in enumerate(zip(chunk.generators, chunk.loads)):
-        if isinstance(cluster, DynamicClusterSpec):
+        if dynamic:
             timeline = cluster.materialize(num_iterations, generator)
-            model_rows, up = timeline.models, timeline.availability
-            if active.size < cluster.num_workers:
-                model_rows = [[row[w] for w in active.tolist()] for row in model_rows]
-                up = up[:, active]
-            form = _timeline_form(model_rows, up, loads) if exponential else None
+            up = timeline.availability[:, active]
+            if exponential:
+                # Vacant slots scale by 1.0, so no inf enters the arithmetic.
+                factors = np.where(up, timeline.factors[:, active], 1.0)
+                form = type(models[0]).exponential_form(models, loads, factors)
             draws = _draw_timeline_block(form, up, transfer_form, generator)
+            if draws is None:
+                model_rows = [[row[w] for w in active.tolist()] for row in timeline.models]
         else:
             model_rows = [models] * num_iterations
             if exponential and (form_loads is None or not np.array_equal(loads, form_loads)):
@@ -524,27 +524,6 @@ def _draw_grid_block(
     return compute, transfer, order
 
 
-def _timeline_form(
-    model_rows: Sequence[Sequence[DelayModel]], up: np.ndarray, loads: np.ndarray
-) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """The exponential form of a timeline's up slots, row-major, or ``None``.
-
-    ``up`` is the timeline's availability matrix, which marks vacant exactly
-    the slots :meth:`~repro.cluster.dynamic.DynamicClusterSpec.materialize`
-    filled with a vacant model; every other slot goes through the
-    exponential-form hook, which refuses a vacant model a process reported
-    as available.
-    """
-    cells = list(
-        itertools.compress(
-            itertools.chain.from_iterable(model_rows), up.ravel().tolist()
-        )
-    )
-    if not cells:
-        return None
-    return type(cells[0]).exponential_form(cells, np.broadcast_to(loads, up.shape)[up])
-
-
 def _draw_timeline_block(
     form: Optional[Tuple[np.ndarray, np.ndarray]],
     up: np.ndarray,
@@ -553,24 +532,26 @@ def _draw_timeline_block(
 ) -> Optional[tuple]:
     """The block draw over a timeline, or ``None`` without a compute form.
 
-    ``form`` is :func:`_timeline_form`'s and ``transfer_form`` the link's,
-    ``None`` on a deterministic link. Row ``i`` with ``u`` up workers owns
-    consecutive draws of one flat standard-exponential block: its ``u``
-    compute draws in worker order, then, on a jittered link, its ``u``
-    transfer draws in completion order. Vacant slots draw nothing.
+    ``form`` is the timeline's ``(iterations, n)`` compute ``(offset,
+    scale)`` and ``transfer_form`` the link's, ``None`` on a deterministic
+    link. Row ``i`` with ``u`` up workers owns consecutive draws of one flat
+    standard-exponential block: its ``u`` compute draws in worker order,
+    then, on a jittered link, its ``u`` transfer draws in completion order.
+    Vacant slots draw nothing.
     """
     if form is None:
         return None
+    offset, scale = form[0][up], form[1][up]
     compute = np.full(up.shape, np.inf)
     if transfer_form is None:
         # Row-major up slots draw consecutive values.
-        compute[up] = form[0] + form[1] * generator.standard_exponential(form[0].size)
+        compute[up] = offset + scale * generator.standard_exponential(offset.size)
         return compute, None, None
     counts = np.count_nonzero(up, axis=1)
     starts = np.cumsum(2 * counts) - 2 * counts
     block = generator.standard_exponential(2 * int(counts.sum()))
     slots = starts[:, None] + np.cumsum(up, axis=1) - 1
-    compute[up] = form[0] + form[1] * block[slots[up]]
+    compute[up] = offset + scale * block[slots[up]]
     order = np.argsort(compute, axis=1, kind="stable")
     finished = np.arange(up.shape[1]) < counts[:, None]
     workers = order[finished]

@@ -49,6 +49,13 @@ stream. The hook also answers ``None`` for any model whose class overrides
 :meth:`sample` — such a model's stream is unknown, and the engine must keep
 calling it. The shift-exponential :meth:`sample_grid` reads its parameters
 through the same hook.
+
+A dynamic cluster's timeline (:mod:`repro.cluster.dynamic`) holds delay
+*factors*, not models, so the hook also takes an ``(iterations, workers)``
+``factors`` matrix and answers cell ``(i, j)``'s form of
+:func:`~repro.stragglers.dynamics.scale_delay` ``(models[j], factors[i, j])``,
+with that function's float operations and checks; ``1.0`` is exactly the
+unscaled form. Factors must be finite: pass ``1.0`` on vacant slots.
 """
 
 from __future__ import annotations
@@ -122,14 +129,19 @@ class DelayModel(abc.ABC):
 
     @classmethod
     def exponential_form(
-        cls, models: Sequence["DelayModel"], loads: Sequence[int]
+        cls,
+        models: Sequence["DelayModel"],
+        loads: Sequence[int],
+        factors: Optional[np.ndarray] = None,
     ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
         """``(offset, scale)`` rows with ``sample == offset + scale * E``, or ``None``.
 
         ``models[j]`` at load ``loads[j]`` draws ``offset[j] + scale[j] * E``
         where ``E`` is one ``standard_exponential`` draw (see the module
-        docstring). ``None`` means some model does not sample that way; the
-        base class answers ``None`` for every group.
+        docstring); with ``factors``, cell ``(i, j)`` of two matrices holds
+        ``models[j]`` scaled by ``factors[i, j]``. ``None`` means some model
+        does not sample that way; the base class answers ``None`` for every
+        group.
         """
         return None
 

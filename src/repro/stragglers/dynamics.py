@@ -4,10 +4,12 @@ The paper's evaluation freezes one delay model per worker for the whole job.
 Real fleets do not hold still: EC2 instances flip between fast and slow
 phases, performance drifts as co-tenants come and go, and spot instances are
 preempted and replaced mid-job. This module models those regimes as *worker
-processes*: a :class:`WorkerProcess` maps a worker's stationary base
-:class:`~repro.stragglers.base.DelayModel` to one effective delay model **per
-iteration**, so the rest of the stack (both timing engines, the API layer)
-keeps treating each single iteration exactly as before.
+processes*: a :class:`WorkerProcess` gives a group of workers one delay
+*factor* **per iteration**: ``1.0`` keeps a worker's stationary base
+:class:`~repro.stragglers.base.DelayModel`, ``c`` scales its completion
+times by ``c`` (:func:`scale_delay`), and ``inf`` marks the slot vacant
+(:data:`UNAVAILABLE`). The rest of the stack (both timing engines, the API
+layer) keeps treating each single iteration exactly as before.
 
 Three processes cover the production folklore:
 
@@ -26,10 +28,13 @@ Determinism contract
 --------------------
 A process draws from the *dynamics* generator handed to
 :meth:`WorkerProcess.timeline` — never from the job's draw stream — and its
-consumption depends only on ``num_iterations``, never on the realised states.
-:meth:`repro.cluster.dynamic.DynamicClusterSpec.materialize` relies on this to
-keep timelines reproducible and identical across the loop and vectorized
-engines.
+consumption depends only on ``num_iterations`` and ``num_workers``, never on
+the realised states. A call for ``k`` workers consumes the generator exactly
+like ``k`` consecutive one-worker calls, worker-major: worker ``j``'s draws
+follow worker ``j - 1``'s. :meth:`repro.cluster.dynamic.DynamicClusterSpec.materialize`
+calls each process once per run of consecutive workers that share it, and
+relies on this rule to keep timelines reproducible and identical across the
+loop and vectorized engines, however the workers are grouped.
 
 The trial-batched engine
 (:func:`~repro.simulation.vectorized.simulate_job_batch`) extends the same
@@ -46,19 +51,24 @@ shifting a single draw.
 
 Scaling a delay model
 ---------------------
-:func:`scale_delay` multiplies a model's completion times by a constant
-*without changing how the model consumes the random stream*: the built-in
-families are re-parameterised in closed form (a shift-exponential scaled by
-``c`` is again shift-exponential with shift ``c * a`` and straggling
-``mu / c``), so a Markov-modulated shift-exponential worker still takes the
-vectorized engine's block draw. Unknown models fall back to a
+A factor ``c`` stands for :func:`scale_delay` ``(base, c)``: the base's
+completion times times ``c``, *without changing how the model consumes the
+random stream*. The built-in families are re-parameterised in closed form
+(a shift-exponential scaled by ``c`` is again shift-exponential with shift
+``a * c`` and straggling ``mu / c``); unknown models fall back to a
 :class:`ScaledDelay` wrapper that delegates sampling to the wrapped model
-(consuming its stream unchanged) and multiplies the result.
+(consuming its stream unchanged) and multiplies the result. A materialised
+timeline keeps the factors and builds a scaled model only when something
+reads one: the vectorized engine reads a shift-exponential timeline's block
+form straight from the base parameters and the factors
+(:meth:`~repro.stragglers.base.DelayModel.exponential_form`), with the same
+float operations :func:`scale_delay` performs.
 """
 
 from __future__ import annotations
 
 import abc
+import math
 from typing import Dict, List, Mapping, Optional, Type, Union
 
 import numpy as np
@@ -83,7 +93,6 @@ __all__ = [
     "UNAVAILABLE",
     "ScaledDelay",
     "scale_delay",
-    "memoize_by_id",
     "WorkerProcess",
     "MarkovModulatedDelay",
     "DriftingDelay",
@@ -174,34 +183,6 @@ class ScaledDelay(DelayModel):
         return f"ScaledDelay({self.inner!r}, factor={self.factor!r})"
 
 
-def _uses_native_sampler(model: DelayModel, cls: Type[DelayModel]) -> bool:
-    """Whether ``model`` is a ``cls`` still using ``cls``'s scalar sampler."""
-    return isinstance(model, cls) and type(model).sample is cls.sample
-
-
-def memoize_by_id(function):
-    """Memoize a one-argument function on its argument's object identity.
-
-    Timelines repeat a handful of model *instances* (a Markov worker
-    alternates between two models, vacant slots share one sentinel), so a
-    per-cell predicate — materialisation's vacancy check — reduces to one
-    dict hit per cell instead of an ``isinstance`` pass. The cache holds
-    strong references to nothing (only ``id()`` keys), so callers must keep
-    it scoped to one materialisation pass where the model objects stay
-    alive.
-    """
-    cache: Dict[int, object] = {}
-
-    def memoized(argument):
-        # reprolint: allow[CACHE002] reason=documented intra-process memoization keyed on live object identity within one draw pass; never persisted or content-addressed
-        key = id(argument)
-        if key not in cache:
-            cache[key] = function(argument)
-        return cache[key]
-
-    return memoized
-
-
 def scale_delay(model: DelayModel, factor: float) -> DelayModel:
     """A delay model whose completion times are ``factor`` times ``model``'s.
 
@@ -224,45 +205,57 @@ def scale_delay(model: DelayModel, factor: float) -> DelayModel:
         return model
     if isinstance(model, UnavailableDelay):
         return model
-    if _uses_native_sampler(model, ShiftedExponentialDelay):
+    if ShiftedExponentialDelay._all_native([model]):
         return ShiftedExponentialDelay(
             straggling=model.straggling / factor, shift=model.shift * factor
         )
-    if _uses_native_sampler(model, DeterministicDelay):
+    if DeterministicDelay._all_native([model]):
         return DeterministicDelay(
             seconds_per_example=model.seconds_per_example * factor
         )
-    if _uses_native_sampler(model, ParetoDelay):
+    if ParetoDelay._all_native([model]):
         return ParetoDelay(alpha=model.alpha, scale=model.scale * factor)
-    if _uses_native_sampler(model, TraceDelay):
+    if TraceDelay._all_native([model]):
         return TraceDelay(per_example_times=model.trace * factor)
     return ScaledDelay(model, factor)
+
+
+def _check_finite(value: float, name: str) -> None:
+    # An infinite factor would read as a vacant slot.
+    if not math.isfinite(value):
+        raise ConfigurationError(f"{name} must be finite, got {value}")
+
+
+def _uniform_block(
+    num_iterations: int, num_workers: int, rng: RandomState
+) -> np.ndarray:
+    """``(num_workers, num_iterations)`` uniforms: one C-order call draws
+    like ``num_workers`` consecutive ``random(num_iterations)`` calls."""
+    check_positive_int(num_iterations, "num_iterations")
+    check_positive_int(num_workers, "num_workers")
+    return as_generator(rng).random((num_workers, num_iterations))
 
 
 # --------------------------------------------------------------------------- #
 # Worker processes
 # --------------------------------------------------------------------------- #
 class WorkerProcess(abc.ABC):
-    """A time-varying transformation of one worker's delay model.
+    """A time-varying transformation of a group of workers' delay models.
 
-    Subclasses implement :meth:`timeline`: given the worker's stationary base
-    model and the job horizon, return the effective delay model of every
-    iteration. The determinism contract (module docstring) requires the
-    number of values drawn from ``rng`` to depend only on
-    ``num_iterations``.
+    Subclasses implement :meth:`timeline`: given the job horizon and a
+    number of workers, return every (iteration, worker) cell's delay
+    factor. ``1.0`` keeps the worker's base model, ``c`` stands for
+    :func:`scale_delay` ``(base, c)`` and ``inf`` marks the slot vacant. The
+    determinism contract (module docstring) requires the number of values
+    drawn from ``rng`` to depend only on the two sizes, and a ``k``-worker
+    call to consume it like ``k`` one-worker calls, worker-major.
     """
-
-    #: Whether :meth:`timeline` may emit :class:`UnavailableDelay` entries.
-    #: Processes that only reshape delays (regime switching, drift) leave it
-    #: ``False`` so cluster materialisation can skip the per-cell
-    #: availability scan of their columns.
-    can_remove_workers: bool = False
 
     @abc.abstractmethod
     def timeline(
-        self, base: DelayModel, num_iterations: int, rng: RandomState = None
-    ) -> List[DelayModel]:
-        """Effective delay models of one worker, one entry per iteration."""
+        self, num_iterations: int, num_workers: int, rng: RandomState = None
+    ) -> np.ndarray:
+        """The ``(num_iterations, num_workers)`` factor block of a worker group."""
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"
@@ -382,27 +375,24 @@ class MarkovModulatedDelay(WorkerProcess):
         start_slow: bool = False,
     ) -> None:
         self.slowdown = check_in_range(slowdown, "slowdown", low=1.0)
+        _check_finite(self.slowdown, "slowdown")
         self.p_slow = check_probability(p_slow, "p_slow")
         self.p_recover = check_probability(p_recover, "p_recover")
         self.start_slow = bool(start_slow)
 
     def timeline(
-        self, base: DelayModel, num_iterations: int, rng: RandomState = None
-    ) -> List[DelayModel]:
-        check_positive_int(num_iterations, "num_iterations")
-        generator = as_generator(rng)
-        # One uniform per iteration, drawn as a block so consumption is
-        # fixed regardless of the realised regime path.
-        draws = generator.random(num_iterations)
-        slow_model = scale_delay(base, self.slowdown)
-        models: List[DelayModel] = []
-        slow = self.start_slow
+        self, num_iterations: int, num_workers: int, rng: RandomState = None
+    ) -> np.ndarray:
+        draws = _uniform_block(num_iterations, num_workers, rng)
+        # One uniform per (worker, iteration), drawn as one block so
+        # consumption is fixed regardless of the realised regime paths.
+        recover, turn = draws < self.p_recover, draws < self.p_slow
+        slow = np.empty((num_iterations, num_workers), dtype=bool)
+        state = np.full(num_workers, self.start_slow)
         for t in range(num_iterations):
-            models.append(slow_model if slow else base)
-            threshold = self.p_recover if slow else self.p_slow
-            if draws[t] < threshold:
-                slow = not slow
-        return models
+            slow[t] = state
+            state = state != np.where(state, recover[:, t], turn[:, t])
+        return np.where(slow, self.slowdown, 1.0)
 
     def __repr__(self) -> str:
         return (
@@ -429,24 +419,33 @@ class DriftingDelay(WorkerProcess):
         self.final_factor = check_in_range(
             final_factor, "final_factor", low=0.0, inclusive=False
         )
+        _check_finite(self.final_factor, "final_factor")
         self.initial_factor = check_in_range(
             initial_factor, "initial_factor", low=0.0, inclusive=False
         )
+        _check_finite(self.initial_factor, "initial_factor")
 
     def timeline(
-        self, base: DelayModel, num_iterations: int, rng: RandomState = None
-    ) -> List[DelayModel]:
+        self, num_iterations: int, num_workers: int, rng: RandomState = None
+    ) -> np.ndarray:
         check_positive_int(num_iterations, "num_iterations")
-        if num_iterations == 1:
-            return [scale_delay(base, self.initial_factor)]
-        ratio = self.final_factor / self.initial_factor
-        return [
-            scale_delay(
-                base,
-                self.initial_factor * ratio ** (t / (num_iterations - 1)),
+        check_positive_int(num_workers, "num_workers")
+        factors = [self.initial_factor]
+        if num_iterations > 1:
+            # Python floats (libm's pow), one per iteration; NumPy's SIMD
+            # power loops need not round like it.
+            ratio = self.final_factor / self.initial_factor
+            factors = [
+                self.initial_factor * ratio ** (t / (num_iterations - 1))
+                for t in range(num_iterations)
+            ]
+        column = np.array(factors)
+        if not np.all(np.isfinite(column) & (column > 0)):
+            raise ConfigurationError(
+                f"{self!r} overflows or underflows a delay factor over "
+                f"{num_iterations} iterations"
             )
-            for t in range(num_iterations)
-        ]
+        return np.broadcast_to(column[:, None], (num_iterations, num_workers))
 
     def __repr__(self) -> str:
         return (
@@ -464,11 +463,9 @@ class PreemptionModel(WorkerProcess):
     (:class:`UnavailableDelay`) for ``recovery_iterations`` iterations —
     the replacement instance boots and reloads the worker's data partition —
     after which it resumes with the base delay model. Preemption draws are
-    taken as one block per worker, so consumption is independent of the
-    realised kill pattern.
+    taken as one block per call, worker-major, so consumption is independent
+    of the realised kill pattern.
     """
-
-    can_remove_workers = True
 
     def __init__(
         self,
@@ -483,22 +480,18 @@ class PreemptionModel(WorkerProcess):
         )
 
     def timeline(
-        self, base: DelayModel, num_iterations: int, rng: RandomState = None
-    ) -> List[DelayModel]:
-        check_positive_int(num_iterations, "num_iterations")
-        generator = as_generator(rng)
-        draws = generator.random(num_iterations)
-        models: List[DelayModel] = []
-        down_remaining = 0
+        self, num_iterations: int, num_workers: int, rng: RandomState = None
+    ) -> np.ndarray:
+        preempted = _uniform_block(num_iterations, num_workers, rng) < (
+            self.preempt_probability
+        )
+        down = np.empty((num_iterations, num_workers), dtype=bool)
+        remaining = np.zeros(num_workers, dtype=int)
         for t in range(num_iterations):
-            if down_remaining == 0 and draws[t] < self.preempt_probability:
-                down_remaining = self.recovery_iterations
-            if down_remaining > 0:
-                models.append(UNAVAILABLE)
-                down_remaining -= 1
-            else:
-                models.append(base)
-        return models
+            remaining[(remaining == 0) & preempted[:, t]] = self.recovery_iterations
+            down[t] = remaining > 0
+            remaining -= down[t]
+        return np.where(down, np.inf, 1.0)
 
     def __repr__(self) -> str:
         return (

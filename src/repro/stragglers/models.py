@@ -68,7 +68,10 @@ class ShiftedExponentialDelay(DelayModel):
 
     @classmethod
     def exponential_form(
-        cls, models: Sequence[DelayModel], loads: Sequence[int]
+        cls,
+        models: Sequence[DelayModel],
+        loads: Sequence[int],
+        factors: Optional[np.ndarray] = None,
     ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
         # sample() is ``shift * load + (load / mu) * E``: the one place the
         # vectorized paths read (mu, a).
@@ -79,6 +82,14 @@ class ShiftedExponentialDelay(DelayModel):
             return None
         stragglings, shifts = params
         loads_row = cls._check_grid_loads(models, loads)
+        if factors is not None:
+            # scale_delay(model, c) is ShiftedExponentialDelay(mu / c, a * c):
+            # the same operations, and the checks both make.
+            if not np.all(factors > 0):
+                raise ConfigurationError("delay factors must be positive numbers")
+            stragglings, shifts = stragglings / factors, shifts * factors
+            if not (np.all(stragglings > 0) and np.all(np.isfinite(shifts))):
+                raise ConfigurationError("scaled straggling must be > 0, shift finite")
         return shifts * loads_row, loads_row / stragglings
 
     @classmethod

@@ -65,6 +65,8 @@ def check_in_range(
 ) -> float:
     """Validate that ``low <= value <= high`` (or strict if ``inclusive=False``)."""
     value = float(value)
+    if np.isnan(value):  # NaN would pass every bound comparison
+        raise ConfigurationError(f"{name} must be a number, got {value}")
     if low is not None:
         if inclusive and value < low:
             raise ConfigurationError(f"{name} must be >= {low}, got {value}")

@@ -254,8 +254,8 @@ class TestMultiprocessBackend:
         """The typed rejection names the offending process class."""
 
         class HomebrewProcess(WorkerProcess):
-            def timeline(self, base, num_iterations, rng=None):
-                return [base] * num_iterations
+            def timeline(self, num_iterations, num_workers, rng=None):
+                return np.ones((num_iterations, num_workers))
 
         cluster = DynamicClusterSpec(
             ClusterSpec.homogeneous(3, DeterministicDelay(0.001)),

@@ -6,10 +6,14 @@ import pytest
 from repro.cluster.dynamic import ChurnEvent, ClusterTimeline, DynamicClusterSpec
 from repro.cluster.spec import ClusterSpec
 from repro.exceptions import AnalyticIntractableError, ConfigurationError
+from repro.experiments.churn import dynamics_from_spec
 from repro.stragglers.dynamics import (
+    UNAVAILABLE,
     DriftingDelay,
     MarkovModulatedDelay,
+    PreemptionModel,
     UnavailableDelay,
+    scale_delay,
 )
 from repro.stragglers.models import DeterministicDelay, ShiftedExponentialDelay
 
@@ -171,17 +175,127 @@ class TestMaterialize:
 
     def test_process_returning_wrong_length_raises(self, base):
         class Broken(DriftingDelay):
-            def timeline(self, model, num_iterations, rng=None):
-                return [model]
+            def timeline(self, num_iterations, num_workers, rng=None):
+                return np.ones((1, num_workers))
 
         spec = DynamicClusterSpec(base, dynamics=Broken())
-        with pytest.raises(ConfigurationError, match="returned 1 models"):
+        with pytest.raises(ConfigurationError, match=r"returned a \(1, 6\) factor block"):
             spec.materialize(5, np.random.default_rng(0))
 
     def test_timeline_shape_validation(self, base):
         with pytest.raises(ConfigurationError, match="matrix"):
-            ClusterTimeline(
-                base,
-                [[DeterministicDelay(1.0)] * base.num_workers],
-                np.ones((2, base.num_workers), dtype=bool),
-            )
+            ClusterTimeline(base, np.ones((2, base.num_workers - 1)))
+        with pytest.raises(ConfigurationError, match="matrix"):
+            ClusterTimeline(base, np.ones(base.num_workers))
+
+    def test_factors_must_be_positive_or_vacant(self, base):
+        for bad in (0.0, -1.0, np.nan):
+            factors = np.ones((2, base.num_workers))
+            factors[1, 3] = bad
+            with pytest.raises(ConfigurationError, match="positive"):
+                ClusterTimeline(base, factors)
+        factors = np.ones((2, base.num_workers))
+        factors[1, 3] = np.inf
+        assert ClusterTimeline(base, factors).availability.sum() == 2 * 6 - 1
+
+
+#: Dynamics of the columnar-exactness matrix; ``churn`` is the scripted
+#: event scenario of ``--dynamics churn``.
+COLUMNAR_SCENARIOS = {
+    "markov": {"name": "markov", "slowdown": 8.0, "p_slow": 0.2},
+    "markov-slowdown-1": {"name": "markov", "slowdown": 1.0, "p_slow": 0.5},
+    "drift": {"name": "drift", "final_factor": 3.0, "initial_factor": 0.7},
+    "preempt": {"name": "preempt", "preempt_probability": 0.1},
+    "churn": None,
+}
+
+COLUMNAR_BASES = {
+    "homogeneous": lambda: ClusterSpec.homogeneous(
+        6, ShiftedExponentialDelay(1.3, 0.07)
+    ),
+    "paper-fig5": lambda: ClusterSpec.paper_fig5_cluster(num_workers=10, num_fast=3),
+}
+
+
+class TestColumnarTimeline:
+    @pytest.mark.parametrize("base_name", sorted(COLUMNAR_BASES))
+    @pytest.mark.parametrize("scenario", sorted(COLUMNAR_SCENARIOS))
+    def test_factor_form_equals_the_per_cell_models_form(self, scenario, base_name):
+        base = COLUMNAR_BASES[base_name]()
+        dynamics = COLUMNAR_SCENARIOS[scenario]
+        spec = (
+            dynamics_from_spec("churn:period=3,recovery=2", base, num_iterations=30)
+            if dynamics is None
+            else DynamicClusterSpec(base, dynamics=dynamics)
+        )
+        timeline = spec.materialize(30, np.random.default_rng(5))
+        up = timeline.availability
+        loads = 7 * np.arange(1, base.num_workers + 1)
+        models = [worker.compute for worker in base.workers]
+        offset, scale = ShiftedExponentialDelay.exponential_form(
+            models, loads, np.where(up, timeline.factors, 1.0)
+        )
+        cells = [
+            scale_delay(models[w], timeline.factors[t, w]) for t, w in np.argwhere(up)
+        ]
+        expected = ShiftedExponentialDelay.exponential_form(
+            cells, np.broadcast_to(loads, up.shape)[up]
+        )
+        assert np.array_equal(offset[up], expected[0])
+        assert np.array_equal(scale[up], expected[1])
+
+    def test_scaled_parameters_are_checked_like_the_constructor(self):
+        models = [ShiftedExponentialDelay(1e-300, 0.0), ShiftedExponentialDelay(1.0, 1e300)]
+        with pytest.raises(ConfigurationError, match="straggling"):
+            ShiftedExponentialDelay.exponential_form(models, [1, 1], np.array([[1e30, 1.0]]))
+        with np.errstate(over="ignore"), pytest.raises(ConfigurationError, match="shift"):
+            ShiftedExponentialDelay.exponential_form(models, [1, 1], np.array([[1.0, 1e10]]))
+        with pytest.raises(ConfigurationError, match="positive"):
+            ShiftedExponentialDelay.exponential_form(models, [1, 1], np.array([[np.nan, 1.0]]))
+
+    def test_shared_instances_draw_like_one_worker_calls(self, base):
+        sizes = []
+
+        class Recording(MarkovModulatedDelay):
+            def timeline(self, num_iterations, num_workers, rng=None):
+                sizes.append(num_workers)
+                self.generator = rng
+                return super().timeline(num_iterations, num_workers, rng)
+
+        shared = Recording(slowdown=4.0, p_slow=0.3)
+        other = PreemptionModel(preempt_probability=0.3, recovery_iterations=2)
+        # One instance on workers 0, 1 and 4, a second on 3 and 5, none on 2.
+        mapping = {0: shared, 1: shared, 3: other, 4: shared, 5: other}
+        spec = DynamicClusterSpec(base, dynamics=mapping, seed=11)
+        timeline = spec.materialize(20)
+        assert sizes == [2, 1]
+
+        reference = np.random.default_rng(11)
+        expected = np.ones((20, base.num_workers))
+        for worker, process in sorted(mapping.items()):
+            plain = MarkovModulatedDelay(4.0, 0.3) if process is shared else process
+            expected[:, worker] = plain.timeline(20, 1, reference)[:, 0]
+        assert np.array_equal(timeline.factors, expected)
+        assert shared.generator.bit_generator.state == reference.bit_generator.state
+
+    def test_models_and_snapshots_are_built_from_the_factors(self):
+        base = ClusterSpec.paper_fig5_cluster(num_workers=8, num_fast=3)
+        spec = DynamicClusterSpec(
+            base,
+            dynamics={"name": "markov", "slowdown": 3.0, "p_slow": 0.4},
+            events=[ChurnEvent("preempt", 2, 1, 2), ChurnEvent("leave", 5, 4)],
+        )
+        timeline = spec.materialize(8, np.random.default_rng(1))
+        assert np.isinf(timeline.factors).any() and (timeline.factors == 3.0).any()
+        models = timeline.models
+        for t in range(8):
+            snapshot = timeline.cluster_at(t)
+            for w, worker in enumerate(base.workers):
+                model, factor = models[t][w], timeline.factors[t, w]
+                assert snapshot.workers[w].compute is model
+                if np.isinf(factor):
+                    assert model is UNAVAILABLE
+                else:
+                    expected = scale_delay(worker.compute, factor)
+                    assert type(model) is type(expected)
+                    assert vars(model) == vars(expected)

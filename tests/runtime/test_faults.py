@@ -31,8 +31,8 @@ def small_cluster(num_workers: int = 4) -> ClusterSpec:
 class _UnregisteredProcess(WorkerProcess):
     """A process class deliberately absent from the registry."""
 
-    def timeline(self, base, num_iterations, rng=None):
-        return [base] * num_iterations
+    def timeline(self, num_iterations, num_workers, rng=None):
+        return np.ones((num_iterations, num_workers))
 
 
 class TestValidateFaultMode:

@@ -113,80 +113,177 @@ class TestScaleDelay:
             scale_delay(DeterministicDelay(1.0), 0.0)
 
 
+def _markov_reference(process, num_iterations, rng):
+    """One worker's regime chain, stepped one iteration at a time."""
+    draws = rng.random(num_iterations)
+    factors, slow = [], process.start_slow
+    for t in range(num_iterations):
+        factors.append(process.slowdown if slow else 1.0)
+        if draws[t] < (process.p_recover if slow else process.p_slow):
+            slow = not slow
+    return factors
+
+
+def _preempt_reference(process, num_iterations, rng):
+    """One worker's kill/recover schedule, one iteration at a time."""
+    draws = rng.random(num_iterations)
+    factors, remaining = [], 0
+    for t in range(num_iterations):
+        if remaining == 0 and draws[t] < process.preempt_probability:
+            remaining = process.recovery_iterations
+        factors.append(np.inf if remaining else 1.0)
+        remaining -= bool(remaining)
+    return factors
+
+
 class TestMarkovModulatedDelay:
     def test_timeline_alternates_between_two_models(self):
-        base = ShiftedExponentialDelay(1.0, 0.1)
         process = MarkovModulatedDelay(slowdown=5.0, p_slow=0.5, p_recover=0.5)
-        models = process.timeline(base, 200, np.random.default_rng(0))
-        assert len(models) == 200
-        distinct = {id(model) for model in models}
-        assert len(distinct) == 2  # the base model and one slow model
-        slow = next(m for m in models if m is not base)
-        assert slow.straggling == pytest.approx(0.2)
-        assert any(m is base for m in models)
+        factors = process.timeline(200, 1, np.random.default_rng(0))
+        assert factors.shape == (200, 1)
+        # The base model (factor 1) and one slow model (factor 5).
+        assert set(factors.ravel().tolist()) == {1.0, 5.0}
+        base = ShiftedExponentialDelay(1.0, 0.1)
+        assert scale_delay(base, 5.0).straggling == pytest.approx(0.2)
 
     def test_start_slow_begins_in_the_slow_regime(self):
-        base = DeterministicDelay(1.0)
         process = MarkovModulatedDelay(slowdown=2.0, p_slow=0.0, p_recover=0.0,
                                        start_slow=True)
-        models = process.timeline(base, 5, np.random.default_rng(0))
-        assert all(m.seconds_per_example == pytest.approx(2.0) for m in models)
+        factors = process.timeline(5, 3, np.random.default_rng(0))
+        assert np.array_equal(factors, np.full((5, 3), 2.0))
 
     def test_consumption_is_fixed_per_call(self):
-        # Two different bases, same generator seed: identical draw usage.
-        process = MarkovModulatedDelay(slowdown=3.0, p_slow=0.3)
+        # Different parameters, same generator seed: identical draw usage.
         rng_a = np.random.default_rng(5)
         rng_b = np.random.default_rng(5)
-        process.timeline(ShiftedExponentialDelay(1.0), 50, rng_a)
-        process.timeline(DeterministicDelay(1.0), 50, rng_b)
+        MarkovModulatedDelay(slowdown=3.0, p_slow=0.3).timeline(50, 2, rng_a)
+        MarkovModulatedDelay(slowdown=9.0, p_slow=1.0).timeline(50, 2, rng_b)
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    @pytest.mark.parametrize("start_slow", [False, True])
+    def test_each_column_is_one_workers_chain(self, start_slow):
+        process = MarkovModulatedDelay(
+            slowdown=4.0, p_slow=0.3, p_recover=0.6, start_slow=start_slow
+        )
+        factors = process.timeline(40, 3, np.random.default_rng(2))
+        reference = np.random.default_rng(2)
+        for worker in range(3):
+            assert factors[:, worker].tolist() == _markov_reference(
+                process, 40, reference
+            )
 
 
 class TestDriftingDelay:
     def test_geometric_interpolation_endpoints(self):
-        base = DeterministicDelay(1.0)
-        models = DriftingDelay(final_factor=4.0).timeline(base, 3)
-        rates = [m.seconds_per_example for m in models]
-        assert rates == pytest.approx([1.0, 2.0, 4.0])
+        factors = DriftingDelay(final_factor=4.0).timeline(3, 2)
+        assert factors.shape == (3, 2)
+        assert factors[:, 0] == pytest.approx([1.0, 2.0, 4.0])
+        assert np.array_equal(factors[:, 0], factors[:, 1])
 
     def test_single_iteration_uses_the_initial_factor(self):
-        base = DeterministicDelay(1.0)
-        (model,) = DriftingDelay(final_factor=9.0, initial_factor=3.0).timeline(
-            base, 1
-        )
-        assert model.seconds_per_example == pytest.approx(3.0)
+        factors = DriftingDelay(final_factor=9.0, initial_factor=3.0).timeline(1, 1)
+        assert factors.tolist() == [[3.0]]
 
     def test_draws_no_randomness(self):
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
-        DriftingDelay().timeline(DeterministicDelay(1.0), 10, rng)
+        DriftingDelay().timeline(10, 4, rng)
         assert rng.bit_generator.state == state
+
+    def test_factors_are_the_scalar_python_expression(self):
+        process = DriftingDelay(final_factor=3.0, initial_factor=0.7)
+        factors = process.timeline(100, 2)
+        ratio = process.final_factor / process.initial_factor
+        expected = [process.initial_factor * ratio ** (t / 99) for t in range(100)]
+        assert factors[:, 1].tolist() == expected
+
+    def test_an_overflowing_ramp_is_refused(self):
+        process = DriftingDelay(final_factor=1e300, initial_factor=1e-300)
+        with pytest.raises(ConfigurationError, match="overflows"):
+            process.timeline(3, 1)
 
 
 class TestPreemptionModel:
     def test_recovery_window_is_honoured(self):
         process = PreemptionModel(preempt_probability=1.0, recovery_iterations=3)
-        models = process.timeline(DeterministicDelay(1.0), 7, np.random.default_rng(0))
+        factors = process.timeline(7, 1, np.random.default_rng(0))
         # Preempted immediately; down for 3, then immediately preempted again.
-        assert all(isinstance(m, UnavailableDelay) for m in models[:3])
+        assert np.all(np.isinf(factors))
 
     def test_zero_probability_never_preempts(self):
-        base = DeterministicDelay(1.0)
-        models = PreemptionModel(preempt_probability=0.0).timeline(
-            base, 20, np.random.default_rng(0)
+        factors = PreemptionModel(preempt_probability=0.0).timeline(
+            20, 4, np.random.default_rng(0)
         )
-        assert all(m is base for m in models)
+        assert np.array_equal(factors, np.ones((20, 4)))
 
     def test_consumption_independent_of_realised_kills(self):
         rng_a = np.random.default_rng(9)
         rng_b = np.random.default_rng(9)
-        PreemptionModel(preempt_probability=1.0).timeline(
-            DeterministicDelay(1.0), 30, rng_a
-        )
-        PreemptionModel(preempt_probability=0.0).timeline(
-            DeterministicDelay(1.0), 30, rng_b
-        )
+        PreemptionModel(preempt_probability=1.0).timeline(30, 2, rng_a)
+        PreemptionModel(preempt_probability=0.0).timeline(30, 2, rng_b)
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    def test_each_column_is_one_workers_schedule(self):
+        process = PreemptionModel(preempt_probability=0.3, recovery_iterations=2)
+        factors = process.timeline(40, 3, np.random.default_rng(4))
+        reference = np.random.default_rng(4)
+        for worker in range(3):
+            assert factors[:, worker].tolist() == _preempt_reference(
+                process, 40, reference
+            )
+
+
+NAN = float("nan")
+
+
+class TestNonNumericParameters:
+    @pytest.mark.parametrize(
+        "build, name",
+        [
+            (lambda: ShiftedExponentialDelay(straggling=NAN), "straggling"),
+            (lambda: ParetoDelay(alpha=NAN), "alpha"),
+            (lambda: MarkovModulatedDelay(slowdown=NAN), "slowdown"),
+            (lambda: DriftingDelay(final_factor=NAN), "final_factor"),
+            (lambda: scale_delay(ParetoDelay(2.0, 1.0), NAN), "factor"),
+        ],
+        ids=["shifted-exponential", "pareto", "markov", "drift", "scale_delay"],
+    )
+    def test_nan_is_rejected(self, build, name):
+        with pytest.raises(ConfigurationError, match=f"{name} must be a number"):
+            build()
+
+    @pytest.mark.parametrize(
+        "build, name",
+        [
+            (lambda: MarkovModulatedDelay(slowdown=np.inf), "slowdown"),
+            (lambda: DriftingDelay(final_factor=np.inf), "final_factor"),
+            (lambda: DriftingDelay(initial_factor=np.inf), "initial_factor"),
+        ],
+        ids=["slowdown", "final_factor", "initial_factor"],
+    )
+    def test_an_infinite_factor_is_rejected_by_name(self, build, name):
+        # inf marks a vacant slot, so a delay factor must be finite.
+        with pytest.raises(ConfigurationError, match=f"{name} must be finite"):
+            build()
+
+
+class TestGroupDrawContract:
+    @pytest.mark.parametrize(
+        "process",
+        [
+            MarkovModulatedDelay(slowdown=8.0, p_slow=0.2),
+            DriftingDelay(final_factor=3.0),
+            PreemptionModel(preempt_probability=0.1, recovery_iterations=3),
+        ],
+        ids=["markov", "drift", "preempt"],
+    )
+    def test_a_k_worker_call_is_k_one_worker_calls(self, process):
+        group = np.random.default_rng(7)
+        single = np.random.default_rng(7)
+        factors = process.timeline(25, 4, group)
+        columns = [process.timeline(25, 1, single) for _ in range(4)]
+        assert np.array_equal(factors, np.hstack(columns))
+        assert group.bit_generator.state == single.bit_generator.state
 
 
 class TestProcessRegistry:

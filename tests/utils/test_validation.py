@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.exceptions import ConfigurationError
 from repro.utils.validation import (
     check_array_1d,
     check_array_2d,
@@ -84,6 +85,16 @@ class TestCheckInRange:
             check_in_range(0.5, "x", low=1.0)
         with pytest.raises(ValueError):
             check_in_range(3.0, "x", high=2.0)
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [{}, {"low": 0.0}, {"high": 1.0}, {"low": 0.0, "inclusive": False}],
+        ids=["unbounded", "low", "high", "exclusive"],
+    )
+    def test_rejects_nan(self, bounds):
+        # NaN compares false against every bound, so no bound catches it.
+        with pytest.raises(ConfigurationError, match="x must be a number, got nan"):
+            check_in_range(float("nan"), "x", **bounds)
 
 
 class TestArrayChecks:
