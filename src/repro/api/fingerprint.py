@@ -31,7 +31,7 @@ import dataclasses
 import hashlib
 import json
 import types
-from typing import TYPE_CHECKING, Dict, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple, cast
 
 import numpy as np
 
@@ -41,7 +41,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only; avoids an import cycle
     from repro.api.backends import Backend
     from repro.api.spec import JobSpec
 
-__all__ = ["canonical_value", "backend_identity", "fingerprint_spec"]
+__all__ = ["canonical_value", "canonical_spec", "backend_identity", "fingerprint_spec"]
 
 #: Types that are already canonical (and JSON-stable) as-is.
 _ATOMIC = (type(None), bool, int, float, str)
@@ -54,6 +54,10 @@ _CALLABLE_TYPES = (
     types.BuiltinFunctionType,
     types.BuiltinMethodType,
 )
+
+#: The canonical forms of the clusters a keying pass has met, as
+#: ``(cluster, form)`` pairs matched by ``is`` (see :func:`canonical_spec`).
+ClusterForms = List[Tuple[object, object]]
 
 
 def _class_path(value: object) -> str:
@@ -138,6 +142,29 @@ def canonical_value(value: object) -> object:
         f"cannot fingerprint {_class_path(value)} instance: it exposes no "
         "recoverable constructor state (no dataclass fields, no __dict__)"
     )
+
+
+def canonical_spec(spec: "JobSpec", clusters: Optional[ClusterForms] = None) -> object:
+    """``canonical_value(spec)``, reusing the cluster forms in ``clusters``.
+
+    ``clusters`` is one keying pass's memo. A spec whose cluster *is* one the
+    pass has met (matched by ``is``, never ``id()``) takes its stored form; a
+    new cluster is canonicalised and added. The rest of the spec is
+    canonicalised without its cluster and the form put in the cluster's
+    field, so the result equals ``canonical_value(spec)`` exactly.
+    """
+    if clusters is None:
+        return canonical_value(spec)
+    cluster = spec.cluster
+    for seen, form in clusters:
+        if seen is cluster:
+            break
+    else:
+        form = canonical_value(cluster)
+        clusters.append((cluster, form))
+    canonical = cast(Dict[str, Dict[str, object]], canonical_value(spec.replace(cluster=None)))
+    canonical["fields"]["cluster"] = form
+    return canonical
 
 
 def backend_identity(backend: "Backend") -> object:

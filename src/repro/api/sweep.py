@@ -494,7 +494,7 @@ def _execute_with_cache(
     gets the executor's full parallelism; results come back in task order
     regardless of the hit/miss split.
     """
-    keys = [store.task_key(task) for task in plan.tasks]
+    keys = store.task_keys(plan.tasks)
     hits = [None if key is None else store.lookup(key) for key in keys]
     misses = [task for task, hit in zip(plan.tasks, hits) if hit is None]
     computed = iter(runner.execute(misses)) if misses else iter(())

@@ -76,8 +76,15 @@ class FractionalRepetitionCode(LinearGradientCode):
         return self.num_workers - self.num_stragglers
 
     def complete_group(self, workers: Sequence[int] | np.ndarray) -> Optional[int]:
-        """Return the id of a group entirely contained in ``workers``, if any."""
-        received = set(int(w) for w in np.asarray(workers, dtype=int))
+        """Return the id of a group entirely contained in ``workers``, if any.
+
+        Raises
+        ------
+        DecodingError
+            If ``workers`` is empty, holds non-integer or out-of-range
+            indices, or repeats a worker.
+        """
+        received = set(self._check_workers(workers).tolist())
         for group_id, members in enumerate(self.groups):
             if all(member in received for member in members):
                 return group_id
@@ -91,10 +98,13 @@ class FractionalRepetitionCode(LinearGradientCode):
         vector; restricting to complete groups matches the scheme as
         published and keeps decoding a pure summation.)
         """
-        return self.complete_group(workers) is not None
+        try:
+            return self.complete_group(workers) is not None
+        except DecodingError:
+            return False
 
     def decoding_vector(self, workers: Sequence[int] | np.ndarray) -> np.ndarray:
-        workers = np.asarray(workers, dtype=int)
+        workers = self._check_workers(workers)
         group_id = self.complete_group(workers)
         if group_id is None:
             raise DecodingError(

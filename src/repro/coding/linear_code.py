@@ -179,13 +179,20 @@ class LinearGradientCode:
             )
 
     def _check_workers(self, workers: Sequence[int] | np.ndarray) -> np.ndarray:
-        workers = np.asarray(workers, dtype=int)
+        workers = np.asarray(workers)
         if workers.ndim != 1 or workers.size == 0:
             raise DecodingError("workers must be a non-empty 1-D index sequence")
+        # Floats, booleans and strings are refused, never cast: a cast would
+        # truncate 1.7 to worker 1 and decode from workers nobody named.
+        if not np.issubdtype(workers.dtype, np.integer):
+            raise DecodingError(
+                f"worker indices must be integers, got dtype {workers.dtype}"
+            )
         if np.unique(workers).size != workers.size:
             raise DecodingError("workers must not contain duplicates")
-        for worker in workers:
-            self._check_worker(int(worker))
+        outside = np.flatnonzero((workers < 0) | (workers >= self.num_workers))
+        if outside.size:
+            self._check_worker(int(workers[outside[0]]))
         return workers
 
     def __repr__(self) -> str:

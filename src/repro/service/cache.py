@@ -29,9 +29,14 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Sequence, Union
 
-from repro.api.fingerprint import backend_identity, canonical_value
+from repro.api.fingerprint import (
+    ClusterForms,
+    backend_identity,
+    canonical_spec,
+    canonical_value,
+)
 from repro.api.result import RunResult
 from repro.exceptions import FingerprintError
 from repro.scheduling.core import CellTask
@@ -110,7 +115,21 @@ class ResultCache:
     # ------------------------------------------------------------------ #
     # Keying
     # ------------------------------------------------------------------ #
-    def task_key(self, task: CellTask) -> Optional[str]:
+    def task_keys(self, tasks: Sequence[CellTask]) -> List[Optional[str]]:
+        """Every task's key in one pass: ``[task_key(t) for t in tasks]``.
+
+        A plan's tasks share their cluster object, and canonicalising its
+        worker models is most of a key's cost, so the pass canonicalises
+        each distinct cluster once (matched by ``is``) and every key reuses
+        that form. The memo lives only for this call: a model mutated
+        between two calls is canonicalised afresh by the second.
+        """
+        clusters: ClusterForms = []
+        return [self.task_key(task, clusters=clusters) for task in tasks]
+
+    def task_key(
+        self, task: CellTask, *, clusters: Optional[ClusterForms] = None
+    ) -> Optional[str]:
         """The task's content fingerprint, or ``None`` if uncacheable.
 
         The key digests everything that determines the task's results:
@@ -119,11 +138,12 @@ class ResultCache:
         the spawned seed set and whether the cell froze one placement or
         let every trial draw its own. ``None`` means some part has no
         canonical form — the scheduler then computes the task without
-        caching it.
+        caching it. ``clusters`` is a keying pass's memo (see
+        :meth:`task_keys`); the key is the same with or without it.
         """
         try:
             payload = {
-                "spec": canonical_value(task.spec),
+                "spec": canonical_spec(task.spec, clusters),
                 "backend": backend_identity(task.backend),
                 "kind": task.kind,
                 "record": task.record,

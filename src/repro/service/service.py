@@ -131,10 +131,16 @@ class SweepService:
             trial_batching=trial_batching,
         )
 
-        async def labelled(task: CellTask) -> "tuple[CellTask, List[RunResult]]":
-            return task, await self._cached_task(task)
+        async def labelled(
+            task: CellTask, key: Optional[str]
+        ) -> "tuple[CellTask, List[RunResult]]":
+            return task, await self._cached_task(task, key)
 
-        pending = [asyncio.ensure_future(labelled(task)) for task in plan.tasks]
+        keys = self.cache.task_keys(plan.tasks)
+        pending = [
+            asyncio.ensure_future(labelled(task, key))
+            for task, key in zip(plan.tasks, keys)
+        ]
         try:
             for future in asyncio.as_completed(pending):
                 task, results = await future
@@ -213,9 +219,12 @@ class SweepService:
         return await asyncio.to_thread(tune, spec, cache=self.cache)
 
     # ------------------------------------------------------------------ #
-    async def _cached_task(self, task: CellTask) -> List[RunResult]:
-        """One task through the cache, with in-flight deduplication."""
-        key = self.cache.task_key(task)
+    async def _cached_task(self, task: CellTask, key: Optional[str]) -> List[RunResult]:
+        """One task through the cache under its key, with in-flight deduplication.
+
+        ``key`` comes from the plan's one keying pass
+        (:meth:`ResultCache.task_keys`); ``None`` marks an uncacheable task.
+        """
         if key is None:
             self.stats.tasks_executed += 1
             return await self.executor.run_task(task)

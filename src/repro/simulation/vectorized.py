@@ -85,11 +85,11 @@ Completion kernels exist for every built-in aggregator: fixed worker set
 (uncoded, load-balanced), arrival count (ignore-stragglers), batch
 coupon-collector coverage (BCC), unit coverage (randomized,
 generalized-BCC), replication-group completion (fractional repetition), and
-a prefix-decodability walk replicating :class:`CodedAggregator`'s
-``check_every`` cadence (cyclic repetition, Reed-Solomon). Schemes with a
-custom aggregator fall back to a scalar completion scan that feeds the
-plan's own aggregator — draws and arrival times stay vectorized, so the
-fallback is still far faster than the loop engine.
+a prefix-decodability walk over :class:`CodedAggregator`'s ``check_every``
+checkpoints (cyclic repetition, Reed-Solomon). Schemes with a custom
+aggregator fall back to a scalar completion scan that feeds the plan's own
+aggregator — draws and arrival times stay vectorized, so the fallback is
+still far faster than the loop engine.
 
 Trial batching
 --------------
@@ -134,7 +134,6 @@ import numpy as np
 from repro.cluster.dynamic import DynamicClusterSpec
 from repro.cluster.spec import ClusterSpec
 from repro.coding.fractional import FractionalRepetitionCode
-from repro.coding.linear_code import LinearGradientCode
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.schemes.approximate import PartialSumAggregator
 from repro.schemes.base import (
@@ -941,50 +940,20 @@ def _coded_kernel(
                 ranks.append(rank)
         return ranks
 
-    if type(code).is_decodable is LinearGradientCode.is_decodable:
-        # For an unmodified linear code, decodability is monotone in the
-        # worker set (appending rows can only grow the row space), so the
-        # first decodable checkpoint can be bisected instead of walked:
-        # O(log checkpoints) decodability tests per iteration instead of
-        # O(checkpoints). Subclasses overriding ``is_decodable`` may break
-        # monotonicity and keep the sequential walk below.
-        checkpoints = due_ranks()
-
-        def bisect_kernel(positions: np.ndarray, order: np.ndarray) -> np.ndarray:
-            completing = np.full(positions.shape[0], n_active, dtype=int)
-            for i in range(positions.shape[0]):
-                row_workers = active[order[i]]
-                lo, hi = 0, len(checkpoints)
-                while lo < hi:
-                    mid = (lo + hi) // 2
-                    prefix = row_workers[: checkpoints[mid] + 1]
-                    if code.is_decodable(prefix.tolist()):
-                        hi = mid
-                    else:
-                        lo = mid + 1
-                if lo < len(checkpoints):
-                    completing[i] = checkpoints[lo]
-            return completing
-
-        return bisect_kernel
+    # Walk each row's checkpoints in order and stop at the first that
+    # decodes: the loop aggregator's ``is_decodable`` calls, on the same
+    # worker lists, in the same order, so no code has to be monotone. The
+    # worst-case designs (cyclic repetition, Reed-Solomon) decode from any
+    # ``n - s`` workers, so their rows stop at the first checkpoint after
+    # one check.
+    checkpoints = due_ranks()
 
     def walk_kernel(positions: np.ndarray, order: np.ndarray) -> np.ndarray:
         completing = np.full(positions.shape[0], n_active, dtype=int)
         for i in range(positions.shape[0]):
-            workers: List[int] = []
-            for rank in range(n_active):
-                workers.append(int(active[order[i, rank]]))
-                count = rank + 1
-                if opportunistic:
-                    due = True
-                elif count < minimum_needed:
-                    due = False
-                else:
-                    due = (
-                        (count - minimum_needed) % check_every == 0
-                        or count >= code.num_workers
-                    )
-                if due and code.is_decodable(workers):
+            row_workers = active[order[i]]
+            for rank in checkpoints:
+                if code.is_decodable(row_workers[: rank + 1].tolist()):
                     completing[i] = rank
                     break
         return completing

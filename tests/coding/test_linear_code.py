@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.coding.cyclic_repetition import CyclicRepetitionCode
+from repro.coding.fractional import FractionalRepetitionCode
 from repro.coding.linear_code import LinearGradientCode
 from repro.exceptions import DecodingError
 
@@ -86,6 +88,47 @@ class TestEncodeDecode:
             simple_code.support(5)
         with pytest.raises(DecodingError):
             simple_code.decoding_vector([0, 7])
+
+    def test_range_error_names_the_first_offending_index(self, simple_code):
+        with pytest.raises(DecodingError, match=r"lie in \[0, 3\), got -1$"):
+            simple_code.decoding_vector([0, -1, 7])
+        with pytest.raises(DecodingError, match=r"got 7$"):
+            simple_code.decoding_vector(np.array([7, 0, -1], dtype=np.int64))
+        with pytest.raises(DecodingError, match=r"got 3$"):
+            simple_code.decoding_vector([1, 3])
+
+    def test_empty_set_message_comes_first(self, simple_code):
+        with pytest.raises(DecodingError, match="non-empty"):
+            simple_code.decoding_vector([])
+
+    @pytest.mark.parametrize(
+        "workers",
+        [
+            [0.2, 1.7, 2.9, 3.1, 4.0],
+            [True, False],
+            ["0", "1", "2"],
+            np.array([0.0, 1.0, 2.0, 3.0, 4.0]),
+        ],
+        ids=["floats", "bools", "strings", "float-ndarray"],
+    )
+    @pytest.mark.parametrize(
+        "make_code",
+        [lambda: CyclicRepetitionCode(6, 1, seed=0), lambda: FractionalRepetitionCode(6, 1)],
+        ids=["cyclic", "fractional"],
+    )
+    def test_non_integer_indices_are_refused_not_cast(self, make_code, workers):
+        # A cast would truncate 1.7 to worker 1 and decode from workers
+        # 0-4, a set nobody named.
+        code = make_code()
+        assert code.is_decodable([0, 1, 2, 3, 4])
+        assert not code.is_decodable(workers)
+        with pytest.raises(DecodingError, match="must be integers"):
+            code.decoding_vector(workers)
+        with pytest.raises(DecodingError, match="must be integers"):
+            code.decode(workers, np.zeros((len(workers), 2)))
+
+    def test_unsigned_indices_are_integers(self, simple_code):
+        assert simple_code.is_decodable(np.array([0, 1], dtype=np.uint8))
 
     def test_minimum_decodable_size(self, simple_code):
         assert simple_code.minimum_decodable_size() == 1  # worker 2 alone decodes

@@ -228,6 +228,92 @@ class TestCacheCorrectness:
         assert len(set(keys)) == len(keys)
 
 
+def plan_tasks(sweep, record="full"):
+    return build_sweep_plan(sweep, backend=get_backend(sweep.backend), record=record).tasks
+
+
+class TestKeyingPass:
+    """``task_keys`` keys a plan in one pass, byte-identically to ``task_key``."""
+
+    # The keys of the service benchmark's request at library seed 0, pinned
+    # when every key was still built task by task. Hash randomisation is on
+    # by default, so each run also checks they do not depend on it.
+    SERVICE_KEYS = [
+        "c420aa1d7b523d32fe509f726b9864000a4bfe931e4158b236246e9fb38cda2f",
+        "4bade0d0ae52af9fa40ff416510a25f6b9be6fe6e1c50a7e0c993478d060b4d4",
+        "4482901e68c46626f6019be3e5af01fa7b2bd26d39d186710b95164699a73d25",
+    ]
+
+    def test_service_request_keys_are_pinned(self):
+        from repro.service.server import sweep_from_request
+
+        sweep, record, _ = sweep_from_request(
+            {
+                "schemes": ["uncoded", "cyclic-repetition", "bcc"],
+                "loads": [10],
+                "workers": 50,
+                "units": 50,
+                "unit_size": 100,
+                "iterations": 20,
+                "trials": 4,
+                "record": "summary",
+                "seed": 0,
+            }
+        )
+        tasks = plan_tasks(sweep, record)
+        cache = ResultCache()
+        assert cache.task_keys(tasks) == self.SERVICE_KEYS
+        assert [cache.task_key(task) for task in tasks] == self.SERVICE_KEYS
+
+    @staticmethod
+    def cluster_sweep(first, second):
+        return Sweep(
+            make_spec(),
+            parameters={"cluster": [first, second], "scheme.load": [4, 8]},
+            trials=3,
+            backend=TimingSimBackend(engine="auto"),
+        )
+
+    @pytest.mark.parametrize("clusters", ["shared", "equal-but-distinct", "different"])
+    def test_one_pass_equals_task_by_task(self, clusters):
+        first = ClusterSpec.homogeneous(8, ShiftedExponentialDelay(1.0, 0.5))
+        second = {
+            "shared": first,
+            "equal-but-distinct": ClusterSpec.homogeneous(
+                8, ShiftedExponentialDelay(1.0, 0.5)
+            ),
+            "different": ClusterSpec.homogeneous(8, ShiftedExponentialDelay(2.0, 0.5)),
+        }[clusters]
+        tasks = plan_tasks(self.cluster_sweep(first, second))
+        cache = ResultCache()
+        keys = cache.task_keys(tasks)
+        assert keys == [cache.task_key(task) for task in tasks]
+        assert None not in keys and len(set(keys)) == len(keys) == 4
+        # Content, not identity: an equal cluster keys like the shared one.
+        shared = cache.task_keys(plan_tasks(self.cluster_sweep(first, first)))
+        assert (keys == shared) == (clusters != "different")
+
+    def test_no_memo_outlives_a_pass(self):
+        model = ShiftedExponentialDelay(1.0, 0.5)
+        spec = make_spec(cluster=ClusterSpec.homogeneous(8, model))
+        tasks = plan_tasks(make_sweep(spec))
+        cache = ResultCache()
+        before = cache.task_keys(tasks)
+        model.straggling = 2.0
+        after = cache.task_keys(tasks)
+        assert after == [cache.task_key(task) for task in tasks]
+        assert all(old != new for old, new in zip(before, after))
+
+    def test_a_cluster_without_canonical_form_is_uncacheable_in_a_pass(self):
+        model = ShiftedExponentialDelay(1.0, 0.5)
+        model.hook = lambda: None  # code, not configuration
+        spec = make_spec(cluster=ClusterSpec.homogeneous(8, model))
+        tasks = plan_tasks(make_sweep(spec))
+        cache = ResultCache()
+        assert cache.task_keys(tasks) == [None] * len(tasks)
+        assert cache.stats.uncacheable == len(tasks)
+
+
 class TestDiskTier:
     def test_disk_hit_reconstructs_equal_records(self, tmp_path):
         sweep = make_sweep()

@@ -248,13 +248,13 @@ class TestSweepService:
                 return ["sentinel"]
 
             service.executor.run_task = slow_run_task
-            waiter = asyncio.ensure_future(service._cached_task(task))
+            waiter = asyncio.ensure_future(service._cached_task(task, key))
             await started.wait()
             waiter.cancel()
             with pytest.raises(asyncio.CancelledError):
                 await waiter
             assert key in service._inflight
-            second = asyncio.ensure_future(service._cached_task(task))
+            second = asyncio.ensure_future(service._cached_task(task, key))
             await asyncio.sleep(0)
             release.set()
             assert await second == ["sentinel"]

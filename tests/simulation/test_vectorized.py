@@ -13,19 +13,24 @@ import numpy as np
 import pytest
 
 from repro.cluster.spec import ClusterSpec
+from repro.coding.cyclic_repetition import CyclicRepetitionCode
+from repro.coding.linear_code import LinearGradientCode
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.schemes.base import (
+    CodedAggregator,
     ExecutionPlan,
     MasterAggregator,
     sum_encoder,
 )
 from repro.schemes.bcc import BCCScheme
+from repro.schemes.coded import CyclicRepetitionScheme
 from repro.schemes.registry import available_schemes, scheme_from_config
 from repro.schemes.uncoded import UncodedScheme
 from repro.simulation.job import simulate_job
 from repro.simulation.kernels import available_kernel_backends, get_suite
 from repro.simulation.vectorized import (
     ENGINES,
+    _coded_kernel,
     resolve_engine,
     simulate_job_vectorized,
 )
@@ -400,6 +405,130 @@ class TestFallbackAndEdgeCases:
         cluster = ClusterSpec.homogeneous(4, DeterministicDelay(1.0))
         with pytest.raises(SimulationError):
             simulate_job_vectorized(plan, cluster, 10, 2, rng=0)
+
+
+def claiming(code, num_stragglers):
+    """``code`` with a ``num_stragglers`` claim, which sets its checkpoints."""
+    code.num_stragglers = num_stragglers
+    return code
+
+
+def block_coverage(n, blocks):
+    """Worker ``w`` holds partition block ``w % blocks`` with coefficient one.
+
+    The all-ones row lies in the span exactly when every block has arrived,
+    a coupon collector: rows decode after varying numbers of arrivals.
+    """
+    width = n // blocks
+    return np.kron(np.tile(np.eye(blocks), (width, 1)), np.ones((1, width)))
+
+
+# Linear codes whose rows decode at assorted checkpoints. The claimed
+# tolerance sets the first checkpoint at ``n - claim`` arrivals.
+CHECKPOINT_CODES = {
+    # A cyclic design tolerating 3 stragglers that claims 6: the first
+    # checkpoints come before any row can decode, so rows land on a later one.
+    "overstated": lambda n: claiming(
+        LinearGradientCode(CyclicRepetitionCode(n, 3, seed=0).encoding_matrix), 6
+    ),
+    # Checked from the fourth arrival on, each row decodes once its blocks
+    # are covered: at varying checkpoints.
+    "coverage": lambda n: claiming(LinearGradientCode(block_coverage(n, 4)), n - 4),
+    # Decodes only once every worker has reported: the last checkpoint.
+    "identity": lambda n: claiming(LinearGradientCode(np.eye(n)), 6),
+    # The all-ones row is never in the span: no checkpoint decodes.
+    "zero-column": lambda n: claiming(
+        LinearGradientCode(np.hstack([np.eye(n)[:, :-1], np.zeros((n, 1))])), 6
+    ),
+}
+
+
+def counting(code):
+    """The list that each ``code.is_decodable`` call appends to."""
+    calls = []
+    check = code.is_decodable
+    code.is_decodable = lambda workers: calls.append(1) or check(workers)
+    return calls
+
+
+class TestLinearCodeWalk:
+    """The walk to each row's first decodable checkpoint.
+
+    The reference is a :class:`CodedAggregator` fed the row's arrivals in
+    order — the loop engine's walk over the same checkpoints.
+    """
+
+    N = 16
+
+    @staticmethod
+    def kernel_ranks(code, check_every, active, order):
+        probe = CodedAggregator(code, check_every=check_every)
+        position_of_worker = np.full(code.num_workers, -1, dtype=int)
+        position_of_worker[active] = np.arange(active.size)
+        kernel = _coded_kernel(probe, active, position_of_worker, get_suite("numpy"))
+        return kernel(np.argsort(order, axis=1), order)
+
+    @staticmethod
+    def walk(code, check_every, workers):
+        """The row's completing rank and the aggregator's check count."""
+        aggregator = CodedAggregator(code, check_every=check_every)
+        for rank, worker in enumerate(workers):
+            if aggregator.receive(int(worker), None):
+                return rank, aggregator.decodability_checks
+        return len(workers), aggregator.decodability_checks
+
+    @pytest.mark.parametrize("check_every", [1, 2, 3])
+    @pytest.mark.parametrize("name", sorted(CHECKPOINT_CODES))
+    @pytest.mark.parametrize("idle", [None, 5], ids=["all-active", "one-idle"])
+    def test_matches_the_sequential_walk(self, name, check_every, idle):
+        code = CHECKPOINT_CODES[name](self.N)
+        calls = counting(code)
+        active = np.delete(np.arange(self.N), [] if idle is None else [idle])
+        rng = np.random.default_rng(check_every)
+        order = np.argsort(rng.random((40, active.size)), axis=1)
+        found = self.kernel_ranks(code, check_every, active, order)
+        kernel_checks = len(calls)
+        walked = [self.walk(code, check_every, active[row]) for row in order]
+        expected = [rank for rank, _ in walked]
+        assert found.tolist() == expected
+        assert kernel_checks == sum(checks for _, checks in walked)
+        if name == "coverage":
+            assert len(set(expected)) > 2  # rows stop at varying checkpoints
+
+    def test_a_row_decoding_at_the_first_checkpoint_costs_one_check(self):
+        # The service's cyclic cell: n = 50, s = 9, ten checkpoints, every
+        # row decodable from its first 41 arrivals, the first checkpoint.
+        code = CyclicRepetitionCode(50, 9, seed=0)
+        calls = counting(code)
+        active = np.arange(50)
+        order = np.argsort(np.random.default_rng(0).random((20, 50)), axis=1)
+        found = self.kernel_ranks(code, 1, active, order)
+        assert found.tolist() == [40] * 20
+        assert len(calls) == 20
+
+    def test_an_overriding_code_walks_like_the_loop(self):
+        # A code that overrides ``is_decodable`` is checked on every
+        # arrival; the vectorized engine makes the loop aggregator's calls,
+        # on the same worker lists, in the same order.
+        class WalkedCode(LinearGradientCode):
+            def is_decodable(self, workers):
+                seen.append((type(workers), [(type(w), w) for w in workers]))
+                return super().is_decodable(workers)
+
+        class WalkedScheme(CyclicRepetitionScheme):
+            def _build_code(self, num_workers, rng):
+                return WalkedCode(CyclicRepetitionCode(num_workers, 3, seed=0).encoding_matrix)
+
+        cluster = make_cluster("cyclic-repetition")
+        calls = []
+        results = []
+        for engine in (simulate_job, simulate_job_vectorized):
+            seen = []
+            results.append(engine(WalkedScheme(load=4), cluster, 12, 9, rng=11))
+            calls.append(seen)
+        assert_identical(*results)
+        assert calls[0] == calls[1]
+        assert max(len(workers) for _, workers in calls[1]) > 6
 
 
 class TestEngineKnob:
