@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -263,6 +263,18 @@ def normal_quantile(q: float) -> float:
     )
 
 
+def _sum_in_order(values: Iterable[float]) -> float:
+    """The left-to-right float sum that built-in ``sum()`` gave before 3.12.
+
+    Python 3.12 compensates float ``sum()``, so a built-in sum would make
+    these results depend on the interpreter.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 _HARMONIC_CACHE: Dict[int, np.ndarray] = {}
 
 
@@ -400,7 +412,7 @@ def coupon_threshold_pmf(
         state = advanced
         if mass > 0.0:
             pmf[draws] = float(mass)
-    total = sum(pmf.values())
+    total = _sum_in_order(pmf.values())
     if total <= 0.0:
         return None
     return {k: v / total for k, v in pmf.items()}
@@ -454,7 +466,7 @@ def randomized_threshold_pmf(
         mass = state[m] - covered_before
         if mass > 0.0:
             pmf[draws] = float(mass)
-    total = sum(pmf.values())
+    total = _sum_in_order(pmf.values())
     if total <= 0.0:
         return None
     return {k: v / total for k, v in pmf.items()}
@@ -555,7 +567,7 @@ def order_statistic_runtime(
         pmf: Optional[Dict[int, float]] = {
             int(k): float(p) for k, p in threshold.items()
         }
-        mean_k = float(sum(k * p for k, p in pmf.items()))
+        mean_k = float(_sum_in_order(k * p for k, p in pmf.items()))
     else:
         pmf = None
         mean_k = float(min(max(float(threshold), 1.0), n))
@@ -578,7 +590,7 @@ def order_statistic_runtime(
             )
 
         if pmf:
-            mean_total = sum(p * arrivals[min(k, n) - 1] for k, p in pmf.items())
+            mean_total = _sum_in_order(p * arrivals[min(k, n) - 1] for k, p in pmf.items())
         else:
             mean_total = arrival_at(mean_k)
         computation = compute_deterministic + compute_tail_mean * _partial_harmonic(
@@ -591,7 +603,7 @@ def order_statistic_runtime(
             + transfer_jitter_mean**2
         )
         if pmf:
-            variance += sum(
+            variance += _sum_in_order(
                 p * (arrivals[min(k, n) - 1] - mean_total) ** 2 for k, p in pmf.items()
             )
         compute_kth_mean = computation
@@ -611,7 +623,7 @@ def order_statistic_runtime(
 
         def mixture_mean(partial: Callable[[float], float]) -> float:
             if pmf:
-                return sum(p * partial(min(k, n)) for k, p in pmf.items())
+                return _sum_in_order(p * partial(min(k, n)) for k, p in pmf.items())
             return partial(mean_k)
 
         mean_total = mixture_mean(
@@ -622,7 +634,7 @@ def order_statistic_runtime(
         )
         variance = _order_stat_tail_variance(n, k_round, tail_mean)
         if pmf:
-            variance += sum(
+            variance += _sum_in_order(
                 p
                 * (
                     deterministic

@@ -7,8 +7,9 @@ coupon-collector, replication-group completion). They sit behind one call
 surface, :class:`KernelSuite`, which the engine obtains from
 :func:`get_suite`.
 
-There is one backend, ``"numpy"``: the serialized-link recurrence evaluated
-column by column (every row reproduces the loop engine's float-op order — a
+There is one backend, ``"numpy"``: the serialized-link recurrence stepped
+one worker rank at a time, in place over a worker-major copy so each step
+is contiguous (every row reproduces the loop engine's float-op order — a
 cumsum/running-max rewrite would be algebraically equal but rounded
 differently), and the completion kernels as row-wise selections
 (``max``/``sort``/``reduceat``). The kernels are a few percent of an
@@ -46,11 +47,11 @@ _SEGMENT_CHUNK_CELLS = 1 << 22
 class KernelSuite:
     """The five hot-path kernels the vectorized engine calls.
 
-    All arrays are row-major with independent rows; every callable
-    allocates and returns its output. ``positions`` matrices hold each
-    active column's arrival rank; completion kernels return the 0-based
-    rank completing each row (callers translate out-of-range sentinels to
-    "never completes").
+    All matrices are ``(rows, columns)`` with independent rows, not
+    necessarily C-ordered; every callable allocates and returns its output.
+    ``positions`` matrices hold each active column's arrival rank;
+    completion kernels return the 0-based rank completing each row
+    (callers translate out-of-range sentinels to "never completes").
     """
 
     name: str
@@ -66,15 +67,19 @@ class KernelSuite:
 def link_recurrence(
     compute_sorted: np.ndarray, transfer_sorted: np.ndarray
 ) -> np.ndarray:
-    """``a_k = max(c_k, a_{k-1}) + t_k`` over completion-sorted columns."""
-    num_rows, _ = compute_sorted.shape
-    arrival_sorted = np.empty_like(compute_sorted)
-    link_free = np.zeros(num_rows, dtype=float)
-    for k in range(compute_sorted.shape[1]):
-        start = np.maximum(compute_sorted[:, k], link_free)
-        link_free = start + transfer_sorted[:, k]
-        arrival_sorted[:, k] = link_free
-    return arrival_sorted
+    """``a_k = max(c_k, a_{k-1}) + t_k`` over completion-sorted columns.
+
+    Steps in place over a worker-major (transposed) copy, so every step
+    reads and writes contiguous memory; each element still takes one
+    ``max`` and then one ``+``. Returns the ``(rows, workers)`` transpose.
+    """
+    arrival = np.array(compute_sorted.T, dtype=float, order="C")
+    link_free = np.zeros(arrival.shape[1])
+    for column, transfer in zip(arrival, np.ascontiguousarray(transfer_sorted.T)):
+        np.maximum(column, link_free, out=column)
+        np.add(column, transfer, out=column)
+        link_free = column
+    return arrival.T
 
 
 def count_completion(positions: np.ndarray, required: np.ndarray) -> np.ndarray:

@@ -56,17 +56,24 @@ Within a chunk of trials (see "Trial batching"), a stationary cluster's
 compute form is resolved once while consecutive trials' loads agree, and a
 deterministic link's transfer times are evaluated once.
 
+Every ranking the engine makes is the loop's stable argsort, computed
+cheaply by :func:`_rank_rows`: NumPy's default sort ranks each row, and
+only the rows whose ranked values fail to increase strictly — a tie, which
+the stable sort breaks by worker index, or a NaN — are sorted again,
+stably. A row of distinct values has one sorting permutation, so nothing
+else can differ. (The row-by-row schedule keeps one stable sort per row.)
 On a stochastic link the block and row-by-row schedules already rank each
-row by completion time to order the transfer draws; that ranking is handed
-to the serialized-link recurrence, so compute is argsorted once per row. On
-the serialized link that one sort is also the arrival ranking: the
+row by completion time to order the transfer draws; that ranking, the
+order and the compute times gathered in it, is handed to the
+serialized-link recurrence, so compute is ranked and gathered once per row.
+On the serialized link that one ranking is also the arrival ranking: the
 recurrence ``a_k = max(c_k, a_{k-1}) + t_k`` never decreases along
 completion order, so its input and output are the ranked compute and
 arrival times. Only the rows where two equal arrivals sit with the larger
 worker index first are argsorted again, because the loop breaks arrival
 ties by worker index (so would rows whose arrivals decrease, which only a
 negative transfer time could cause). On the parallel link the arrivals
-``c + t`` are argsorted once. The serialized-link recurrence and all
+``c + t`` are ranked once. The serialized-link recurrence and all
 completion kernels are pure computation: they consume no randomness and
 reproduce the loop's floating-point operation order (``max`` then ``+``,
 metric reductions over identically ordered gathers), so the resulting
@@ -77,9 +84,13 @@ The engine returns its outcomes as columns, one array per
 :class:`~repro.simulation.iteration.IterationOutcome` field with the heard
 workers as a CSR index, wrapped in a
 :class:`~repro.simulation.job.ColumnarOutcomeLog`; no outcome object is
-built unless one is read. Each iteration's communication load comes from
-one ``np.sum(..., axis=1)`` per distinct heard count, which adds every row's
-message sizes in the order of the loop's ``np.sum(message_sizes[heard])``.
+built unless one is read. Each iteration's communication load equals the
+loop's ``np.sum(message_sizes[heard])``. When every active message size is
+integer-valued and their magnitudes total under ``2**53`` (so for every
+built-in scheme), every partial sum is exact and any order gives that
+float, so one row-wise ``cumsum`` is read at the completing rank.
+Otherwise one ``np.sum(..., axis=1)`` per distinct heard count adds every
+row's message sizes in the loop's order.
 
 Completion kernels exist for every built-in aggregator: fixed worker set
 (uncoded, load-balanced), arrival count (ignore-stragglers), batch
@@ -279,13 +290,13 @@ def simulate_job_batch(
     for chunk in _trial_chunks(
         scheme_or_plan, cluster, num_units, num_iterations, seeds, unit_size
     ):
-        compute, transfer, order = _for_link(
+        compute, transfer, ranking = _for_link(
             _draw_chunk(chunk, cluster, num_iterations), serialize_master_link
         )
         totals, computations, communications, counts, loads, finished, heard = (
             _complete_batch(
                 chunk.plans, chunk.active, chunk.message_sizes, compute, transfer,
-                serialize_master_link, suite, order,
+                serialize_master_link, suite, ranking,
             )
         )
         # Each trial's log views its rows of the columns and its span of
@@ -420,29 +431,30 @@ def _draw_chunk(
     cluster: ClusterSpec | DynamicClusterSpec,
     num_iterations: int,
 ) -> tuple:
-    """A chunk's ``(compute, transfer, order)`` draws, stacked trial-major.
+    """A chunk's ``(compute, transfer, ranking)`` draws, stacked trial-major.
 
     Each trial draws from its own generator, through the first of the
     module docstring's three schedules its models allow: the block, the
     grid, then row by row. Every matrix is ``(trials * num_iterations,
     n_active)``, and a vacant slot's compute time is ``inf``. On a
-    deterministic link ``order`` is ``None`` and ``transfer`` broadcasts the
-    link's one evaluation. On a stochastic link ``order`` is each row's
-    stable completion order and ``transfer`` is laid out in it, ``0`` where
-    a slot is vacant.
+    deterministic link ``ranking`` is ``None`` and ``transfer`` broadcasts
+    the link's one evaluation. On a stochastic link ``ranking`` is each
+    row's stable completion order and the compute times in it (see
+    :func:`_rank_rows`), and ``transfer`` is laid out in that order, ``0``
+    where a slot is vacant.
     """
     communication = cluster.communication
     deterministic = communication.is_deterministic
     active, sizes = chunk.active, chunk.active_sizes
     shape = (len(chunk.plans) * num_iterations, int(active.size))
     compute = np.empty(shape)
-    order: Optional[np.ndarray] = None
+    ranking: Optional[Tuple[np.ndarray, np.ndarray]] = None
     transfer_form: Optional[Tuple[np.ndarray, np.ndarray]] = None
     if deterministic:
         transfer = np.broadcast_to(communication.sample_batch(sizes), shape)
     else:
         transfer = np.empty(shape)
-        order = np.empty(shape, dtype=np.intp)
+        ranking = np.empty(shape, dtype=np.intp), np.empty(shape)
         transfer_form = communication.exponential_form(sizes)
     # The block draw needs a link that draws nothing or draws exponentials.
     exponential = deterministic or transfer_form is not None
@@ -475,24 +487,46 @@ def _draw_chunk(
             draws = _draw_rows(model_rows, up, loads, sizes, communication, generator)
         rows = slice(t * num_iterations, (t + 1) * num_iterations)
         compute[rows] = draws[0]
-        if order is not None:
-            transfer[rows], order[rows] = draws[1], draws[2]
-    return compute, transfer, order
+        if ranking is not None:
+            transfer[rows] = draws[1]
+            ranking[0][rows], ranking[1][rows] = draws[2]
+    return compute, transfer, ranking
 
 
 def _for_link(draws: tuple, serialize_master_link: bool) -> tuple:
-    """The ``(compute, transfer, order)`` draws as :func:`_complete_batch`
+    """The ``(compute, transfer, ranking)`` draws as :func:`_complete_batch`
     takes them.
 
-    Only the serialized link uses the completion order; for the parallel
-    link the transfers go back to worker order and ``order`` is dropped.
+    Only the serialized link uses the completion ranking; for the parallel
+    link the transfers go back to worker order and ``ranking`` is dropped.
     """
-    compute, transfer, order = draws
-    if order is None or serialize_master_link:
+    compute, transfer, ranking = draws
+    if ranking is None or serialize_master_link:
         return draws
     unranked = np.empty_like(transfer)
-    np.put_along_axis(unranked, order, transfer, axis=1)
+    np.put_along_axis(unranked, ranking[0], transfer, axis=1)
     return compute, unranked, None
+
+
+def _rank_rows(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Each row's stable argsort, and the row's values in that order.
+
+    The default (unstable) sort ranks every row first. A row of distinct
+    values has one sorting permutation, so it can differ from the stable
+    sort only where its ranked values fail to increase strictly: an equal
+    pair (``==`` also matches two ``inf`` vacancies, or ``-0.0`` against
+    ``0.0``) or a NaN. Only those rows are sorted again, stably.
+    """
+    order = np.argsort(values, axis=1)
+    # One flat take: faster than take_along_axis's broadcast row index.
+    num_rows, width = values.shape
+    ranked = np.take(values, order + np.arange(0, num_rows * width, width)[:, None])
+    tied = np.flatnonzero(~np.all(ranked[:, 1:] > ranked[:, :-1], axis=1))
+    if tied.size:
+        resorted = np.argsort(values[tied], axis=1, kind="stable")
+        order[tied] = resorted
+        ranked[tied] = np.take_along_axis(values[tied], resorted, axis=1)
+    return order, ranked
 
 
 def _draw_grid_block(
@@ -518,9 +552,9 @@ def _draw_grid_block(
         return offset + scale * generator.standard_exponential((num_iterations, n)), None, None
     block = generator.standard_exponential((num_iterations, 2 * n))
     compute = offset + scale * block[:, :n]
-    order = np.argsort(compute, axis=1, kind="stable")
+    order, ranked = _rank_rows(compute)
     transfer = transfer_form[0][order] + transfer_form[1][order] * block[:, n:]
-    return compute, transfer, order
+    return compute, transfer, (order, ranked)
 
 
 def _draw_timeline_block(
@@ -551,7 +585,7 @@ def _draw_timeline_block(
     block = generator.standard_exponential(2 * int(counts.sum()))
     slots = starts[:, None] + np.cumsum(up, axis=1) - 1
     compute[up] = offset + scale * block[slots[up]]
-    order = np.argsort(compute, axis=1, kind="stable")
+    order, ranked = _rank_rows(compute)
     finished = np.arange(up.shape[1]) < counts[:, None]
     workers = order[finished]
     slots = (starts + counts)[:, None] + np.arange(up.shape[1])
@@ -559,7 +593,7 @@ def _draw_timeline_block(
     transfer[finished] = (
         transfer_form[0][workers] + transfer_form[1][workers] * block[slots[finished]]
     )
-    return compute, transfer, order
+    return compute, transfer, (order, ranked)
 
 
 def _draw_rows(
@@ -600,7 +634,9 @@ def _draw_rows(
                 transfer[i, :finished] = communication.sample_batch(
                     sizes[order[i, :finished]], generator
                 )
-    return (compute, transfer, order) if stochastic else (compute, None, None)
+    if not stochastic:
+        return compute, None, None
+    return compute, transfer, (order, np.take_along_axis(compute, order, axis=1))
 
 
 def _complete_batch(
@@ -611,7 +647,7 @@ def _complete_batch(
     transfer: np.ndarray,
     serialize_master_link: bool,
     suite: KernelSuite,
-    order: Optional[np.ndarray] = None,
+    ranking: Optional[Tuple[np.ndarray, np.ndarray]] = None,
 ) -> Tuple[np.ndarray, ...]:
     """Completion search + metric assembly over drawn timing matrices.
 
@@ -625,10 +661,11 @@ def _complete_batch(
     The arrival recurrence and per-scheme completion searches run on
     ``suite``'s kernels (:mod:`repro.simulation.kernels`).
 
-    ``order``, given only on a serialized link (see :func:`_for_link`), is
-    ``compute``'s stable per-row argsort that the draws already computed;
-    ``transfer`` is then laid out in that completion order instead of worker
-    order. It is reused (and rewritten in place) as the arrival ranking.
+    ``ranking``, given only on a serialized link (see :func:`_for_link`), is
+    the ``(order, ranked compute)`` pair of :func:`_rank_rows` that the
+    draws already computed; ``transfer`` is then laid out in that completion
+    order instead of worker order. Both arrays are reused (and rewritten in
+    place) as the arrival ranking.
 
     Returns one array per :class:`~repro.simulation.iteration.IterationOutcome`
     field, one entry per row, in field order — the
@@ -645,10 +682,10 @@ def _complete_batch(
     #    completion order already ranks the arrivals, and the recurrence's
     #    input and output are the ranked compute and arrival times.
     if serialize_master_link:
-        if order is None:
-            order = np.argsort(compute, axis=1, kind="stable")
-            transfer = np.take_along_axis(transfer, order, axis=1)
-        compute_ranked = np.take_along_axis(compute, order, axis=1)
+        if ranking is None:
+            ranking = _rank_rows(compute)
+            transfer = np.take_along_axis(transfer, ranking[0], axis=1)
+        order, compute_ranked = ranking
         arrival_ranked = suite.link_recurrence(compute_ranked, transfer)
         arrival_order = order
         # The loop ranks arrivals with a stable argsort in worker order, so
@@ -675,9 +712,7 @@ def _complete_batch(
                 compute[misranked], resorted, axis=1
             )
     else:
-        arrivals = compute + transfer
-        arrival_order = np.argsort(arrivals, axis=1, kind="stable")
-        arrival_ranked = np.take_along_axis(arrivals, arrival_order, axis=1)
+        arrival_order, arrival_ranked = _rank_rows(compute + transfer)
         compute_ranked = np.take_along_axis(compute, arrival_order, axis=1)
 
     # 3. Per-iteration completion position (rank of the finishing arrival).
@@ -709,17 +744,25 @@ def _complete_batch(
     counts = completing + 1
     heard = active[arrival_order[np.arange(n_active) < counts[:, None]]]
     # The loop sums each iteration's heard message sizes with one np.sum
-    # over its arrival-ordered gather; np.sum(..., axis=1) over the rows
-    # that heard equally many workers adds each row in that same order.
-    ranked_sizes = message_sizes[active][arrival_order]
-    by_count = np.argsort(counts, kind="stable")
-    sorted_counts = counts[by_count]
-    changes = np.flatnonzero(sorted_counts[1:] != sorted_counts[:-1]) + 1
-    bounds = [0, *changes.tolist(), num_rows]
-    loads = np.empty(num_rows)
-    for start, stop in zip(bounds, bounds[1:]):
-        same = by_count[start:stop]
-        loads[same] = np.sum(ranked_sizes[same, : sorted_counts[start]], axis=1)
+    # over its arrival-ordered gather.
+    sizes = message_sizes[active]
+    ranked_sizes = sizes[arrival_order]
+    if np.all(np.floor(sizes) == sizes) and float(np.abs(sizes).sum()) < 2.0**53:
+        # Integers whose magnitudes total under 2**53: every partial sum is
+        # exact, so a running sum equals np.sum in any order. np.sum starts
+        # from +0.0; adding 0.0 turns a running sum's -0.0 into it.
+        loads = np.cumsum(ranked_sizes, axis=1)[rows, completing] + 0.0
+    else:
+        # np.sum(..., axis=1) over the rows that heard equally many workers
+        # adds each row in the loop's order.
+        by_count = np.argsort(counts, kind="stable")
+        sorted_counts = counts[by_count]
+        changes = np.flatnonzero(sorted_counts[1:] != sorted_counts[:-1]) + 1
+        bounds = [0, *changes.tolist(), num_rows]
+        loads = np.empty(num_rows)
+        for start, stop in zip(bounds, bounds[1:]):
+            same = by_count[start:stop]
+            loads[same] = np.sum(ranked_sizes[same, : sorted_counts[start]], axis=1)
     return (
         total_times,
         computation_times,

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from repro.analysis import analytic
 from repro.analysis.analytic import (
     AnalyticIteration,
+    _sum_in_order,
     coupon_threshold_pmf,
     expected_arrivals_until_group_complete,
     fractional_group_runtime,
@@ -16,6 +19,7 @@ from repro.analysis.analytic import (
     maximum_runtime,
     normal_quantile,
     order_statistic_runtime,
+    randomized_threshold_pmf,
     transfer_parameters,
     worker_compute_parameters,
 )
@@ -352,3 +356,50 @@ class TestTotalRuntimeQuantiles:
         # ~1.28 sigma above the mean.
         assert totals[0.9] == pytest.approx(200.0 + 5 * 1.281552, abs=1e-3)
         assert estimate.total_runtime_mean(100) == pytest.approx(200.0)
+
+
+def _compensated_sum(values, start=0):
+    """Python 3.12's float ``sum()``: Neumaier-compensated."""
+    total, compensation = float(start), 0.0
+    for value in values:
+        step = total + value
+        if abs(total) >= abs(value):
+            compensation += (total - step) + value
+        else:
+            compensation += (value - step) + total
+        total = step
+    return total + compensation
+
+
+def _pmf_estimates() -> list:
+    """Every estimate the analytic module reduces a pmf for."""
+    pmf = coupon_threshold_pmf(10, 60)
+    results = [pmf, randomized_threshold_pmf(40, 6, 60)]
+    for serialize in (True, False):
+        estimate = order_statistic_runtime(
+            scheme="test",
+            num_workers=60,
+            threshold=pmf,
+            compute_deterministic=1.0,
+            compute_tail_mean=0.5,
+            transfer_fixed=0.1,
+            transfer_jitter_mean=0.05,
+            message_size=1.0,
+            serialize_master_link=serialize,
+        )
+        results.append(dataclasses.astuple(estimate))
+    return results
+
+
+class TestInterpreterIndependentSums:
+    def test_sum_in_order_adds_left_to_right(self):
+        # A compensated sum (Python 3.12's sum()) recovers the 1.0.
+        assert _compensated_sum([1e16, 1.0, -1e16]) == 1.0
+        assert _sum_in_order([1e16, 1.0, -1e16]) == 0.0
+        assert _sum_in_order([]) == 0.0
+
+    def test_results_ignore_a_compensated_builtin_sum(self, monkeypatch):
+        # Shadow the module's built-in sum() with 3.12's: no estimate moves.
+        plain = _pmf_estimates()
+        monkeypatch.setattr(analytic, "sum", _compensated_sum, raising=False)
+        assert _pmf_estimates() == plain

@@ -177,15 +177,30 @@ def _arrival_ties() -> list:
     ]
 
 
-def _load_summation_order() -> list:
-    """Unequal message sizes summed over at least eight heard workers.
+def _interleaved_ties() -> list:
+    """Equal compute times that interleave across the worker indices.
 
-    ``np.sum`` adds eight or more values pairwise, so an engine that summed
-    each iteration's communication load in any other order (a running
-    ``cumsum``, say) would round differently from the loop engine.
+    The 24 workers' seconds cycle 2.0/1.0/3.0, so each row holds three
+    interleaved groups of eight equal times; behind the jitter-free link the
+    parallel link's arrivals tie the same way. NumPy's default sort may rank
+    such ties in any order (an all-equal row comes back in index order and
+    proves nothing); the loop ranks them by worker index.
     """
+    seconds = (2.0, 1.0, 3.0)
+    cluster = ClusterSpec(
+        workers=tuple(
+            WorkerSpec(compute=DeterministicDelay(seconds[i % 3]), name=f"w{i}")
+            for i in range(24)
+        ),
+        communication=_jitter_free(),
+    )
+    schemes = (UncodedScheme(), BCCScheme(load=3))
+    return [(scheme.build_feasible_plan(24, 24, rng=5), cluster, 24) for scheme in schemes]
+
+
+def _sized_jobs(sizes) -> list:
+    """Uncoded and BCC jobs on 24 shift-exponential workers, with ``sizes``."""
     cluster = ClusterSpec.homogeneous(24, ShiftedExponentialDelay(2.0, 0.01), _jittered())
-    sizes = np.random.default_rng(11).uniform(0.1, 1.0, 24)
     schemes = (UncodedScheme(), BCCScheme(load=3))
     return [
         (_with_sizes(scheme.build_feasible_plan(24, 24, rng=5), sizes), cluster, 24)
@@ -193,10 +208,34 @@ def _load_summation_order() -> list:
     ]
 
 
+def _load_summation_order() -> list:
+    """Unequal message sizes summed over at least eight heard workers.
+
+    ``np.sum`` adds eight or more values pairwise, so an engine that summed
+    each iteration's communication load of fractional sizes in any other
+    order (a running ``cumsum``, say) would round differently from the loop
+    engine.
+    """
+    return _sized_jobs(np.random.default_rng(11).uniform(0.1, 1.0, 24))
+
+
+def _integer_sizes_past_2_53() -> list:
+    """Integer-valued message sizes whose total passes ``2**53``.
+
+    Below ``2**53`` every partial sum of integers is exact, so any order
+    adds them to ``np.sum``'s float. These sizes (``2**50 * k + j``) total
+    about ``70 * 2**50``, where the low bits round away in an order that
+    depends on the summation.
+    """
+    return _sized_jobs([2.0**50 * (1 + j % 5) + j for j in range(24)])
+
+
 #: Jobs whose loop/vectorized agreement rests on one easily broken step of
 #: the vectorized engine's tail; each builds ``[(plan, cluster, num_units)]``.
 EXACTNESS_HAZARDS = {
     "arrival-ties": _arrival_ties,
+    "integer-sizes-past-2**53": _integer_sizes_past_2_53,
+    "interleaved-ties": _interleaved_ties,
     "load-summation-order": _load_summation_order,
 }
 

@@ -9,6 +9,8 @@ compares every metric exactly; the summaries are compared with plain dict
 equality for the same reason.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -405,6 +407,22 @@ class TestFallbackAndEdgeCases:
         cluster = ClusterSpec.homogeneous(4, DeterministicDelay(1.0))
         with pytest.raises(SimulationError):
             simulate_job_vectorized(plan, cluster, 10, 2, rng=0)
+
+    @pytest.mark.parametrize("serialize", [True, False], ids=["serialized", "parallel"])
+    def test_negative_zero_sizes_load_positive_zero(self, serialize):
+        # -0.0 is integer-valued, so these loads take the running-sum path.
+        # np.sum starts from +0.0, so the loop loads +0.0; a running sum of
+        # -0.0s is -0.0, which == cannot tell apart, so compare sign bits.
+        plan = dataclasses.replace(
+            UncodedScheme().build_plan(12, 12), message_sizes=np.full(12, -0.0)
+        )
+        results = [
+            engine(plan, make_cluster("uncoded"), 12, 9, rng=7, serialize_master_link=serialize)
+            for engine in (simulate_job, simulate_job_vectorized)
+        ]
+        assert_identical(*results)
+        loads = [[outcome.communication_load for outcome in r.iterations] for r in results]
+        assert not np.signbit(loads).any()
 
 
 def claiming(code, num_stragglers):
