@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import lambertw
 
 from repro.cluster.spec import ClusterSpec
 from repro.exceptions import AllocationError
@@ -107,6 +106,10 @@ def _per_worker_optimum(straggling: float, shift: float) -> tuple[float, float]:
         # probability is 1 - 1/e.
         s_star = 1.0 / straggling
         return s_star, 1.0 - float(np.exp(-1.0))
+    # Imported here, not at module level: scipy.special costs every launch
+    # ~0.26 s and ~17 MB, and this helper is its only user.
+    from scipy.special import lambertw
+
     exponent = -(1.0 + straggling * shift)
     # v solves v * exp(-v) = exp(exponent) with v > 1, i.e. v = -W_{-1}(-e^{exponent}).
     v = -lambertw(-np.exp(exponent), k=-1).real

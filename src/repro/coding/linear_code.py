@@ -188,7 +188,8 @@ class LinearGradientCode:
             raise DecodingError(
                 f"worker indices must be integers, got dtype {workers.dtype}"
             )
-        if np.unique(workers).size != workers.size:
+        ordered = np.sort(workers)
+        if (ordered[1:] == ordered[:-1]).any():
             raise DecodingError("workers must not contain duplicates")
         outside = np.flatnonzero((workers < 0) | (workers >= self.num_workers))
         if outside.size:

@@ -26,6 +26,7 @@ __all__ = [
     "IdentityKeyedCacheRule",
     "PublicDocstringRule",
     "StrictCoreAnnotationRule",
+    "BuiltinSumRule",
 ]
 
 
@@ -739,3 +740,40 @@ class StrictCoreAnnotationRule(Rule):
         if node.returns is None:
             missing.append("return")
         return missing
+
+
+@register_rule
+class BuiltinSumRule(Rule):
+    """SUM001 — no built-in ``sum()``: its float order depends on the interpreter."""
+
+    id = "SUM001"
+    title = "no built-in sum(); reduce floats in an explicit order"
+    severity = Severity.ERROR
+    rationale = (
+        "Python 3.12's built-in sum() compensates float sums (sum([0.1] * 10) "
+        "is 1.0 there, 0.9999999999999999 on 3.11) and CI tests 3.10-3.12, so "
+        "a float sum() makes results depend on the interpreter. Reduce floats "
+        "with the left-to-right helpers repro.simulation.job._sequential_sum "
+        "and repro.analysis.analytic._sum_in_order, or with np.sum; an integer "
+        "sum() carries a pragma saying so."
+    )
+
+    def check(self, module: ModuleContext, project: ProjectModel) -> Iterator[Finding]:
+        if module.tree is None:
+            return
+        for node in ast.walk(module.tree):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "sum"
+            ):
+                yield self.finding(
+                    module,
+                    node.lineno,
+                    "built-in sum() adds floats in an interpreter-dependent"
+                    " order (Python 3.12 compensates); use"
+                    " simulation.job._sequential_sum or"
+                    " analysis.analytic._sum_in_order (left to right), or"
+                    " np.sum",
+                    column=node.col_offset,
+                )

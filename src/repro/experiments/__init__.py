@@ -15,57 +15,60 @@ Theorem 2 validation   :func:`repro.experiments.theorems.run_theorem2_validation
 Ablations              :mod:`repro.experiments.ablations`
 Churn ablation         :func:`repro.experiments.churn.run_churn_ablation`
 =====================  =====================================================
+
+Each public name is imported from its submodule on first access (a PEP 562
+module ``__getattr__``), so ``from repro.experiments import
+ec2_like_cluster`` imports :mod:`repro.experiments.ec2` and none of the
+drivers.
 """
 
-from repro.experiments.ec2 import ec2_like_cluster, EC2LikeConfig
-from repro.experiments.fig2 import Fig2Result, run_fig2
-from repro.experiments.fig4 import ScenarioConfig, ScenarioResult, run_scenario
-from repro.experiments.fig5 import Fig5Result, run_fig5
-from repro.experiments.theorems import (
-    Theorem1Validation,
-    run_theorem1_validation,
-    Theorem2Validation,
-    run_theorem2_validation,
-)
-from repro.experiments.churn import (
-    ChurnAblationConfig,
-    ChurnAblationResult,
-    available_dynamics,
-    dynamics_from_spec,
-    run_churn_ablation,
-)
-from repro.experiments.ablations import (
-    load_sweep,
-    straggler_intensity_sweep,
-    delay_model_comparison,
-    communication_ratio_sweep,
-    allocation_strategy_comparison,
-    exactness_under_time_budget,
-)
+from __future__ import annotations
 
-__all__ = [
-    "ec2_like_cluster",
-    "EC2LikeConfig",
-    "Fig2Result",
-    "run_fig2",
-    "ScenarioConfig",
-    "ScenarioResult",
-    "run_scenario",
-    "Fig5Result",
-    "run_fig5",
-    "Theorem1Validation",
-    "run_theorem1_validation",
-    "Theorem2Validation",
-    "run_theorem2_validation",
-    "ChurnAblationConfig",
-    "ChurnAblationResult",
-    "available_dynamics",
-    "dynamics_from_spec",
-    "run_churn_ablation",
-    "load_sweep",
-    "straggler_intensity_sweep",
-    "delay_model_comparison",
-    "communication_ratio_sweep",
-    "allocation_strategy_comparison",
-    "exactness_under_time_budget",
-]
+import importlib
+from typing import Any, Dict, List, Tuple
+
+#: The public names of each submodule, in ``__all__`` order.
+_EXPORTS: Dict[str, Tuple[str, ...]] = {
+    "ec2": ("ec2_like_cluster", "EC2LikeConfig"),
+    "fig2": ("Fig2Result", "run_fig2"),
+    "fig4": ("ScenarioConfig", "ScenarioResult", "run_scenario"),
+    "fig5": ("Fig5Result", "run_fig5"),
+    "theorems": (
+        "Theorem1Validation",
+        "run_theorem1_validation",
+        "Theorem2Validation",
+        "run_theorem2_validation",
+    ),
+    "churn": (
+        "ChurnAblationConfig",
+        "ChurnAblationResult",
+        "available_dynamics",
+        "dynamics_from_spec",
+        "run_churn_ablation",
+    ),
+    "ablations": (
+        "load_sweep",
+        "straggler_intensity_sweep",
+        "delay_model_comparison",
+        "communication_ratio_sweep",
+        "allocation_strategy_comparison",
+        "exactness_under_time_budget",
+    ),
+}
+
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_SOURCE)
+
+
+def __getattr__(name: str) -> Any:
+    module = _SOURCE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> List[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -240,6 +240,7 @@ def plan_example_loads(
         if unit_spec is None:
             loads[worker] = len(units)
         else:
+            # reprolint: allow[SUM001] reason=integer batch sizes; an int sum is exact in any order
             loads[worker] = sum(
                 int(unit_spec.batch_indices(int(unit)).size) for unit in units
             )

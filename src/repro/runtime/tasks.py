@@ -113,6 +113,7 @@ class WorkerTask:
     @property
     def num_examples(self) -> int:
         """Total number of examples across the worker's units."""
+        # reprolint: allow[SUM001] reason=integer row counts; an int sum is exact in any order
         return int(sum(features.shape[0] for features in self.unit_features))
 
     # ------------------------------------------------------------------ #

@@ -10,8 +10,9 @@ sends one JSON request per line and receives a stream of JSON events back:
     Submission complete: row/cell counts plus the service's cache and
     deduplication statistics.
 ``{"event": "error", ...}``
-    The request was rejected (bad configuration, budget exceeded); the
-    connection stays usable for the next request.
+    The request was rejected (bad configuration, budget exceeded, a line
+    over :data:`LINE_LIMIT` bytes); the connection stays usable for the
+    next request.
 
 Requests mirror the ``repro sweep`` CLI flags::
 
@@ -49,11 +50,17 @@ from repro.schemes.registry import available_schemes, scheme_accepts
 from repro.service.service import SweepService
 
 __all__ = [
+    "LINE_LIMIT",
     "sweep_from_request",
     "serve",
     "run_server",
     "self_test",
 ]
+
+#: The longest request line, in bytes before its newline (asyncio's
+#: default stream limit). A longer line is skipped whole and answered with
+#: one error event.
+LINE_LIMIT = 2**16
 
 #: Request keys the server understands (anything else is a loud error).
 _REQUEST_KEYS = {
@@ -176,7 +183,11 @@ async def _handle_request(
         writer.write(json.dumps(event).encode("utf-8") + b"\n")
 
     try:
-        payload = json.loads(line.decode("utf-8"))
+        try:
+            payload = json.loads(line.decode("utf-8"))
+        except RecursionError:
+            # json's decoder recurses once per nesting level.
+            raise ConfigurationError("the request's JSON nests too deeply") from None
         if not isinstance(payload, dict):
             raise ConfigurationError("a request must be a JSON object")
         if payload.get("request") == "recommend":
@@ -280,7 +291,7 @@ async def serve(
             if once:
                 finished.set()
 
-    server = await asyncio.start_server(handle, host, port)
+    server = await asyncio.start_server(handle, host, port, limit=LINE_LIMIT)
     if announce:
         bound = server.sockets[0].getsockname()[1]
         print(f"repro serve: listening on {host}:{bound}", flush=True)
@@ -348,6 +359,24 @@ async def _self_test(host: str, request: Mapping[str, object]) -> int:
     return 0
 
 
+async def _skip_line(reader: asyncio.StreamReader, consumed: int) -> None:
+    """Drop the rest of an over-long line, through its newline.
+
+    ``consumed`` is the overrun's count of bytes already buffered. The
+    line's newline may not have arrived yet, so the line is read to its
+    end (or the end of the stream), one buffer at a time.
+    """
+    while True:
+        await reader.readexactly(consumed)
+        try:
+            await reader.readuntil(b"\n")
+            return
+        except asyncio.LimitOverrunError as overrun:
+            consumed = overrun.consumed
+        except asyncio.IncompleteReadError:
+            return
+
+
 async def _connection(
     service: SweepService,
     reader: asyncio.StreamReader,
@@ -356,8 +385,20 @@ async def _connection(
     """One client connection: requests until EOF/blank line, then close."""
     try:
         while True:
-            line = await reader.readline()
-            if not line or not line.strip():
+            try:
+                line = await reader.readuntil(b"\n")
+            except asyncio.IncompleteReadError as end:
+                line = end.partial  # the unterminated last line, as readline gives it
+            except asyncio.LimitOverrunError as overrun:
+                event = {
+                    "event": "error",
+                    "error": f"the request line is longer than {LINE_LIMIT} bytes",
+                }
+                writer.write(json.dumps(event).encode("utf-8") + b"\n")
+                await writer.drain()
+                await _skip_line(reader, overrun.consumed)
+                continue
+            if not line.strip():
                 break
             await _handle_request(service, writer, line)
     except asyncio.CancelledError:

@@ -123,6 +123,7 @@ class _LazyOutcomeLog(_IterationLog):
         return self._outcome(index)
 
     def count(self, value: Any) -> int:
+        # reprolint: allow[SUM001] reason=an integer count of matches; an int sum is exact in any order
         return sum(1 for entry in self if entry == value)
 
     def index(

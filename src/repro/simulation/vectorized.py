@@ -917,7 +917,7 @@ def _coverage_layout(
     )
     held = owners >= 0
     items, owners = items[held], owners[held]
-    if items.size == 0 or np.unique(items).size < num_items:
+    if not np.bincount(items, minlength=num_items)[:num_items].all():
         return None
     by_item = np.argsort(items, kind="stable")
     segment_starts = np.flatnonzero(

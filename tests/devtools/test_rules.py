@@ -492,3 +492,37 @@ class TestStrictCoreAnnotations:
     def test_outside_strict_core_is_out_of_scope(self):
         source = "def f(x):\n    return x\n"
         assert findings_for(source, "TYPE001", path="src/repro/analysis/extra.py") == []
+
+
+# --------------------------------------------------------------------- #
+# SUM001 — built-in sum()
+# --------------------------------------------------------------------- #
+class TestBuiltinSum:
+    def test_builtin_sum_is_flagged(self):
+        source = "def total(values):\n    return sum(values)\n"
+        findings = findings_for(source, "SUM001")
+        assert len(findings) == 1
+        assert findings[0].line == 2
+        assert findings[0].severity is Severity.ERROR
+        assert "_sequential_sum" in findings[0].message
+        assert "_sum_in_order" in findings[0].message
+
+    def test_generator_and_start_argument_forms_are_flagged(self):
+        source = "a = sum(x for x in range(3))\nb = sum([0.1] * 10, 0.0)\n"
+        assert [f.line for f in findings_for(source, "SUM001")] == [1, 2]
+
+    def test_numpy_and_method_sums_are_clean(self):
+        source = (
+            "import numpy as np\n"
+            "a = np.sum([0.1, 0.2])\n"
+            "b = np.ones(3).sum()\n"
+            "c = np.add.accumulate([0.1, 0.2])\n"
+        )
+        assert findings_for(source, "SUM001") == []
+
+    def test_pragma_suppresses(self):
+        source = (
+            "# reprolint: allow[SUM001] reason=integer counts\n"
+            "n = sum(1 for _ in range(3))\n"
+        )
+        assert findings_for(source, "SUM001") == []

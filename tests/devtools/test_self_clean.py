@@ -36,6 +36,7 @@ def test_catalogue_has_the_documented_rules():
         "CACHE001",
         "DOC001",
         "TYPE001",
+        "SUM001",
     } <= ids
     assert len(ids) >= 7
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import asyncio
 import base64
+import contextlib
 import json
 import pickle
 
@@ -21,6 +22,7 @@ from repro.cluster.spec import ClusterSpec
 from repro.exceptions import BudgetExceededError, ConfigurationError
 from repro.service import ResultCache, SweepService
 from repro.service.server import (
+    LINE_LIMIT,
     _connection,
     _self_test,
     self_test,
@@ -59,39 +61,56 @@ class _Payload:
         return _record_call, ("unpickled",)
 
 
+@contextlib.asynccontextmanager
+async def connection():
+    """A client connection to an in-process server: ``(reader, writer)``."""
+    service = SweepService()
+    server = await asyncio.start_server(
+        lambda reader, writer: _connection(service, reader, writer),
+        "127.0.0.1",
+        0,
+    )
+    port = server.sockets[0].getsockname()[1]
+    async with server:
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        try:
+            yield reader, writer
+        finally:
+            writer.close()
+
+
+async def reply(reader):
+    """The events of one reply, up to its ``done`` or ``error`` event."""
+    events = []
+    while not events or events[-1]["event"] not in ("done", "error"):
+        line = await reader.readline()
+        assert line, "the server closed the connection"
+        events.append(json.loads(line))
+    return events
+
+
+def converse_lines(lines):
+    """Send each request line over one connection; one event list per line."""
+
+    async def scenario():
+        async with connection() as (reader, writer):
+            replies = []
+            for line in lines:
+                writer.write(line + b"\n")
+                await writer.drain()
+                replies.append(await reply(reader))
+            return replies
+
+    return asyncio.run(scenario())
+
+
 def converse(payloads):
     """Send each request over one connection to an in-process server.
 
     Returns one event list per request, each ending at its ``done`` or
     ``error`` event.
     """
-
-    async def scenario():
-        service = SweepService()
-        server = await asyncio.start_server(
-            lambda reader, writer: _connection(service, reader, writer),
-            "127.0.0.1",
-            0,
-        )
-        port = server.sockets[0].getsockname()[1]
-        async with server:
-            reader, writer = await asyncio.open_connection("127.0.0.1", port)
-            try:
-                replies = []
-                for payload in payloads:
-                    writer.write(json.dumps(payload).encode("utf-8") + b"\n")
-                    await writer.drain()
-                    events = []
-                    while not events or events[-1]["event"] not in ("done", "error"):
-                        line = await reader.readline()
-                        assert line, f"connection closed after {payload!r}"
-                        events.append(json.loads(line))
-                    replies.append(events)
-            finally:
-                writer.close()
-        return replies
-
-    return asyncio.run(scenario())
+    return converse_lines([json.dumps(payload).encode("utf-8") for payload in payloads])
 
 
 def make_sweep(trials=2, seed=0):
@@ -337,6 +356,47 @@ class TestServer:
         assert f"unknown request type {kind!r}" in message
         assert "'recommend'" in message
         assert "cells" not in message
+        assert answered[-1]["event"] == "done"
+        assert answered[-1]["records"] == 2
+
+    def test_over_long_line_gets_one_error_and_keeps_the_connection(self):
+        # The whole line arrives with its newline: asyncio's readline would
+        # raise ValueError and the connection would die with no event.
+        long_line = json.dumps({"schemes": ["bcc"] * LINE_LIMIT}).encode("utf-8")
+        rejected, answered = converse_lines(
+            [long_line, json.dumps(VALID_REQUEST).encode("utf-8")]
+        )
+        assert [event["event"] for event in rejected] == ["error"]
+        assert str(LINE_LIMIT) in rejected[0]["error"]
+        assert answered[-1]["event"] == "done"
+        assert answered[-1]["records"] == 2
+
+    def test_over_long_line_is_skipped_through_its_late_newline(self):
+        # The error is sent before the line's newline arrives; the rest of
+        # the line must be skipped, not read as the next request.
+        async def scenario():
+            async with connection() as (reader, writer):
+                writer.write(b"[" * (2 * LINE_LIMIT))
+                await writer.drain()
+                rejected = await reply(reader)
+                writer.write(b"[" * LINE_LIMIT + b"]\n")
+                writer.write(json.dumps(VALID_REQUEST).encode("utf-8") + b"\n")
+                await writer.drain()
+                return rejected, await reply(reader)
+
+        rejected, answered = asyncio.run(scenario())
+        assert [event["event"] for event in rejected] == ["error"]
+        assert str(LINE_LIMIT) in rejected[0]["error"]
+        assert answered[-1]["event"] == "done"
+        assert answered[-1]["records"] == 2
+
+    def test_deeply_nested_json_gets_one_error_and_keeps_the_connection(self):
+        # json.loads raises RecursionError here, which is no ValueError.
+        rejected, answered = converse_lines(
+            [b"[" * 30_000, json.dumps(VALID_REQUEST).encode("utf-8")]
+        )
+        assert [event["event"] for event in rejected] == ["error"]
+        assert "nests too deeply" in rejected[0]["error"]
         assert answered[-1]["event"] == "done"
         assert answered[-1]["records"] == 2
 
