@@ -45,17 +45,7 @@ from repro.analysis.validation import (
 from repro.api import JobSpec, Sweep, Workload, run_sweep
 from repro.cluster.spec import ClusterSpec
 from repro.devtools import cli as lint_cli
-from repro.experiments.churn import (
-    ChurnAblationConfig,
-    available_dynamics,
-    dynamics_from_spec,
-    run_churn_ablation,
-)
 from repro.experiments.ec2 import ec2_like_cluster
-from repro.experiments.fig2 import run_fig2
-from repro.experiments.fig4 import ScenarioConfig, run_scenario
-from repro.experiments.fig5 import run_fig5
-from repro.experiments.theorems import run_theorem1_validation, run_theorem2_validation
 from repro.schemes.registry import available_schemes, scheme_accepts
 from repro.utils.timing import utc_timestamp
 
@@ -70,6 +60,10 @@ __all__ = [
 
 def build_parser() -> argparse.ArgumentParser:
     """Build the argument parser for the experiment CLI."""
+    # Each paper experiment module loads inside the sub-command that runs
+    # it; the parser lists the churn module's --dynamics vocabulary.
+    from repro.experiments.churn import available_dynamics
+
     parser = argparse.ArgumentParser(
         prog="repro-experiments",
         description="Regenerate the tables and figures of the BCC paper.",
@@ -474,6 +468,8 @@ def run_cli_sweep(args: argparse.Namespace) -> str:
     cluster = ec2_like_cluster(args.workers)
     dynamics_spec = getattr(args, "dynamics", None)
     if dynamics_spec:
+        from repro.experiments.churn import dynamics_from_spec
+
         cluster = dynamics_from_spec(
             dynamics_spec, cluster, num_iterations=args.iterations
         )
@@ -635,6 +631,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.experiment == "validate":
         return run_cli_validate(args)
     if args.experiment == "fig2":
+        from repro.experiments.fig2 import run_fig2
+
         result = run_fig2(
             num_examples=args.examples,
             num_workers=args.workers,
@@ -644,6 +642,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         print(result.render())
     elif args.experiment in ("table1", "table2"):
+        from repro.experiments.fig4 import ScenarioConfig, run_scenario
+
         config = (
             ScenarioConfig.scenario_one()
             if args.experiment == "table1"
@@ -664,11 +664,15 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"{100 * result.speedup_over('bcc', 'cyclic-repetition'):.1f}%"
         )
     elif args.experiment == "fig5":
+        from repro.experiments.fig5 import run_fig5
+
         result = run_fig5(
             num_examples=args.examples, num_trials=args.trials, rng=args.seed
         )
         print(result.render())
     elif args.experiment == "theorem1":
+        from repro.experiments.theorems import run_theorem1_validation
+
         validation = run_theorem1_validation(
             num_examples=args.examples,
             num_trials=args.trials,
@@ -677,6 +681,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         print(validation.render())
     elif args.experiment == "theorem2":
+        from repro.experiments.theorems import run_theorem2_validation
+
         cluster = ClusterSpec.paper_fig5_cluster(
             num_workers=args.workers, num_fast=max(args.workers // 20, 1), shift=5.0
         )
@@ -706,6 +712,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             once=args.once,
         )
     elif args.experiment == "churn":
+        from repro.experiments.churn import ChurnAblationConfig, run_churn_ablation
+
         ablation = run_churn_ablation(
             ChurnAblationConfig(
                 num_workers=args.workers,

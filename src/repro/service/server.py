@@ -94,6 +94,14 @@ def _int_field(payload: Mapping[str, object], key: str, default: int) -> int:
     return value  # type: ignore[return-value]
 
 
+def _str_field(payload: Mapping[str, object], key: str, default: str) -> str:
+    """A string request field; any other JSON type is a configuration error."""
+    value = payload.get(key, default)
+    if not isinstance(value, str):
+        raise ConfigurationError(f"request field {key!r} must be a string, got {value!r}")
+    return value
+
+
 def _list_field(
     payload: Mapping[str, object], key: str, default: list, kind: type
 ) -> list:
@@ -153,9 +161,12 @@ def sweep_from_request(payload: Mapping[str, object]) -> Tuple[Sweep, str, str]:
         serialize_master_link=False,
         seed=_int_field(payload, "seed", 0),
     )
-    backend_name = str(payload.get("backend", "timing"))
+    backend_name = _str_field(payload, "backend", "timing")
+    engine = _str_field(payload, "engine", "auto")
+    record = _str_field(payload, "record", "summary")
+    trial_batching = _str_field(payload, "trial_batching", "auto")
     if backend_name == "timing":
-        backend: object = TimingSimBackend(engine=str(payload.get("engine", "auto")))
+        backend: object = TimingSimBackend(engine=engine)
     elif backend_name == "analytic":
         backend = "analytic"
     else:
@@ -169,8 +180,6 @@ def sweep_from_request(payload: Mapping[str, object]) -> Tuple[Sweep, str, str]:
         trials=_int_field(payload, "trials", 1),
         backend=backend,  # type: ignore[arg-type]
     )
-    record = str(payload.get("record", "summary"))
-    trial_batching = str(payload.get("trial_batching", "auto"))
     return sweep, record, trial_batching
 
 

@@ -11,10 +11,13 @@ There is one backend, ``"numpy"``: the serialized-link recurrence stepped
 one worker rank at a time, in place over a worker-major copy so each step
 is contiguous (every row reproduces the loop engine's float-op order — a
 cumsum/running-max rewrite would be algebraically equal but rounded
-differently), and the completion kernels as row-wise selections
-(``max``/``sort``/``reduceat``). The kernels are a few percent of an
-end-to-end sweep, which is why there is no compiled backend (see
-``docs/performance.rst``).
+differently), and the completion kernels as row-wise selections (``max``
+and ``sort`` over gathered columns). The coverage and group kernels read
+dense layouts: one row of active columns per item or group, padded to a
+common width. They transpose the ranks to a worker-major block with a
+neutral sentinel row last, gather whole rows of it, and reduce over the
+layout's two axes. The kernels are a small part of an end-to-end sweep,
+which is why there is no compiled backend (see ``docs/performance.rst``).
 """
 
 from __future__ import annotations
@@ -35,12 +38,14 @@ __all__ = [
     "group_completion",
     "link_recurrence",
     "partial_sum_completion",
+    "rank_dtype",
 ]
 
-#: Row chunking bound for the gathered ``(rows x pairs)`` scratch matrices
-#: in the segment-reduction kernels. Chunk boundaries fall between whole
-#: rows and rows are independent, so chunking cannot change any result.
-_SEGMENT_CHUNK_CELLS = 1 << 22
+#: Bound on the scratch bytes one take of a dense-layout kernel allocates:
+#: the gathered ranks and an intp index entry per layout cell of each trial
+#: taken. Chunk boundaries fall between whole rows and rows are
+#: independent, so chunking cannot change any result.
+_GATHER_CHUNK_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -58,10 +63,18 @@ class KernelSuite:
     link_recurrence: Callable[[np.ndarray, np.ndarray], np.ndarray]
     count_completion: Callable[[np.ndarray, np.ndarray], np.ndarray]
     partial_sum_completion: Callable[[np.ndarray, np.ndarray, int], np.ndarray]
-    coverage_completion: Callable[
-        [np.ndarray, np.ndarray, np.ndarray], np.ndarray
-    ]
-    group_completion: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+    coverage_completion: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    group_completion: Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+
+def rank_dtype(n_active: int) -> np.dtype:
+    """The narrowest signed dtype holding ``-1`` .. ``n_active``.
+
+    Ranks ``0 .. n_active - 1``, the sentinels ``n_active`` and ``-1``, and
+    the active columns of a dense layout (padding names column
+    ``n_active``, the sentinel row) all fit it.
+    """
+    return np.min_scalar_type(-(n_active + 1))
 
 
 def link_recurrence(
@@ -94,55 +107,95 @@ def partial_sum_completion(
     return np.sort(positions[:, eligible], axis=1)[:, needed - 1]
 
 
-def coverage_completion(
-    positions: np.ndarray, owners_sorted: np.ndarray, segment_starts: np.ndarray
-) -> np.ndarray:
-    """Per row, the max over segments of each segment's min arrival rank.
+def coverage_completion(positions: np.ndarray, owners: np.ndarray) -> np.ndarray:
+    """Per row, the max over items of each item's min holder arrival rank.
 
-    A 1-D layout serves every row. A 2-D layout holds one layout per trial,
-    all of one shape: the rows split evenly into consecutive per-trial
-    blocks, and block ``t`` uses layout row ``t``. The gathered temporary
-    blocks hold ranks in the narrowest dtype that fits them.
+    ``owners`` is a dense ``(items, holders)`` layout of active columns,
+    padded with ``n_active``, whose rank reads as ``n_active`` (no holder
+    arrives later). A 3-D ``(trials, items, holders)`` layout holds one
+    layout per trial: the rows split evenly into consecutive per-trial
+    blocks, and block ``t`` uses layout ``t``.
     """
-    num_rows = positions.shape[0]
-    num_pairs = owners_sorted.shape[-1]
-    positions = positions.astype(np.min_scalar_type(-positions.shape[1]), copy=False)
-    rows_per_chunk = max(1, _SEGMENT_CHUNK_CELLS // max(num_pairs, 1))
-    completing = np.empty(num_rows, dtype=int)
-    if owners_sorted.ndim == 1:
-        for start in range(0, num_rows, rows_per_chunk):
-            block = positions[start : start + rows_per_chunk, owners_sorted]
-            first_covered = np.minimum.reduceat(block, segment_starts, axis=1)
-            completing[start : start + rows_per_chunk] = first_covered.max(axis=1)
-        return completing
-    trials = owners_sorted.shape[0]
-    rows_per_trial = num_rows // trials
-    blocks = positions.reshape(trials, rows_per_trial, -1)
-    trials_per_chunk = max(1, rows_per_chunk // max(rows_per_trial, 1))
-    for start in range(0, trials, trials_per_chunk):
-        chunk = slice(start, start + trials_per_chunk)
-        block = np.take_along_axis(blocks[chunk], owners_sorted[chunk, None, :], axis=2)
-        # Each row's segments start at its own offset of the flattened block.
-        offsets = np.arange(block.shape[0] * rows_per_trial) * num_pairs
-        starts = offsets.reshape(-1, rows_per_trial, 1) + segment_starts[chunk, None, :]
-        first_covered = np.minimum.reduceat(block.ravel(), starts.ravel())
-        rows = slice(start * rows_per_trial, start * rows_per_trial + offsets.size)
-        completing[rows] = first_covered.reshape(offsets.size, -1).max(axis=1)
-    return completing
+    sentinel = positions.shape[1]
+    return _dense_completion(positions, owners, sentinel, np.minimum, np.maximum)
 
 
-def group_completion(
-    positions: np.ndarray, members: np.ndarray, group_starts: np.ndarray
+def group_completion(positions: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """Per row, the min over groups of each group's max member arrival rank.
+
+    ``members`` is a dense ``(groups, size)`` layout of active columns; a
+    group shorter than the widest is padded with ``n_active``, whose rank
+    reads as ``-1`` (no member arrives earlier).
+    """
+    return _dense_completion(positions, members, -1, np.maximum, np.minimum)
+
+
+def _dense_completion(
+    positions: np.ndarray,
+    layout: np.ndarray,
+    sentinel: int,
+    within: np.ufunc,
+    across: np.ufunc,
 ) -> np.ndarray:
-    """Per row, the min over groups of each group's max member arrival rank."""
-    num_rows = positions.shape[0]
-    rows_per_chunk = max(1, _SEGMENT_CHUNK_CELLS // max(members.size, 1))
+    """Per row, ``across`` over the layout's rows of ``within`` over the
+    ranks of the columns each layout row names.
+
+    A 3-D layout stacks one layout per trial over consecutive blocks of
+    rows. Whole trials share one :func:`_take_completion` while their
+    scratch fits ``_GATHER_CHUNK_BYTES``; a trial too long for that takes
+    its rows in chunks that fit.
+    """
+    num_rows, n_active = positions.shape
+    layouts = layout if layout.ndim == 3 else layout[None]
+    trials, items, width = layouts.shape
+    rows_per_trial = num_rows // trials
+    rank_bytes = items * width * rank_dtype(n_active).itemsize
+    index_bytes = items * width * np.dtype(np.intp).itemsize
     completing = np.empty(num_rows, dtype=int)
-    for start in range(0, num_rows, rows_per_chunk):
-        block = positions[start : start + rows_per_chunk, members]
-        last_member = np.maximum.reduceat(block, group_starts, axis=1)
-        completing[start : start + rows_per_chunk] = last_member.min(axis=1)
+    trials_per_chunk = _GATHER_CHUNK_BYTES // (rows_per_trial * rank_bytes + index_bytes)
+    if trials_per_chunk:
+        for first in range(0, trials, trials_per_chunk):
+            chunk = layouts[first : first + trials_per_chunk]
+            rows = slice(first * rows_per_trial, (first + len(chunk)) * rows_per_trial)
+            completing[rows] = _take_completion(positions[rows], chunk, sentinel, within, across)
+        return completing
+    rows_per_chunk = max(1, (_GATHER_CHUNK_BYTES - index_bytes) // rank_bytes)
+    for t in range(trials):
+        stop = (t + 1) * rows_per_trial
+        for start in range(t * rows_per_trial, stop, rows_per_chunk):
+            rows = slice(start, min(start + rows_per_chunk, stop))
+            completing[rows] = _take_completion(
+                positions[rows], layouts[t : t + 1], sentinel, within, across
+            )
     return completing
+
+
+def _take_completion(
+    positions: np.ndarray,
+    layouts: np.ndarray,
+    sentinel: int,
+    within: np.ufunc,
+    across: np.ufunc,
+) -> np.ndarray:
+    """:func:`_dense_completion` over ``layouts``' trials, in one take.
+
+    The ranks are transposed to a worker-major ``(n_active + 1, rows)``
+    block per trial in :func:`rank_dtype`, whose last row, which layout
+    padding names, holds ``sentinel``; the trials' blocks lie end to end.
+    One ``np.take`` of whole block rows, indexed by the layouts transposed
+    to ``(holders, items, trials)`` and offset to their trial's block,
+    puts the reduced axes first, so both reductions run over long
+    contiguous runs.
+    """
+    count = layouts.shape[0]
+    rows_per_trial, n_active = positions.shape[0] // count, positions.shape[1]
+    block = np.empty((count, n_active + 1, rows_per_trial), dtype=rank_dtype(n_active))
+    block[:, :n_active] = positions.reshape(count, rows_per_trial, n_active).transpose(0, 2, 1)
+    block[:, n_active] = sentinel
+    index = layouts.transpose(2, 1, 0).astype(np.intp, order="C")
+    index += np.arange(0, count * (n_active + 1), n_active + 1)
+    gathered = np.take(block.reshape(-1, rows_per_trial), index, axis=0)
+    return across.reduce(within.reduce(gathered, axis=0), axis=0).ravel()
 
 
 _NUMPY_SUITE = KernelSuite(

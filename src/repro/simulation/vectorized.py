@@ -88,7 +88,8 @@ built unless one is read. Each iteration's communication load equals the
 loop's ``np.sum(message_sizes[heard])``. When every active message size is
 integer-valued and their magnitudes total under ``2**53`` (so for every
 built-in scheme), every partial sum is exact and any order gives that
-float, so one row-wise ``cumsum`` is read at the completing rank.
+float, so one row-wise ``cumsum`` is read at the completing rank (or, when
+all sizes are equal, the heard count times the size).
 Otherwise one ``np.sum(..., axis=1)`` per distinct heard count adds every
 row's message sizes in the loop's order.
 
@@ -126,8 +127,9 @@ unchanged. The **RNG contract** extends the solo engine's:
   ``seeds[t]``.
 * The per-trial plans stack: compute draws use each trial's own loads (BCC
   loads vary with the placement when ``r`` does not divide ``m``), and one
-  coverage-kernel call per chunk takes one (owner, segment) layout per
-  trial. A chunk never mixes trials whose active workers or message sizes
+  coverage-kernel call per chunk takes each trial's dense ``(items,
+  holders)`` layout, stacked and padded to the chunk's largest holder
+  count. A chunk never mixes trials whose active workers or message sizes
   differ; other per-trial aggregators run their own kernel over their
   trial's rows.
 
@@ -157,7 +159,7 @@ from repro.schemes.base import (
 )
 from repro.simulation.iteration import incomplete_iteration_error
 from repro.simulation.job import ColumnarOutcomeLog, JobResult, _resolve_plan
-from repro.simulation.kernels import KernelSuite, get_suite
+from repro.simulation.kernels import KernelSuite, get_suite, rank_dtype
 from repro.stragglers.base import DelayModel
 from repro.stragglers.communication import CommunicationModel
 from repro.utils.rng import RandomState, as_generator
@@ -456,6 +458,8 @@ def _draw_chunk(
         transfer = np.empty(shape)
         ranking = np.empty(shape, dtype=np.intp), np.empty(shape)
         transfer_form = communication.exponential_form(sizes)
+        if transfer_form is not None:
+            transfer_form = (_shared(transfer_form[0]), _shared(transfer_form[1]))
     # The block draw needs a link that draws nothing or draws exponentials.
     exponential = deterministic or transfer_form is not None
     form: Optional[Tuple[np.ndarray, np.ndarray]] = None
@@ -503,8 +507,8 @@ def _for_link(draws: tuple, serialize_master_link: bool) -> tuple:
     compute, transfer, ranking = draws
     if ranking is None or serialize_master_link:
         return draws
-    unranked = np.empty_like(transfer)
-    np.put_along_axis(unranked, ranking[0], transfer, axis=1)
+    unranked = np.empty(transfer.shape)
+    unranked.reshape(-1)[ranking[0] + _row_offsets(transfer.shape)] = transfer
     return compute, unranked, None
 
 
@@ -518,15 +522,44 @@ def _rank_rows(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     ``0.0``) or a NaN. Only those rows are sorted again, stably.
     """
     order = np.argsort(values, axis=1)
-    # One flat take: faster than take_along_axis's broadcast row index.
-    num_rows, width = values.shape
-    ranked = np.take(values, order + np.arange(0, num_rows * width, width)[:, None])
+    ranked = np.take(values, order + _row_offsets(values.shape))
     tied = np.flatnonzero(~np.all(ranked[:, 1:] > ranked[:, :-1], axis=1))
     if tied.size:
         resorted = np.argsort(values[tied], axis=1, kind="stable")
         order[tied] = resorted
-        ranked[tied] = np.take_along_axis(values[tied], resorted, axis=1)
+        ranked[tied] = np.take(values, resorted + _row_offsets(values.shape, tied))
     return order, ranked
+
+
+def _row_offsets(shape: Tuple[int, int], rows: Optional[np.ndarray] = None) -> np.ndarray:
+    """Flat offsets of the rows of a C-ordered ``shape`` matrix, as a column.
+
+    Adding them to a matrix of column indices (one row of it per matrix row,
+    or per entry of ``rows``) gives flat indices for one ``np.take``, or for
+    one scatter into the matrix's flat view (faster than ``np.put`` there),
+    both faster than the ``*_along_axis`` helpers' broadcast row index.
+    """
+    width = shape[1]
+    if rows is None:
+        return np.arange(0, shape[0] * width, width)[:, None]
+    return (rows * width)[:, None]
+
+
+def _shared(values: np.ndarray) -> np.ndarray:
+    """``values`` as one 0-d array when every entry has the same bits.
+
+    A link form every active worker shares (equal message sizes: every
+    fig. 4 cell) then applies as scalars, the same float operations with no
+    gather by completion order.
+    """
+    if values.tobytes() == values[:1].tobytes() * values.size:
+        return values[:1].reshape(())
+    return values
+
+
+def _in_order(values: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """``values[order]``, or ``values`` itself when it is one shared 0-d value."""
+    return values if values.ndim == 0 else values[order]
 
 
 def _draw_grid_block(
@@ -539,7 +572,8 @@ def _draw_grid_block(
     compute form.
 
     ``form`` is the workers' compute ``(offset, scale)`` and
-    ``transfer_form`` the link's, ``None`` on a deterministic link. Row
+    ``transfer_form`` the link's (per worker, or 0-d when shared; see
+    :func:`_shared`), ``None`` on a deterministic link. Row
     ``i`` of one standard-exponential block holds iteration ``i``'s ``n``
     compute draws in worker order, then, on a jittered link, its ``n``
     transfer draws in completion order.
@@ -553,7 +587,8 @@ def _draw_grid_block(
     block = generator.standard_exponential((num_iterations, 2 * n))
     compute = offset + scale * block[:, :n]
     order, ranked = _rank_rows(compute)
-    transfer = transfer_form[0][order] + transfer_form[1][order] * block[:, n:]
+    link_offset, link_scale = transfer_form
+    transfer = _in_order(link_offset, order) + _in_order(link_scale, order) * block[:, n:]
     return compute, transfer, (order, ranked)
 
 
@@ -566,8 +601,8 @@ def _draw_timeline_block(
     """The block draw over a timeline, or ``None`` without a compute form.
 
     ``form`` is the timeline's ``(iterations, n)`` compute ``(offset,
-    scale)`` and ``transfer_form`` the link's, ``None`` on a deterministic
-    link. Row ``i`` with ``u`` up workers owns consecutive draws of one flat
+    scale)`` and ``transfer_form`` the link's (per worker, or 0-d when
+    shared), ``None`` on a deterministic link. Row ``i`` with ``u`` up workers owns consecutive draws of one flat
     standard-exponential block: its ``u`` compute draws in worker order,
     then, on a jittered link, its ``u`` transfer draws in completion order.
     Vacant slots draw nothing.
@@ -591,7 +626,8 @@ def _draw_timeline_block(
     slots = (starts + counts)[:, None] + np.arange(up.shape[1])
     transfer = np.zeros(up.shape)
     transfer[finished] = (
-        transfer_form[0][workers] + transfer_form[1][workers] * block[slots[finished]]
+        _in_order(transfer_form[0], workers)
+        + _in_order(transfer_form[1], workers) * block[slots[finished]]
     )
     return compute, transfer, (order, ranked)
 
@@ -636,7 +672,7 @@ def _draw_rows(
                 )
     if not stochastic:
         return compute, None, None
-    return compute, transfer, (order, np.take_along_axis(compute, order, axis=1))
+    return compute, transfer, (order, np.take(compute, order + _row_offsets(compute.shape)))
 
 
 def _complete_batch(
@@ -684,6 +720,8 @@ def _complete_batch(
     if serialize_master_link:
         if ranking is None:
             ranking = _rank_rows(compute)
+            # A deterministic link's transfers are a broadcast view, which
+            # take_along_axis reads in place; a flat take would copy it.
             transfer = np.take_along_axis(transfer, ranking[0], axis=1)
         order, compute_ranked = ranking
         arrival_ranked = suite.link_recurrence(compute_ranked, transfer)
@@ -702,27 +740,24 @@ def _complete_batch(
                 )
             )
             arrivals = np.empty((misranked.size, n_active))
-            np.put_along_axis(
-                arrivals, order[misranked], arrival_ranked[misranked], axis=1
-            )
+            offsets = _row_offsets(arrivals.shape)
+            arrivals.reshape(-1)[order[misranked] + offsets] = arrival_ranked[misranked]
             resorted = np.argsort(arrivals, axis=1, kind="stable")
             arrival_order[misranked] = resorted
-            arrival_ranked[misranked] = np.take_along_axis(arrivals, resorted, axis=1)
-            compute_ranked[misranked] = np.take_along_axis(
-                compute[misranked], resorted, axis=1
+            arrival_ranked[misranked] = np.take(arrivals, resorted + offsets)
+            compute_ranked[misranked] = np.take(
+                compute, resorted + _row_offsets(compute.shape, misranked)
             )
+        rising = np.all(compute_ranked[:, 1:] > compute_ranked[:, :-1], axis=1)
     else:
         arrival_order, arrival_ranked = _rank_rows(compute + transfer)
-        compute_ranked = np.take_along_axis(compute, arrival_order, axis=1)
+        compute_ranked = np.take(compute, arrival_order + _row_offsets(compute.shape))
+        rising = None
 
     # 3. Per-iteration completion position (rank of the finishing arrival).
-    positions = np.empty_like(arrival_order)
-    np.put_along_axis(
-        positions,
-        arrival_order,
-        np.broadcast_to(np.arange(n_active), arrival_order.shape),
-        axis=1,
-    )
+    #    One flat scatter: each row's arrival ranks broadcast over the rows.
+    positions = np.empty(arrival_order.shape, dtype=np.intp)
+    positions.reshape(-1)[arrival_order + _row_offsets(positions.shape)] = np.arange(n_active)
     completing = _build_kernel(plans, active, suite)(positions, arrival_order)
     if np.any(completing >= n_active):
         raise _infeasible(plans[0])
@@ -739,30 +774,48 @@ def _complete_batch(
         # failing iteration's vacancy count, like the loop engine would.
         first_bad = int(np.argmin(np.isfinite(total_times)))
         raise _infeasible(plans[0], int(np.sum(~np.isfinite(compute[first_bad]))))
-    computation_times = np.maximum.accumulate(compute_ranked, axis=1)[rows, completing]
-    workers_finished = np.count_nonzero(compute <= total_times[:, None], axis=1)
     counts = completing + 1
+    # The loop's computation time is one np.max over the heard workers'
+    # compute times in arrival order: the running max of the ranked compute
+    # at the completing rank. Where a row's ranked compute strictly
+    # increases (on the serialized link, a row without ties that kept its
+    # completion order), that is the completing entry itself; the other rows
+    # (ties, or a misranked row whose compute falls) keep the running max.
+    if rising is None:
+        computation_times = np.maximum.accumulate(compute_ranked, axis=1)[rows, completing]
+    else:
+        computation_times = compute_ranked[rows, completing]
+        uneven = np.flatnonzero(~rising)
+        if uneven.size:
+            running = np.maximum.accumulate(compute_ranked[uneven], axis=1)
+            computation_times[uneven] = running[np.arange(uneven.size), completing[uneven]]
+    # Equal values share their bits, except -0.0 and 0.0: which of those
+    # wins depends on the reduction order, and np.max's differs from a
+    # running max past eight values. Rows whose max is zero take np.max
+    # itself, over the rows that heard equally many workers.
+    for same, count in _rows_by_count(counts, np.flatnonzero(computation_times == 0.0)):
+        computation_times[same] = np.max(compute_ranked[same, :count], axis=1)
+    workers_finished = np.count_nonzero(compute <= total_times[:, None], axis=1)
     heard = active[arrival_order[np.arange(n_active) < counts[:, None]]]
     # The loop sums each iteration's heard message sizes with one np.sum
     # over its arrival-ordered gather.
     sizes = message_sizes[active]
-    ranked_sizes = sizes[arrival_order]
     if np.all(np.floor(sizes) == sizes) and float(np.abs(sizes).sum()) < 2.0**53:
         # Integers whose magnitudes total under 2**53: every partial sum is
-        # exact, so a running sum equals np.sum in any order. np.sum starts
-        # from +0.0; adding 0.0 turns a running sum's -0.0 into it.
-        loads = np.cumsum(ranked_sizes, axis=1)[rows, completing] + 0.0
+        # exact, so a running sum equals np.sum in any order, and k equal
+        # sizes s sum to k * s. np.sum starts from +0.0; adding 0.0 turns a
+        # running sum's -0.0 into it.
+        if np.all(sizes == sizes[0]):
+            loads = counts * sizes[0] + 0.0
+        else:
+            loads = np.cumsum(sizes[arrival_order], axis=1)[rows, completing] + 0.0
     else:
         # np.sum(..., axis=1) over the rows that heard equally many workers
         # adds each row in the loop's order.
-        by_count = np.argsort(counts, kind="stable")
-        sorted_counts = counts[by_count]
-        changes = np.flatnonzero(sorted_counts[1:] != sorted_counts[:-1]) + 1
-        bounds = [0, *changes.tolist(), num_rows]
+        ranked_sizes = sizes[arrival_order]
         loads = np.empty(num_rows)
-        for start, stop in zip(bounds, bounds[1:]):
-            same = by_count[start:stop]
-            loads[same] = np.sum(ranked_sizes[same, : sorted_counts[start]], axis=1)
+        for same, count in _rows_by_count(counts, rows):
+            loads[same] = np.sum(ranked_sizes[same, :count], axis=1)
     return (
         total_times,
         computation_times,
@@ -772,6 +825,17 @@ def _complete_batch(
         workers_finished,
         heard.astype(np.int32),
     )
+
+
+def _rows_by_count(counts: np.ndarray, rows: np.ndarray) -> Iterator[Tuple[np.ndarray, int]]:
+    """``rows`` grouped by their ``counts`` entry: each group and its count."""
+    if not rows.size:
+        return
+    by_count = rows[np.argsort(counts[rows], kind="stable")]
+    sorted_counts = counts[by_count]
+    bounds = [0, *(np.flatnonzero(np.diff(sorted_counts)) + 1).tolist(), by_count.size]
+    for start, stop in zip(bounds, bounds[1:]):
+        yield by_count[start:stop], int(sorted_counts[start])
 
 
 def _infeasible(plan: ExecutionPlan, vacant_workers: int = 0) -> SimulationError:
@@ -787,17 +851,18 @@ def _build_kernel(
     """Completion kernel over rows split evenly into one block per plan.
 
     One plan shared by every trial gets that plan's kernel. Per-trial plans
-    of one coverage aggregator type with equally sized layouts stack their
-    (owner, segment) layouts into one coverage call; any other mix runs
-    each trial's own kernel over its block of rows.
+    of one coverage aggregator type over equally many items stack their
+    dense layouts into one coverage call; any other mix runs each trial's
+    own kernel over its block of rows.
     """
     first = plans[0]
     if all(plan is first for plan in plans):
         return _plan_kernel(first, active, suite)
-    stacked = _stacked_coverage_layouts(plans, _position_of_worker(first, active))
-    if stacked is not None:
-        owners, starts = stacked
-        return lambda positions, order: suite.coverage_completion(positions, owners, starts)
+    owners = _stacked_coverage_layouts(
+        plans, _position_of_worker(first, active), int(active.size)
+    )
+    if owners is not None:
+        return lambda positions, order: suite.coverage_completion(positions, owners)
     kernels = [_plan_kernel(plan, active, suite) for plan in plans]
 
     def per_trial(positions: np.ndarray, order: np.ndarray) -> np.ndarray:
@@ -813,30 +878,33 @@ def _build_kernel(
 
 
 def _stacked_coverage_layouts(
-    plans: Sequence[ExecutionPlan], position_of_worker: np.ndarray
-) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """Every plan's coverage layout as one ``(trials, ...)`` pair of arrays.
+    plans: Sequence[ExecutionPlan], position_of_worker: np.ndarray, n_active: int
+) -> Optional[np.ndarray]:
+    """Every plan's dense coverage layout, stacked ``(trials, items, holders)``.
 
-    ``None`` unless every plan's aggregator is of one coverage type and
-    every layout exists and has the first one's shape.
+    Each layout is padded with the sentinel column ``n_active`` to the
+    largest holder count among them. ``None`` unless every plan's
+    aggregator is of one coverage type and every layout exists and covers
+    the first one's number of items.
     """
-    owners: Optional[np.ndarray] = None
-    starts: Optional[np.ndarray] = None
+    layouts: List[np.ndarray] = []
     kind: Optional[type] = None
-    for t, plan in enumerate(plans):
+    for plan in plans:
         probe = plan.new_aggregator()
         kind = type(probe) if kind is None else kind
-        layout = _coverage_layout(probe, position_of_worker)
+        layout = _coverage_layout(probe, position_of_worker, n_active)
         if type(probe) is not kind or layout is None:
             return None
-        if owners is None or starts is None:
-            owners = np.empty((len(plans), layout[0].size), dtype=layout[0].dtype)
-            starts = np.empty((len(plans), layout[1].size), dtype=layout[1].dtype)
-        if layout[0].size != owners.shape[1] or layout[1].size != starts.shape[1]:
+        if layouts and layout.shape[0] != layouts[0].shape[0]:
             return None
-        owners[t], starts[t] = layout
-    assert owners is not None and starts is not None
-    return owners, starts
+        layouts.append(layout)
+    holders = max(layout.shape[1] for layout in layouts)
+    owners = np.full(
+        (len(layouts), layouts[0].shape[0], holders), n_active, dtype=layouts[0].dtype
+    )
+    for t, layout in enumerate(layouts):
+        owners[t, :, : layout.shape[1]] = layout
+    return owners
 
 
 def _position_of_worker(plan: ExecutionPlan, active: np.ndarray) -> np.ndarray:
@@ -857,7 +925,7 @@ def _plan_kernel(plan: ExecutionPlan, active: np.ndarray, suite: KernelSuite) ->
     Dispatch is on the *exact* aggregator type produced by a probe
     instantiation — subclasses may change the stopping rule, so they take
     the scalar fallback. The aggregator-specific preprocessing (index
-    translation, feasibility screens, segment layout) happens here, once per
+    translation, feasibility screens, dense layouts) happens here, once per
     plan; the per-row searches run on ``suite``'s kernels.
     """
     probe = plan.new_aggregator()
@@ -882,11 +950,10 @@ def _plan_kernel(plan: ExecutionPlan, active: np.ndarray, suite: KernelSuite) ->
         )
 
     if coverage_pairs(probe) is not None:
-        layout = _coverage_layout(probe, position_of_worker)
-        if layout is None:
+        owners = _coverage_layout(probe, position_of_worker, n_active)
+        if owners is None:
             return _never(n_active)
-        owners, starts = layout
-        return lambda positions, order: suite.coverage_completion(positions, owners, starts)
+        return lambda positions, order: suite.coverage_completion(positions, owners)
 
     if type(probe) is CodedAggregator:
         return _coded_kernel(probe, active, position_of_worker, suite)
@@ -895,35 +962,42 @@ def _plan_kernel(plan: ExecutionPlan, active: np.ndarray, suite: KernelSuite) ->
 
 
 def _coverage_layout(
-    probe: MasterAggregator, position_of_worker: np.ndarray
-) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """A coverage aggregator's (owner, segment) layout, or ``None``.
+    probe: MasterAggregator, position_of_worker: np.ndarray, n_active: int
+) -> Optional[np.ndarray]:
+    """A coverage aggregator's dense ``(items, holders)`` layout, or ``None``.
 
     Item ``i`` is covered whenever an active worker holding it arrives; an
     iteration completes at the maximum over items of the earliest covering
-    arrival. The (item, owner column) pairs are sorted by item once here, so
-    each row reduces to a segment minimum followed by a row maximum on the
-    suite's coverage kernel. The owner columns come in the narrowest signed
-    dtype that holds them. ``None`` means the probe is no coverage
-    aggregator (see :func:`~repro.schemes.base.coverage_pairs`) or some item
-    has no active owner: no amount of waiting covers it.
+    arrival. Row ``i`` of the layout lists the active columns holding item
+    ``i``, padded with the sentinel column ``n_active`` to the largest
+    holder count, in :func:`~repro.simulation.kernels.rank_dtype`; the
+    suite's coverage kernel reduces each row to a minimum and the rows to a
+    maximum. ``None`` means the probe is no coverage aggregator (see
+    :func:`~repro.schemes.base.coverage_pairs`) or some item has no active
+    owner: no amount of waiting covers it.
     """
     coverage = coverage_pairs(probe)
     if coverage is None:
         return None
     items, workers, num_items = coverage
-    owners = position_of_worker[workers].astype(
-        np.min_scalar_type(-position_of_worker.size)
-    )
-    held = owners >= 0
-    items, owners = items[held], owners[held]
-    if not np.bincount(items, minlength=num_items)[:num_items].all():
+    owners = position_of_worker[workers]
+    if owners.min() < 0:
+        held = owners >= 0
+        items, owners = items[held], owners[held]
+    holders = np.bincount(items, minlength=num_items)[:num_items]
+    if not holders.all():
         return None
-    by_item = np.argsort(items, kind="stable")
-    segment_starts = np.flatnonzero(
-        np.concatenate(([True], np.diff(items[by_item]) > 0))
+    # Pair p of the item-sorted pairs fills the next slot of its item's row.
+    # A minimum takes an item's holders in any order; the stable sort is
+    # the fast one (a radix sort on narrow unit ids).
+    width = int(holders.max())
+    starts = np.cumsum(holders) - holders
+    cells = np.arange(items.size) + np.repeat(
+        np.arange(0, num_items * width, width) - starts, holders
     )
-    return owners[by_item], segment_starts
+    layout = np.full((num_items, width), n_active, dtype=rank_dtype(n_active))
+    layout.reshape(-1)[cells] = owners[np.argsort(items, kind="stable")]
+    return layout
 
 
 def _coded_kernel(
@@ -949,11 +1023,13 @@ def _coded_kernel(
         viable = [members for members in member_positions if np.all(members >= 0)]
         if not viable:
             return _never(n_active)
-        members = np.concatenate(viable)
-        group_starts = np.cumsum([0] + [m.size for m in viable[:-1]])
-        return lambda positions, order: suite.group_completion(
-            positions, members, group_starts
+        # One row per group, a shorter group padded with the sentinel column.
+        members = np.full(
+            (len(viable), max(m.size for m in viable)), n_active, dtype=rank_dtype(n_active)
         )
+        for row, group in zip(members, viable):
+            row[: group.size] = group
+        return lambda positions, order: suite.group_completion(positions, members)
 
     # Generic linear code: find each iteration's first decodable arrival
     # prefix among the checkpoints of CodedAggregator's decodability-check

@@ -230,6 +230,44 @@ def _integer_sizes_past_2_53() -> list:
     return _sized_jobs([2.0**50 * (1 + j % 5) + j for j in range(24)])
 
 
+def _signed_zero_ties() -> list:
+    """Computation times that tie at ``0.0`` and ``-0.0``, and one that falls.
+
+    ``DeterministicDelay(0.0)`` and ``DeterministicDelay(-0.0)`` workers
+    finish at ``0.0`` and ``-0.0`` seconds, which ``==`` calls equal, so
+    compare sign bits (``np.signbit``). Which zero the loop's ``np.max``
+    reports depends on its reduction order: over eight ``0.0`` and then a
+    ``-0.0`` it is ``0.0``, where a running max (and the last entry) is
+    ``-0.0``. The first job stops at that ninth arrival of ten. In the
+    second, worker 0 (2.0 s) reaches the master together with worker 1
+    (0.5 s, whose message holds the serialized link until 2.0 s), which the
+    completion order ranks first, so the row is re-sorted by arrival and its
+    ranked compute falls from 2.0 to 0.5 at the completing rank. A
+    computation time read off the completing entry of every row, or a
+    running max's sign kept, breaks these jobs.
+    """
+    link = LinearCommunicationModel(latency=0.0, seconds_per_unit=1.0)
+
+    def cluster(seconds):
+        return ClusterSpec(
+            workers=tuple(
+                WorkerSpec(compute=DeterministicDelay(value), name=f"w{i}")
+                for i, value in enumerate(seconds)
+            ),
+            communication=link,
+        )
+
+    early_stop = IgnoreStragglersScheme(wait_fraction=0.85).build_plan(10, 10)
+    return [
+        (_with_sizes(early_stop, [1.0] * 10), cluster([0.0] * 8 + [-0.0, 1.0]), 10),
+        (
+            _with_sizes(UncodedScheme().build_plan(4, 4), [0.0, 1.5, 0.0, 0.0]),
+            cluster([2.0, 0.5, -0.0, 0.0]),
+            4,
+        ),
+    ]
+
+
 #: Jobs whose loop/vectorized agreement rests on one easily broken step of
 #: the vectorized engine's tail; each builds ``[(plan, cluster, num_units)]``.
 EXACTNESS_HAZARDS = {
@@ -237,6 +275,7 @@ EXACTNESS_HAZARDS = {
     "integer-sizes-past-2**53": _integer_sizes_past_2_53,
     "interleaved-ties": _interleaved_ties,
     "load-summation-order": _load_summation_order,
+    "signed-zero-ties": _signed_zero_ties,
 }
 
 

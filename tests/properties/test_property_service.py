@@ -136,6 +136,7 @@ def converse(line):
 @given(line=st.one_of(raw_lines, non_objects, unknown_keys, wrong_types))
 @example(line=b"x" * (LINE_LIMIT + 1))
 @example(line=b"[" * 30_000)
+@example(line=b'{"engine": null}')
 def test_malformed_line_gets_one_error_and_keeps_the_connection(line):
     assume(line.strip())
     rejected, answered = converse(line)

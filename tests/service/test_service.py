@@ -39,6 +39,10 @@ MALFORMED_REQUESTS = [
     {"schemes": ["bcc", 3]},
     {"loads": ["5"]},
     {"trials": True},
+    {"engine": None},
+    {"backend": 3},
+    {"record": ["summary"]},
+    {"trial_batching": {"mode": "auto"}},
 ]
 
 
@@ -322,6 +326,18 @@ class TestServer:
     def test_wrong_field_types_rejected(self, payload):
         with pytest.raises(ConfigurationError, match="request field"):
             sweep_from_request(payload)
+
+    @pytest.mark.parametrize("key", ["backend", "engine", "record", "trial_batching"])
+    @pytest.mark.parametrize(
+        "value", [None, 1, 2.5, ["auto"], {"mode": "auto"}], ids=repr
+    )
+    def test_string_fields_reject_other_json_types(self, key, value):
+        # A wrongly typed string field is named as such, not reported as an
+        # unknown backend, engine or mode spelled from its str().
+        message = f"request field {key!r} must be a string, got {value!r}"
+        with pytest.raises(ConfigurationError) as raised:
+            sweep_from_request({key: value})
+        assert str(raised.value) == message
 
     def test_malformed_requests_get_error_events_and_keep_the_connection(self):
         replies = converse([*MALFORMED_REQUESTS, VALID_REQUEST])

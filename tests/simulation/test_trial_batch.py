@@ -73,6 +73,16 @@ def make_cluster(name: str, communication=None) -> ClusterSpec:
     )
 
 
+def sign_bits(result):
+    """Each outcome's float fields' sign bits: ``==`` takes -0.0 for 0.0."""
+    return np.signbit(
+        [
+            (o.total_time, o.computation_time, o.communication_time, o.communication_load)
+            for o in result.iterations
+        ]
+    ).tolist()
+
+
 def assert_batch_matches_solo(
     scheme, cluster, num_units, *, serialize, seeds=None, engine="vectorized"
 ):
@@ -108,6 +118,7 @@ def assert_batch_matches_solo(
         assert list(batch[trial].iterations) == list(solo.iterations), (
             f"trial {trial} diverged from its solo run"
         )
+        assert sign_bits(batch[trial]) == sign_bits(solo)
         assert batch[trial].summary() == solo.summary()
         assert generators[trial].bit_generator.state == rng.bit_generator.state
 
@@ -353,13 +364,19 @@ class TestPerTrialPlans:
         rng = np.random.default_rng(4)
         trials, rows, columns = 3, 5, 6
         positions = np.argsort(rng.random((trials * rows, columns)), axis=1)
-        owners = np.array([rng.permutation(columns) for _ in range(trials)])
-        starts = np.array([[0, 2, 3], [0, 1, 4], [0, 3, 5]])
-        stacked = coverage_completion(positions, owners, starts)
+        # Each trial splits a permutation of the columns into three items at
+        # its own offsets; rows are padded with the sentinel column.
+        owners = np.full((trials, 3, 3), columns)
+        for t, cuts in enumerate([[0, 2, 3, 6], [0, 1, 4, 6], [0, 3, 5, 6]]):
+            holders = rng.permutation(columns)
+            for item in range(3):
+                group = holders[cuts[item] : cuts[item + 1]]
+                owners[t, item, : group.size] = group
+        stacked = coverage_completion(positions, owners)
         for t in range(trials):
             block = slice(t * rows, (t + 1) * rows)
             np.testing.assert_array_equal(
-                stacked[block], coverage_completion(positions[block], owners[t], starts[t])
+                stacked[block], coverage_completion(positions[block], owners[t])
             )
 
 

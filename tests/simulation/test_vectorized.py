@@ -33,6 +33,7 @@ from repro.simulation.kernels import available_kernel_backends, get_suite
 from repro.simulation.vectorized import (
     ENGINES,
     _coded_kernel,
+    _shared,
     resolve_engine,
     simulate_job_vectorized,
 )
@@ -102,9 +103,20 @@ def run_both(config, cluster, num_units, *, seed=123, num_iterations=9, **kwargs
     return loop, vectorized
 
 
+def sign_bits(result):
+    """Each outcome's float fields' sign bits: ``==`` takes -0.0 for 0.0."""
+    return np.signbit(
+        [
+            (o.total_time, o.computation_time, o.communication_time, o.communication_load)
+            for o in result.iterations
+        ]
+    ).tolist()
+
+
 def assert_identical(loop, vectorized):
     assert loop.summary() == vectorized.summary()  # exact float equality
     assert list(loop.iterations) == list(vectorized.iterations)
+    assert sign_bits(loop) == sign_bits(vectorized)
 
 
 class TestSchemeEquivalence:
@@ -607,6 +619,16 @@ class TestEngineKnob:
         auto = simulate_job(UncodedScheme(), cluster, 24, 40, rng=5, engine="auto")
         loop = simulate_job(UncodedScheme(), cluster, 24, 40, rng=5, engine="loop")
         assert_identical(loop, auto)
+
+
+class TestSharedLinkForm:
+    def test_only_entries_with_one_bit_pattern_collapse(self):
+        # A shared link form applies as scalars; -0.0 and 0.0 compare equal
+        # but must not collapse, or a sign could change.
+        shared = _shared(np.array([0.05, 0.05, 0.05]))
+        assert shared.shape == () and shared == 0.05
+        for values in ([0.05, 0.05, 0.06], [0.0, -0.0, 0.0]):
+            assert _shared(np.array(values)).shape == (3,)
 
 
 class TestKernelSuite:

@@ -1,7 +1,7 @@
 """Cold start: a launch imports only what its run uses.
 
 Short processes (CLI runs, ``repro serve`` starts, benchmark set-up
-launches) pay for every module imported at start-up. Three rules keep
+launches) pay for every module imported at start-up. Four rules keep
 that cost down, and the fresh-interpreter tests here pin them:
 
 * scipy is imported inside the one function that uses it
@@ -9,6 +9,9 @@ that cost down, and the fresh-interpreter tests here pin them:
   never at module level;
 * ``repro.experiments`` resolves its re-exports on first access, so
   ``from repro.experiments import ec2_like_cluster`` loads no driver;
+* ``repro.experiments.cli`` imports each paper experiment module inside
+  the sub-command that runs it, so importing the CLI or the server loads
+  none;
 * the run path never calls ``np.unique``, which imports ``numpy.ma`` on
   its first call under NumPy 2.
 """
@@ -60,6 +63,15 @@ from repro.experiments import ec2_like_cluster
 print(json.dumps(sorted(name for name in sys.modules if name.startswith("repro.experiments"))))
 """
 
+IMPORT_CLI_AND_SERVER = """
+import json, sys
+import repro.experiments.cli, repro.service.server
+print(json.dumps(sorted(name for name in sys.modules if name.startswith("repro.experiments"))))
+"""
+
+#: The paper experiment modules the CLI imports inside its sub-commands.
+PAPER_MODULES = ("churn", "fig2", "fig4", "fig5", "theorems")
+
 
 def fresh_interpreter(source):
     """Run ``source`` in a new interpreter; its last stdout line as JSON.
@@ -86,6 +98,12 @@ def test_launch_and_sweep_load_neither_scipy_nor_numpy_ma():
 
 def test_ec2_cluster_import_loads_no_driver():
     assert fresh_interpreter(IMPORT_EC2) == ["repro.experiments", "repro.experiments.ec2"]
+
+
+def test_cli_and_server_imports_load_no_driver():
+    loaded = fresh_interpreter(IMPORT_CLI_AND_SERVER)
+    assert "repro.experiments.cli" in loaded
+    assert [name for name in loaded if name.rpartition(".")[2] in PAPER_MODULES] == []
 
 
 class TestLazyExperimentsPackage:
