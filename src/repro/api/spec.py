@@ -81,12 +81,11 @@ class JobSpec:
         A :class:`~repro.schemes.Scheme` instance, a registered scheme name
         (``"bcc"``), or a config mapping (``{"name": "bcc", "load": 10}``).
         Config-form schemes are resolved against the registry with the
-        spec's cluster, so heterogeneous schemes work by name too. The sweep
-        engine may also place a pre-built
-        :class:`~repro.schemes.base.ExecutionPlan` here (its per-cell plan
-        hoisting): the simulation backends then skip plan resolution
-        entirely — which consumes no randomness, so it only happens when the
-        scheme's planning is itself draw-free.
+        spec's cluster, so heterogeneous schemes work by name too. A
+        pre-built :class:`~repro.schemes.base.ExecutionPlan` is accepted
+        too: the simulation backends then skip plan resolution, so every
+        run of the spec (every trial of a sweep cell) shares its
+        placement.
     cluster:
         The (simulated) cluster — a stationary
         :class:`~repro.cluster.spec.ClusterSpec` or a

@@ -23,15 +23,6 @@ The hot path
 Trial count is the knob Monte-Carlo users turn most, so :func:`run_sweep`
 works hard to keep its cost sub-linear:
 
-* **Plan hoisting.** A per-trial cell's scheme planning depends only on
-  the cell's parameters whenever it consumes no randomness (every
-  deterministic placement). ``run_sweep`` detects that with a probe build
-  (comparing the probe generator's state before and after) and re-plans
-  once per cell instead of once per trial, passing the frozen
-  :class:`~repro.schemes.base.ExecutionPlan` through the spec. Random
-  placements (BCC, randomized, cyclic-repetition's coefficient draw) are
-  left alone — their plan *is* part of what a trial samples — so hoisting
-  never changes a single bit of any result, on either engine.
 * **Trial batching** (``trial_batching=``). A whole cell can be
   dispatched as *one* task that simulates every trial in one vectorized
   engine entry (:meth:`TimingSimBackend.run_batch
@@ -41,11 +32,11 @@ works hard to keep its cost sub-linear:
   trial still builds its own plan from its own spawned seed (the
   :func:`~repro.simulation.vectorized.simulate_job_batch` contract), so a
   random placement is re-drawn per trial and the records are bit-identical
-  to per-trial tasks. ``"always"`` batches every such cell but freezes one
-  placement per cell, built from trial 0's seed — each trial is then
-  bit-identical to a solo run with that shared plan at the same spawned
-  seed, and the trial average estimates the runtime *given* that placement
-  rather than averaged over placements. ``"never"`` keeps per-trial tasks.
+  to per-trial tasks. One plan serves every trial of a batched cell when
+  planning draws nothing. ``"never"`` keeps per-trial tasks. To hold one
+  placement fixed across a cell's trials, pass an
+  :class:`~repro.schemes.base.ExecutionPlan` as the spec's scheme: every
+  trial then runs on it.
 * **Summary records** (``record="summary"``). Each task compacts its
   :class:`~repro.api.result.RunResult` before returning it, so a process
   pool ships a few hundred bytes of aggregates per trial instead of
@@ -84,7 +75,7 @@ __all__ = [
 ]
 
 #: Recognised ``trial_batching`` knob values (see the module docstring).
-TRIAL_BATCHING_MODES = ("auto", "always", "never")
+TRIAL_BATCHING_MODES = ("auto", "never")
 
 
 @dataclass(frozen=True)
@@ -380,13 +371,12 @@ def run_sweep(
         pickling iteration logs across process boundaries. Tables and
         aggregate metrics are identical in both modes.
     trial_batching:
-        ``"auto"`` (default), ``"always"``, or ``"never"`` — whether whole
-        cells are dispatched as single trial-batched engine entries instead
-        of one task per (cell, trial). See the module docstring: ``"auto"``
+        ``"auto"`` (default) or ``"never"`` — whether whole cells are
+        dispatched as single trial-batched engine entries instead of one
+        task per (cell, trial). See the module docstring: ``"auto"``
         batches every cell the backend can batch (a two-trial cell only
         when its planning is draw-free), with every trial drawing its own
-        placement, so its records equal ``"never"``'s; ``"always"``
-        batches every such cell but freezes one placement per cell.
+        placement, so its records equal ``"never"``'s.
     cache:
         ``None`` (default) computes every task. A
         :class:`~repro.service.cache.ResultCache` instance (or a directory
@@ -440,9 +430,9 @@ def run_sweep(
     if parallel or not isinstance(executor, str):
         runner = resolve_executor(executor, max_workers)
     else:
-        # max_workers of None/0/1 has always meant serial execution,
-        # whatever the executor name says.
-        runner = resolve_executor("serial")
+        # max_workers of None/0/1 has always meant serial execution, for
+        # either name; any other name still fails in resolve_executor.
+        runner = resolve_executor("serial" if executor == "process" else executor)
     # Executors resolved from a *name* are owned by this call: their
     # (persistent) pools are released on the way out. Instances passed in
     # stay open — the caller keeps them to reuse the warm pool across
@@ -454,7 +444,6 @@ def run_sweep(
         backend=backend,
         record=record,
         trial_batching=trial_batching,
-        pickle_safe=runner.pickle_safe,
     )
 
     try:

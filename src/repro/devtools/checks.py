@@ -290,8 +290,8 @@ class SchedulerCatchAllRule(Rule):
     title = "no catch-all exception handlers in repro.scheduling / repro.service"
     severity = Severity.ERROR
     rationale = (
-        "The scheduling core decides, per cell, whether to hoist plans, "
-        "batch trials, or serve from cache; a bare `except:` or "
+        "The scheduling core decides, per cell, whether to batch trials "
+        "or serve from cache; a bare `except:` or "
         "`except Exception:` there turns programming errors into silent "
         "wrong decisions (the pre-refactor plan probe swallowed every "
         "failure this way). Scheduler and service code must catch the "

@@ -11,7 +11,7 @@ Usage::
         --loads 5,10,25 --workers 50 --units 50 --trials 3 --parallel 4 \
         --engine vectorized
     python -m repro.experiments.cli sweep --scheme bcc --loads 10 \
-        --trials 256 --engine vectorized --trial-batching always \
+        --trials 256 --engine vectorized --trial-batching auto \
         --record summary
     python -m repro.experiments.cli sweep --dynamics markov:slowdown=8 \
         --scheme bcc --scheme cyclic-repetition --loads 10
@@ -213,15 +213,14 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--trial-batching",
         dest="trial_batching",
-        choices=("auto", "always", "never"),
+        choices=("auto", "never"),
         default="auto",
         help=(
             "dispatch whole cells as single trial-batched vectorized runs: "
             "'auto' batches every such cell (a two-trial cell only when its "
             "placement is draw-free) and re-draws random placements per "
-            "trial (same tables as 'never'), "
-            "'always' batches every such cell with one frozen placement per "
-            "cell, 'never' keeps one task per (cell, trial)"
+            "trial (same tables as 'never'), 'never' keeps one task per "
+            "(cell, trial)"
         ),
     )
     sweep.add_argument(

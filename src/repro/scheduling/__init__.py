@@ -1,16 +1,15 @@
 """The one cell-scheduling core behind every sweep execution mode.
 
 Historically :func:`repro.api.sweep.run_sweep` carried the whole scheduling
-story inline — task shaping, trial batching, plan hoisting, record
-compaction, error wrapping — which made every new execution mode a
-copy-paste hazard. This package extracts that story into two orthogonal
-halves:
+story inline — task shaping, trial batching, record compaction, error
+wrapping — which made every new execution mode a copy-paste hazard. This
+package extracts that story into two orthogonal halves:
 
 * :mod:`repro.scheduling.core` — *what* to run: :func:`build_sweep_plan`
   turns a :class:`~repro.api.sweep.Sweep` into an ordered list of
   :class:`CellTask` work items, applying the per-cell decisions (one
-  spawned seed per ``(cell, trial)``, plan hoisting, trial batching,
-  record mode) exactly once, independent of how the tasks will execute.
+  spawned seed per ``(cell, trial)``, trial batching, record mode)
+  exactly once, independent of how the tasks will execute.
   :func:`execute_task` is the single task runner every executor
   dispatches.
 * :mod:`repro.scheduling.executors` — *how* to run it: the
@@ -31,7 +30,6 @@ from repro.scheduling.core import (
     build_sweep_plan,
     describe_task,
     execute_task,
-    hoist_cell_plan,
     probe_rng_free_plan,
     should_batch_cell,
 )
@@ -49,7 +47,6 @@ __all__ = [
     "build_sweep_plan",
     "describe_task",
     "execute_task",
-    "hoist_cell_plan",
     "probe_rng_free_plan",
     "should_batch_cell",
     "Executor",

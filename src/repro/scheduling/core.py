@@ -3,9 +3,12 @@
 A sweep's execution decomposes into an ordered list of :class:`CellTask`
 work items: either one ``(cell, trial)`` run or a whole trial-batched cell.
 :func:`build_sweep_plan` makes every per-cell decision — seed derivation,
-trial batching, plan hoisting, record mode — exactly once, so serial,
-process-pool and service execution cannot drift apart; :func:`execute_task`
-is the single runner each of them dispatches.
+trial batching, record mode — exactly once, so serial, process-pool and
+service execution cannot drift apart; :func:`execute_task` is the single
+runner each of them dispatches. Tasks carry their cell's scheme as given:
+whether one plan may serve several trials is the engine's decision
+(:func:`~repro.simulation.vectorized.simulate_job_batch`), made where the
+task runs.
 
 The scheduler core deliberately contains no execution policy (pools, event
 loops, caches): those live in :mod:`repro.scheduling.executors` and
@@ -19,7 +22,7 @@ from typing import TYPE_CHECKING, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.api.backends import Backend, SemanticSimBackend, TimingSimBackend
+from repro.api.backends import Backend, TimingSimBackend
 from repro.api.result import RunResult
 from repro.api.spec import JobSpec
 from repro.exceptions import (
@@ -29,7 +32,7 @@ from repro.exceptions import (
     SimulationError,
 )
 from repro.schemes.base import ExecutionPlan
-from repro.utils.rng import RandomState, as_generator, random_seed_sequence
+from repro.utils.rng import RandomState, random_seed_sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only; avoids an import cycle
     from repro.api.sweep import Sweep
@@ -40,7 +43,6 @@ __all__ = [
     "build_sweep_plan",
     "describe_task",
     "execute_task",
-    "hoist_cell_plan",
     "probe_rng_free_plan",
     "should_batch_cell",
 ]
@@ -50,18 +52,17 @@ __all__ = [
 class CellTask:
     """One schedulable unit of sweep work.
 
-    ``kind="trial"`` executes a single ``(cell, trial)`` run — ``spec``
-    already carries the trial's seed; ``kind="cell"`` dispatches the whole
+    A ``"trial"`` task executes a single ``(cell, trial)`` run — ``spec``
+    already carries the trial's seed; a ``"cell"`` task dispatches the whole
     cell as one trial-batched engine entry over ``seeds``, in which every
-    trial builds its own plan from its own seed unless the task freezes the
-    placement. Either way the task is self-contained (backend, spec, record
-    mode, placement choice), so it can run in this thread, a pool worker,
-    or an event-loop executor unchanged.
+    trial builds its own plan from its own seed unless planning draws
+    nothing or ``spec`` carries an
+    :class:`~repro.schemes.base.ExecutionPlan`. Either way the task is
+    self-contained (backend, spec, record mode), so it can run in this
+    thread, a pool worker, or an event-loop executor unchanged.
 
     Attributes
     ----------
-    kind:
-        ``"trial"`` or ``"cell"``.
     backend:
         The backend instance executing the task.
     spec:
@@ -79,14 +80,8 @@ class CellTask:
     seeds:
         The spawned per-trial seeds of a ``"cell"`` task; ``None`` for
         ``"trial"`` tasks.
-    frozen_placement:
-        ``True`` for a ``"cell"`` task of ``trial_batching="always"``: one
-        placement, built from ``seeds[0]``'s generator (which then carries
-        on as trial 0's stream), serves every trial. ``False`` lets every
-        trial draw its own, as per-trial tasks would.
     """
 
-    kind: str
     backend: Backend
     spec: JobSpec
     record: str
@@ -94,7 +89,11 @@ class CellTask:
     params: Mapping[str, object]
     trials: Tuple[int, ...]
     seeds: Optional[Tuple[RandomState, ...]] = None
-    frozen_placement: bool = False
+
+    @property
+    def kind(self) -> str:
+        """``"cell"`` when the task carries ``seeds``, ``"trial"`` otherwise."""
+        return "trial" if self.seeds is None else "cell"
 
     @property
     def entries(self) -> Tuple[Tuple[int, Mapping[str, object], int], ...]:
@@ -140,10 +139,10 @@ def probe_rng_free_plan(spec: JobSpec) -> Optional[ExecutionPlan]:
 
     Builds the plan with a probe generator and compares the generator's
     state before and after: an unchanged state proves the placement cannot
-    depend on the trial's seed, so one plan can stand in for every trial
-    without changing a single draw. Random placements (and anything that
-    fails to plan; the real run will surface the error with full context)
-    return ``None``.
+    depend on the trial's seed. Only :func:`should_batch_cell` asks, for a
+    cell of fewer than ``_MIN_PROBE_FREE_BATCH`` trials. Random placements
+    (and anything that fails to plan; the real run will surface the error
+    with full context) return ``None``.
     """
     if spec.cluster is None or isinstance(spec.scheme, ExecutionPlan):
         return None
@@ -159,27 +158,11 @@ def probe_rng_free_plan(spec: JobSpec) -> Optional[ExecutionPlan]:
             return None
         return plan
     except ReproError:
-        # Only the library's own failure hierarchy is a "cannot hoist"
+        # Only the library's own failure hierarchy is a "not draw-free"
         # signal (infeasible plans, bad configs, allocation failures);
         # programming errors must propagate, not be silently hoover-ed up —
         # EXC002 keeps catch-alls out of this core.
         return None
-
-
-def hoist_cell_plan(backend: Backend, spec: JobSpec, trials: int) -> JobSpec:
-    """Per-cell plan hoisting: re-plan once per cell when provably safe.
-
-    Only the simulation backends understand a plan-carrying spec, and
-    hoisting only pays with several trials; beyond that the safety argument
-    is :func:`probe_rng_free_plan`'s — draw-free planning means the hoisted
-    spec runs bit-identically to the original on both engines.
-    """
-    if trials < 2 or not isinstance(backend, (TimingSimBackend, SemanticSimBackend)):
-        return spec
-    plan = probe_rng_free_plan(spec)
-    if plan is None:
-        return spec
-    return spec.replace(scheme=plan)
 
 
 #: The fewest trials at which ``"auto"`` batches a cell without probing its
@@ -198,14 +181,11 @@ def should_batch_cell(
     ``"never"`` and single-trial cells keep per-trial tasks; otherwise a
     cell batches when the backend supports trial batching for this spec (a
     vectorized-engine :class:`~repro.api.backends.TimingSimBackend`).
-    Under ``"auto"`` every trial of a batched cell still builds its own
-    plan from its own seed (the
-    :func:`~repro.simulation.vectorized.simulate_job_batch` contract), so
-    batching is bit-identical to per-trial tasks for every scheme; a cell of
-    fewer than ``_MIN_PROBE_FREE_BATCH`` trials batches only when
-    :func:`probe_rng_free_plan` finds its planning draw-free. ``"always"``
-    batches every such cell and freezes one placement per cell (see
-    :attr:`CellTask.frozen_placement`).
+    Every trial of a batched cell still builds its own plan from its own
+    seed (the :func:`~repro.simulation.vectorized.simulate_job_batch`
+    contract), so batching is bit-identical to per-trial tasks for every
+    scheme; a cell of fewer than ``_MIN_PROBE_FREE_BATCH`` trials batches
+    only when :func:`probe_rng_free_plan` finds its planning draw-free.
     """
     if trial_batching == "never" or trials < 2:
         return False
@@ -216,7 +196,7 @@ def should_batch_cell(
             return False
     except ConfigurationError:
         return False
-    if trial_batching == "always" or trials >= _MIN_PROBE_FREE_BATCH:
+    if trials >= _MIN_PROBE_FREE_BATCH:
         return True
     return probe_rng_free_plan(spec) is not None
 
@@ -227,19 +207,14 @@ def build_sweep_plan(
     backend: Backend,
     record: str = "full",
     trial_batching: str = "auto",
-    pickle_safe: bool = False,
 ) -> SweepPlan:
     """Expand a sweep into its :class:`CellTask` schedule.
 
     Every per-cell decision is made here, once, independent of execution:
-    seed derivation (one spawned child per ``(cell, trial)``), whether a
-    cell dispatches as one trial-batched task (and whether that task
-    freezes its placement), and whether a per-trial cell's plan is
-    hoisted. ``pickle_safe=True`` disables plan hoisting — a hoisted plan
-    carries scheme-defined closures that may not pickle, so plans destined
-    for a process pool stay pickle-clean (results are unaffected either
-    way: hoisting only happens when it cannot change a draw, and cell tasks
-    re-plan inside the worker).
+    seed derivation (one spawned child per ``(cell, trial)``) and whether a
+    cell dispatches as one trial-batched task. No plan is built here beyond
+    :func:`should_batch_cell`'s probe of a two-trial cell: every task
+    carries the cell's own scheme and plans where it runs.
 
     The children are spawned from
     :func:`~repro.utils.rng.random_seed_sequence`'s copy of the base seed,
@@ -255,7 +230,6 @@ def build_sweep_plan(
         if should_batch_cell(backend, cell_spec, sweep.trials, trial_batching):
             tasks.append(
                 CellTask(
-                    kind="cell",
                     backend=backend,
                     spec=cell_spec.replace(seed=None),
                     record=record,
@@ -263,16 +237,12 @@ def build_sweep_plan(
                     params=params,
                     trials=tuple(range(sweep.trials)),
                     seeds=tuple(cell_children),
-                    frozen_placement=trial_batching == "always",
                 )
             )
             continue
-        if not pickle_safe:
-            cell_spec = hoist_cell_plan(backend, cell_spec, sweep.trials)
         for trial, child in enumerate(cell_children):
             tasks.append(
                 CellTask(
-                    kind="trial",
                     backend=backend,
                     spec=cell_spec.replace(seed=child),
                     record=record,
@@ -288,24 +258,6 @@ def build_sweep_plan(
     )
 
 
-def _freeze_placement(
-    spec: JobSpec, seeds: List[RandomState]
-) -> Tuple[JobSpec, List[RandomState]]:
-    """One plan for every trial of a cell, built from ``seeds[0]``'s generator.
-
-    That generator then carries on as trial 0's stream, so trial 0 is
-    bit-identical to a solo run at ``seeds[0]`` and every trial ``t`` to a
-    solo run of the frozen plan at ``seeds[t]``.
-    """
-    if isinstance(spec.scheme, ExecutionPlan):
-        return spec, seeds
-    generator = as_generator(seeds[0])
-    plan = spec.resolve_scheme().build_feasible_plan(
-        spec.resolved_num_units, spec.require_cluster().num_workers, generator
-    )
-    return spec.replace(scheme=plan), [generator, *seeds[1:]]
-
-
 def execute_task(task: CellTask) -> List[RunResult]:
     """Execute one task — a single (cell, trial) run or a whole cell.
 
@@ -317,13 +269,9 @@ def execute_task(task: CellTask) -> List[RunResult]:
     """
     spec = task.spec
     try:
-        if task.kind == "cell":
-            assert task.seeds is not None
-            seeds = list(task.seeds)
-            if task.frozen_placement:
-                spec, seeds = _freeze_placement(spec, seeds)
+        if task.seeds is not None:
             return task.backend.run_batch(  # type: ignore[attr-defined]
-                spec, seeds, record=task.record
+                spec, list(task.seeds), record=task.record
             )
         result = task.backend.run(spec)
         if task.record == "summary":

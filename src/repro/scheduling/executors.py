@@ -11,9 +11,9 @@ pins serial == process bit-identity).
   must pickle; see :doc:`the performance guide </performance>` for the
   constraints.
 
-Any object with ``name``, ``pickle_safe`` and ``execute`` is an executor
-too: ``run_sweep`` uses such an instance as given. :class:`AsyncExecutor`
-is not an executor in that sense; it is the bounded, awaitable task runner
+Any object with ``name`` and ``execute`` is an executor too: ``run_sweep``
+uses such an instance as given. :class:`AsyncExecutor` is not an executor
+in that sense; it is the bounded, awaitable task runner
 :class:`repro.service.SweepService` schedules on.
 """
 
@@ -43,13 +43,10 @@ class Executor(Protocol):
     """Anything that can execute a sequence of cell tasks, in order.
 
     ``execute`` returns one result list per task, positionally aligned with
-    the input. ``pickle_safe`` declares whether tasks cross a pickle
-    boundary on the way to execution (process pools) — the plan builder
-    then keeps specs pickle-clean by skipping plan hoisting.
+    the input.
     """
 
     name: str
-    pickle_safe: bool
 
     def execute(self, tasks: Sequence[CellTask]) -> List[List[RunResult]]:
         """Run every task and return their result lists, in task order."""
@@ -60,7 +57,6 @@ class SerialExecutor:
     """In-order execution in the calling thread — the reference strategy."""
 
     name = "serial"
-    pickle_safe = False
 
     def execute(self, tasks: Sequence[CellTask]) -> List[List[RunResult]]:
         """Run the tasks one after another, in order."""
@@ -103,7 +99,6 @@ class PoolExecutor:
     """
 
     name = "process"
-    pickle_safe = True
 
     def __init__(self, max_workers: Optional[int] = None) -> None:
         self.max_workers = max_workers

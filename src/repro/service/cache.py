@@ -135,11 +135,10 @@ class ResultCache:
         The key digests everything that determines the task's results:
         the derived cell spec (its seed included), the backend identity,
         the record mode, the task kind, and — for a trial-batched cell —
-        the spawned seed set and whether the cell froze one placement or
-        let every trial draw its own. ``None`` means some part has no
-        canonical form — the scheduler then computes the task without
-        caching it. ``clusters`` is a keying pass's memo (see
-        :meth:`task_keys`); the key is the same with or without it.
+        the spawned seed set. ``None`` means some part has no canonical
+        form — the scheduler then computes the task without caching it.
+        ``clusters`` is a keying pass's memo (see :meth:`task_keys`); the
+        key is the same with or without it.
         """
         try:
             payload = {
@@ -153,8 +152,6 @@ class ResultCache:
                     else canonical_value(list(task.seeds))
                 ),
             }
-            if task.kind == "cell":
-                payload["placement"] = "frozen" if task.frozen_placement else "per-trial"
         except FingerprintError:
             self.stats.uncacheable += 1
             return None

@@ -149,6 +149,10 @@ class SweepService:
             for future in pending:
                 if not future.done():
                     future.cancel()
+                elif not future.cancelled():
+                    # Retrieve a sibling's failure, or asyncio logs "Task
+                    # exception was never retrieved" when it is collected.
+                    future.exception()
 
     async def run(
         self,

@@ -207,8 +207,11 @@ class TestSweepValidation:
             Sweep(base, mode="diagonal")
 
     def test_bad_executor_rejected(self, base):
-        with pytest.raises(ConfigurationError, match="executor"):
-            run_sweep(Sweep(base), max_workers=2, executor="gpu")
+        # A serial run (max_workers None, 0 or 1) ignores the executor name
+        # but still checks it.
+        for max_workers in (None, 0, 1, 2):
+            with pytest.raises(ConfigurationError, match="executor"):
+                run_sweep(Sweep(base), max_workers=max_workers, executor="gpu")
 
 
 class TestTrialBatchingModes:
@@ -237,10 +240,8 @@ class TestTrialBatchingModes:
                 {"name": "cyclic-repetition", "load": 2},
             ],
         )
-        for mode, frozen in (("auto", False), ("always", True)):
-            plan = build_sweep_plan(sweep, backend=sweep.backend, trial_batching=mode)
-            assert [task.kind for task in plan.tasks] == ["cell"] * 3
-            assert {task.frozen_placement for task in plan.tasks} == {frozen}
+        plan = build_sweep_plan(sweep, backend=sweep.backend, trial_batching="auto")
+        assert [task.kind for task in plan.tasks] == ["cell"] * 3
         auto = run_sweep(sweep, trial_batching="auto")
         never = run_sweep(sweep, trial_batching="never")
         assert len(auto.records) == len(never.records)
@@ -255,7 +256,6 @@ class TestTrialBatchingModes:
         expected = {
             ("auto", 2): ["trial", "trial", "cell"],
             ("auto", 3): ["cell", "cell"],
-            ("always", 2): ["cell", "cell"],
         }
         for (mode, trials), kinds in expected.items():
             sweep = self._vector_sweep(base, schemes, trials=trials)
@@ -268,46 +268,13 @@ class TestTrialBatchingModes:
             r.result.summary() for r in never.records
         ]
 
-    def test_always_matches_solo_runs_with_the_shared_plan(self, base):
-        from repro.api import TimingSimBackend
-        from repro.simulation.vectorized import simulate_job_vectorized
-        from repro.utils.rng import random_seed_sequence
-
-        import numpy as np
-
-        trials = 3
-        sweep = Sweep(
-            base,
-            trials=trials,
-            backend=TimingSimBackend(engine="vectorized"),
-        )
-        result = run_sweep(sweep, trial_batching="always")
-        children = random_seed_sequence(base.seed).spawn(trials)
-        generator = np.random.default_rng(children[0])
-        plan = base.resolve_scheme().build_feasible_plan(
-            base.num_units, base.cluster.num_workers, generator
-        )
-        for trial in range(trials):
-            rng = generator if trial == 0 else np.random.default_rng(children[trial])
-            solo = simulate_job_vectorized(
-                plan,
-                base.cluster,
-                base.num_units,
-                base.num_iterations,
-                rng,
-                serialize_master_link=base.serialize_master_link,
-            )
-            summary = dict(result.records[trial].result.summary())
-            assert summary.pop("backend") == "timing"
-            assert summary == solo.summary()
-
     def test_parallel_batched_matches_serial(self, base):
         sweep = self._vector_sweep(
             base, [{"name": "uncoded"}, {"name": "bcc", "load": 4}]
         )
-        serial = run_sweep(sweep, trial_batching="always")
+        serial = run_sweep(sweep, trial_batching="auto")
         pooled = run_sweep(
-            sweep, max_workers=2, executor="process", trial_batching="always"
+            sweep, max_workers=2, executor="process", trial_batching="auto"
         )
         assert serial.to_table().render() == pooled.to_table().render()
 
@@ -324,7 +291,7 @@ class TestTrialBatchingModes:
             trials=2,
             backend=TimingSimBackend(engine="loop"),
         )
-        batched = run_sweep(sweep, trial_batching="always")
+        batched = run_sweep(sweep, trial_batching="auto")
         plain = run_sweep(sweep, trial_batching="never")
         for a, b in zip(batched.records, plain.records):
             assert a.result.summary() == b.result.summary()
@@ -367,39 +334,7 @@ class TestRecordModes:
             run_sweep(Sweep(base), record="everything")
 
 
-class TestPlanHoisting:
-    def test_hoisting_preserves_per_trial_records(self, base, monkeypatch):
-        """Draw-free planning is hoisted per cell; random planning is not —
-        either way every per-trial record must stay bit-identical."""
-        from repro.api.backends import get_backend
-        from repro.scheduling import core
-        from repro.schemes.base import ExecutionPlan
-
-        sweep = Sweep(
-            base,
-            parameters={
-                "scheme": [
-                    {"name": "reed-solomon", "load": 2},  # draw-free: hoisted
-                    {"name": "bcc", "load": 4},  # random placement: not
-                ]
-            },
-            trials=3,
-        )
-
-        def hoisted_tasks():
-            plan = core.build_sweep_plan(
-                sweep, backend=get_backend(sweep.backend), trial_batching="never"
-            )
-            return [isinstance(task.spec.scheme, ExecutionPlan) for task in plan.tasks]
-
-        assert hoisted_tasks() == [True] * 3 + [False] * 3
-        hoisted = run_sweep(sweep, trial_batching="never")
-        # The reference: per-trial execution with hoisting forced off.
-        monkeypatch.setattr(core, "hoist_cell_plan", lambda backend, spec, trials: spec)
-        assert not any(hoisted_tasks())
-        reference = run_sweep(sweep, trial_batching="never")
-        assert hoisted.records == reference.records
-
+class TestPlanningProbe:
     def test_probe_detects_random_planning(self, base):
         from repro.scheduling.core import probe_rng_free_plan
 

