@@ -58,7 +58,7 @@ from repro.api.spec import JobSpec
 from repro.exceptions import ConfigurationError
 from repro.scheduling.core import SweepPlan, build_sweep_plan
 from repro.scheduling.executors import Executor, resolve_executor
-from repro.schemes.base import Scheme
+from repro.schemes.base import ExecutionPlan, Scheme
 from repro.utils.counting import CountingList
 from repro.utils.tables import TextTable
 from repro.utils.validation import check_positive_int
@@ -166,6 +166,8 @@ def _format_value(value: object) -> object:
     """Compact display form of a sweep parameter value for table cells."""
     if isinstance(value, Scheme):
         return repr(value)
+    if isinstance(value, ExecutionPlan):
+        return f"{value.scheme_name}(load={value.computational_load_units})"
     if isinstance(value, Mapping):
         name = value.get("name", "?")
         options = ", ".join(

@@ -25,7 +25,36 @@ from repro.exceptions import ConfigurationError, DecodingError
 from repro.utils.rng import RandomState, as_generator
 from repro.utils.validation import check_positive_int
 
-__all__ = ["CyclicRepetitionCode"]
+__all__ = ["CyclicRepetitionCode", "cyclic_rows"]
+
+
+#: Bytes of the window systems one stacked solve takes.
+_SOLVE_CHUNK_BYTES = 1 << 17
+
+
+def cyclic_rows(auxiliary: np.ndarray) -> np.ndarray:
+    """The ``(n, n)`` encoding matrix the ``(s, n)`` auxiliary matrix ``H`` defines.
+
+    Row ``i`` is supported on the cyclic window ``{i, ..., i + s} mod n``,
+    is 1 at ``i``, and is orthogonal to every row of ``H``: its other ``s``
+    coefficients solve ``H[:, tail] @ x = -H[:, i]``. One stacked
+    ``np.linalg.solve`` takes the windows' systems, in chunks of at most
+    128 KiB; LAPACK solves each system on its own, so every row equals,
+    bit for bit, the solve of its window alone. Raises
+    ``np.linalg.LinAlgError`` when some window's system is singular.
+    """
+    s, n = auxiliary.shape
+    heads = np.arange(n)
+    tails = (heads[:, None] + np.arange(1, s + 1)) % n
+    matrix = np.zeros((n, n))
+    matrix[heads, heads] = 1.0
+    per_chunk = max(1, _SOLVE_CHUNK_BYTES // (8 * s * s))
+    for start in range(0, n, per_chunk):
+        rows = heads[start : start + per_chunk]
+        systems = auxiliary[:, tails[rows]].transpose(1, 0, 2)
+        targets = -auxiliary[:, rows].T[..., None]
+        matrix[rows[:, None], tails[rows]] = np.linalg.solve(systems, targets)[..., 0]
+    return matrix
 
 
 class CyclicRepetitionCode(LinearGradientCode):
@@ -75,23 +104,13 @@ class CyclicRepetitionCode(LinearGradientCode):
         rng = as_generator(seed)
         auxiliary = rng.standard_normal((s, n))
         auxiliary[:, -1] = -auxiliary[:, :-1].sum(axis=1)
-
-        matrix = np.zeros((n, n))
-        for i in range(n):
-            window = (i + np.arange(s + 1)) % n
-            head, tail = window[0], window[1:]
-            # Solve H[:, tail] @ x = -H[:, head] so that the row (1, x) on the
-            # window is orthogonal to every row of H.
-            try:
-                coefficients = np.linalg.solve(auxiliary[:, tail], -auxiliary[:, head])
-            except np.linalg.LinAlgError as error:
-                raise DecodingError(
-                    "degenerate auxiliary matrix while building the cyclic "
-                    "repetition code; retry with a different seed"
-                ) from error
-            matrix[i, head] = 1.0
-            matrix[i, tail] = coefficients
-        return matrix
+        try:
+            return cyclic_rows(auxiliary)
+        except np.linalg.LinAlgError as error:
+            raise DecodingError(
+                "degenerate auxiliary matrix while building the cyclic "
+                "repetition code; retry with a different seed"
+            ) from error
 
     # ------------------------------------------------------------------ #
     @property

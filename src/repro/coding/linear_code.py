@@ -24,7 +24,25 @@ from repro.coding.assignment import DataAssignment
 from repro.exceptions import ConfigurationError, DecodingError
 from repro.utils.validation import check_array_2d
 
-__all__ = ["LinearGradientCode"]
+__all__ = [
+    "DECODABLE",
+    "LinearGradientCode",
+    "NOT_DECODABLE",
+    "UNDECIDED",
+    "decodability_verdicts",
+]
+
+#: Verdicts of :func:`decodability_verdicts`.
+DECODABLE, NOT_DECODABLE, UNDECIDED = 1, 0, -1
+
+#: Factor by which a certified row clears the decoding tolerance, either way.
+_MARGIN = 100.0
+#: Smallest ``min |R_ii| / max |R_ii|`` of a row certified decodable: four
+#: decades above ``lstsq``'s cut-off ``eps * max(k, w)``, so a row whose
+#: ``lstsq`` might drop a direction is left to ``is_decodable``.
+_RANK_GUARD = 1e-10
+#: Operand bytes of one stacked QR.
+_CHUNK_BYTES = 1 << 17
 
 
 class LinearGradientCode:
@@ -159,10 +177,11 @@ class LinearGradientCode:
 
     # ------------------------------------------------------------------ #
     def minimum_decodable_size(self) -> int:
-        """Smallest ``w`` such that *some* worker subset of size ``w`` decodes.
+        """Smallest ``w`` such that some cyclic window of ``w`` workers decodes.
 
-        Used by tests on small codes; exhaustive only over contiguous subsets
-        plus a random sample to stay cheap.
+        Used by tests on small codes. Only the ``n`` cyclic windows of each
+        size are tried, so a code whose smallest decodable subsets are no
+        windows reports a larger size.
         """
         for size in range(1, self.num_workers + 1):
             for start in range(self.num_workers):
@@ -201,3 +220,61 @@ class LinearGradientCode:
             f"{type(self).__name__}(name={self.name!r}, n={self.num_workers}, "
             f"k={self.num_partitions})"
         )
+
+
+def decodability_verdicts(code: LinearGradientCode, workers: np.ndarray) -> np.ndarray:
+    """What :meth:`LinearGradientCode.is_decodable` says of each row of ``workers``.
+
+    ``workers`` is a ``(rows, w)`` array of worker indices, one subset per
+    row. Each row gets :data:`DECODABLE`, :data:`NOT_DECODABLE` or
+    :data:`UNDECIDED` (``int8``); only an undecided row needs the
+    ``is_decodable`` call. One stacked QR of ``[B[W]^T | 1]`` per chunk of
+    rows gives the projection residual ``rho`` of the all-ones vector off
+    the span of ``B[W]``, and one stacked triangular solve the coefficients
+    ``x`` that reach it. With ``k`` partitions and tolerance ``tol``:
+
+    * ``rho > sqrt(k) * tol * M`` is not decodable, at any rank: the
+      least-squares residual ``lstsq`` rounds is at least ``rho`` in 2-norm,
+      so at least ``rho / sqrt(k)`` in some entry.
+    * ``rho <= tol / M`` is decodable when ``w <= k``, ``R``'s diagonal
+      passes the rank guard and ``eps * ||B[W]||_F * ||x|| <= tol / M``.
+      The last product is the scale of the rounding in the residual that
+      ``lstsq`` computes, which stayed under 42 times it on the
+      cyclic-repetition and Reed-Solomon codes measured (see
+      ``docs/performance.rst``): this direction rests on measured margins.
+    * Anything else, and every row with ``w > k``, is undecided.
+
+    ``M`` is 100. Chunks keep one QR's operand within 128 KiB.
+    """
+    rows, width = workers.shape
+    k = code.num_partitions
+    verdicts = np.full(rows, UNDECIDED, dtype=np.int8)
+    if width > k:
+        return verdicts
+    tolerance = code.decoding_tolerance
+    chunk = max(1, _CHUNK_BYTES // (8 * k * (width + 1)))
+    for start in range(0, rows, chunk):
+        subsets = workers[start : start + chunk]
+        augmented = np.empty((subsets.shape[0], width + 1, k))
+        augmented[:, :width] = code.encoding_matrix[subsets]
+        augmented[:, width] = 1.0
+        triangles = np.linalg.qr(augmented.transpose(0, 2, 1), mode="r")
+        residual = np.abs(triangles[:, width, width]) if width < k else np.zeros(len(subsets))
+        diagonal = np.abs(np.diagonal(triangles[:, :width, :width], axis1=1, axis2=2))
+        full_rank = diagonal.min(axis=1) > _RANK_GUARD * diagonal.max(axis=1)
+        # A failing row solves the identity instead, so no solve meets a
+        # singular triangle.
+        factors = triangles[:, :width, :width]
+        factors[~full_rank] = np.eye(width)
+        solution = np.linalg.solve(factors, triangles[:, :width, width:])[..., 0]
+        rounding = (
+            np.finfo(float).eps
+            * np.linalg.norm(augmented[:, :width], axis=(1, 2))
+            * np.linalg.norm(solution, axis=1)
+        )
+        decided = verdicts[start : start + chunk]
+        decided[residual > np.sqrt(k) * tolerance * _MARGIN] = NOT_DECODABLE
+        decided[
+            full_rank & (residual <= tolerance / _MARGIN) & (rounding <= tolerance / _MARGIN)
+        ] = DECODABLE
+    return verdicts

@@ -14,13 +14,17 @@ over the reals: the auxiliary matrix ``H`` whose null space the rows must lie
 in is derived from a seed fixed by ``(n, s)``, its columns are adjusted to
 sum to zero, and the construction verifies that every cyclic survivor window
 decodes (retrying with the next derived seed in the measure-zero degenerate
-case). Two calls with the same ``(n, s)`` always produce the same matrix.
+case). Two calls with the same ``(n, s)`` always produce the same matrix,
+and a process builds it once: the matrix is cached, read-only.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
+from repro.coding.cyclic_repetition import cyclic_rows
 from repro.coding.linear_code import LinearGradientCode
 from repro.exceptions import ConfigurationError, DecodingError
 from repro.utils.validation import check_positive_int
@@ -63,7 +67,18 @@ class ReedSolomonStyleCode(LinearGradientCode):
 
     # ------------------------------------------------------------------ #
     @classmethod
+    @functools.lru_cache(maxsize=16)
     def _build_matrix(cls, n: int, s: int, tolerance: float) -> np.ndarray:
+        """The code's matrix, built once per ``(n, s, tolerance)``.
+
+        The cached array is read-only, so no code sharing it can change it.
+        """
+        matrix = cls._derive_matrix(n, s, tolerance)
+        matrix.setflags(write=False)
+        return matrix
+
+    @classmethod
+    def _derive_matrix(cls, n: int, s: int, tolerance: float) -> np.ndarray:
         if s == 0:
             return np.eye(n)
         last_error: Exception | None = None
@@ -75,7 +90,7 @@ class ReedSolomonStyleCode(LinearGradientCode):
             auxiliary = rng.standard_normal((s, n))
             auxiliary[:, -1] = -auxiliary[:, :-1].sum(axis=1)
             try:
-                matrix = cls._solve_rows(n, s, auxiliary)
+                matrix = cls._solve_rows(auxiliary)
             except np.linalg.LinAlgError as error:  # pragma: no cover - measure zero
                 last_error = error
                 continue
@@ -86,16 +101,8 @@ class ReedSolomonStyleCode(LinearGradientCode):
             f"n={n}, s={s} after {cls._MAX_ATTEMPTS} attempts"
         ) from last_error
 
-    @staticmethod
-    def _solve_rows(n: int, s: int, auxiliary: np.ndarray) -> np.ndarray:
-        matrix = np.zeros((n, n))
-        for i in range(n):
-            window = (i + np.arange(s + 1)) % n
-            head, tail = window[0], window[1:]
-            coefficients = np.linalg.solve(auxiliary[:, tail], -auxiliary[:, head])
-            matrix[i, head] = 1.0
-            matrix[i, tail] = coefficients
-        return matrix
+    #: The rows orthogonal to ``H``: one stacked solve of the windows' systems.
+    _solve_rows = staticmethod(cyclic_rows)
 
     @staticmethod
     def _windows_decode(matrix: np.ndarray, n: int, s: int, tolerance: float) -> bool:

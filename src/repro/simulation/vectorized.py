@@ -98,7 +98,9 @@ Completion kernels exist for every built-in aggregator: fixed worker set
 coupon-collector coverage (BCC), unit coverage (randomized,
 generalized-BCC), replication-group completion (fractional repetition), and
 a prefix-decodability walk over :class:`CodedAggregator`'s ``check_every``
-checkpoints (cyclic repetition, Reed-Solomon). Schemes with a custom
+checkpoints (cyclic repetition, Reed-Solomon), where one stacked
+:func:`~repro.coding.linear_code.decodability_verdicts` certificate per
+checkpoint decides most rows without ``lstsq``. Schemes with a custom
 aggregator fall back to a scalar completion scan that feeds the plan's own
 aggregator — draws and arrival times stay vectorized, so the fallback is
 still far faster than the loop engine.
@@ -147,6 +149,12 @@ import numpy as np
 from repro.cluster.dynamic import DynamicClusterSpec
 from repro.cluster.spec import ClusterSpec
 from repro.coding.fractional import FractionalRepetitionCode
+from repro.coding.linear_code import (
+    DECODABLE,
+    UNDECIDED,
+    LinearGradientCode,
+    decodability_verdicts,
+)
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.schemes.approximate import PartialSumAggregator
 from repro.schemes.base import (
@@ -1059,14 +1067,35 @@ def _coded_kernel(
                 ranks.append(rank)
         return ranks
 
-    # Walk each row's checkpoints in order and stop at the first that
-    # decodes: the loop aggregator's ``is_decodable`` calls, on the same
-    # worker lists, in the same order, so no code has to be monotone. The
+    # Every row stops at its first decodable checkpoint and tests the same
+    # checkpoints as the loop aggregator, so no code has to be monotone. The
     # worst-case designs (cyclic repetition, Reed-Solomon) decode from any
-    # ``n - s`` workers, so their rows stop at the first checkpoint after
-    # one check.
+    # ``n - s`` workers, so their rows stop at the first checkpoint.
     checkpoints = due_ranks()
 
+    if type(code).decoding_vector is LinearGradientCode.decoding_vector and not opportunistic:
+        # ``is_decodable`` is the base class's ``lstsq`` test: at each
+        # checkpoint, one stacked certificate decides the rows still
+        # walking, and only the rows it leaves undecided call the test.
+        def stacked_kernel(positions: np.ndarray, order: np.ndarray) -> np.ndarray:
+            completing = np.full(positions.shape[0], n_active, dtype=int)
+            walking = np.arange(positions.shape[0])
+            for rank in checkpoints:
+                if not walking.size:
+                    break
+                workers = active[order[walking, : rank + 1]]
+                verdicts = decodability_verdicts(code, workers)
+                for row in np.flatnonzero(verdicts == UNDECIDED):
+                    verdicts[row] = code.is_decodable(workers[row].tolist())
+                decoded = verdicts == DECODABLE
+                completing[walking[decoded]] = rank
+                walking = walking[~decoded]
+            return completing
+
+        return stacked_kernel
+
+    # Any other code's own ``is_decodable``: the loop aggregator's calls, on
+    # the same worker lists, in the same order.
     def walk_kernel(positions: np.ndarray, order: np.ndarray) -> np.ndarray:
         completing = np.full(positions.shape[0], n_active, dtype=int)
         for i in range(positions.shape[0]):

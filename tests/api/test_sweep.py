@@ -141,6 +141,19 @@ class TestAggregation:
         ) / 2.0
         assert aggregated[0]["total_time"] == pytest.approx(expected)
 
+    def test_fixed_placements_are_named_by_scheme_and_load(self, base):
+        # Each cell's scheme is one fixed placement (an ExecutionPlan).
+        from repro.schemes.bcc import BCCScheme
+        from repro.schemes.uncoded import UncodedScheme
+
+        plans = [
+            BCCScheme(4).build_feasible_plan(20, base.cluster.num_workers, rng=1),
+            UncodedScheme().build_plan(20, base.cluster.num_workers),
+        ]
+        sweep = Sweep(base, parameters={"scheme": plans})
+        rows = run_sweep(sweep).aggregate()
+        assert [row["scheme"] for row in rows] == ["bcc(load=4)", "uncoded(load=1)"]
+
     def test_to_table_contains_params_and_metrics(self, base):
         sweep = Sweep(base, parameters={"scheme.load": [2, 4]})
         rendered = run_sweep(sweep).to_table(title="loads").render()

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.coding.cyclic_repetition import CyclicRepetitionCode
+from repro.coding.cyclic_repetition import CyclicRepetitionCode, cyclic_rows
 from repro.coding.fractional import FractionalRepetitionCode
 from repro.coding.reed_solomon import ReedSolomonStyleCode
 from repro.exceptions import ConfigurationError, DecodingError
@@ -63,6 +63,28 @@ class TestCyclicRepetitionCode:
         b = CyclicRepetitionCode(5, 2, seed=3).encoding_matrix
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize(
+        "n, s", [(2, 1), (12, 3), (50, 9), (50, 49), (100, 24), (90, 70)]
+    )
+    def test_stacked_solve_equals_each_window_solve_bit_for_bit(self, n, s):
+        # (90, 70) spans several solve chunks.
+        for seed in range(5):
+            auxiliary = np.random.default_rng(seed).standard_normal((s, n))
+            auxiliary[:, -1] = -auxiliary[:, :-1].sum(axis=1)
+            expected = np.zeros((n, n))
+            for i in range(n):
+                window = (i + np.arange(s + 1)) % n
+                expected[i, window[0]] = 1.0
+                expected[i, window[1:]] = np.linalg.solve(
+                    auxiliary[:, window[1:]], -auxiliary[:, window[0]]
+                )
+            code = CyclicRepetitionCode(n, s, seed=seed)
+            assert code.encoding_matrix.tobytes() == expected.tobytes()
+
+    def test_a_singular_window_is_refused(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            cyclic_rows(np.zeros((2, 5)))
+
 
 class TestReedSolomonStyleCode:
     def test_deterministic(self):
@@ -95,6 +117,25 @@ class TestReedSolomonStyleCode:
         np.testing.assert_array_equal(
             ReedSolomonStyleCode(3, 0).encoding_matrix, np.eye(3)
         )
+
+    def test_a_matrix_is_solved_once_and_shared_read_only(self, monkeypatch):
+        ReedSolomonStyleCode._build_matrix.cache_clear()
+        solves = []
+        solve = ReedSolomonStyleCode._solve_rows
+
+        def spy(auxiliary):
+            solves.append(auxiliary.shape)
+            return solve(auxiliary)
+
+        monkeypatch.setattr(ReedSolomonStyleCode, "_solve_rows", staticmethod(spy))
+        first = ReedSolomonStyleCode(30, 4).encoding_matrix
+        second = ReedSolomonStyleCode(30, 4).encoding_matrix
+        assert solves == [(4, 30)]
+        assert first.tobytes() == second.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            second[0, 0] = 2.0
+        assert ReedSolomonStyleCode(30, 4, decoding_tolerance=1e-7).encoding_matrix is not first
+        assert len(solves) == 2
 
 
 class TestFractionalRepetitionCode:

@@ -5,7 +5,13 @@ import pytest
 
 from repro.coding.cyclic_repetition import CyclicRepetitionCode
 from repro.coding.fractional import FractionalRepetitionCode
-from repro.coding.linear_code import LinearGradientCode
+from repro.coding.linear_code import (
+    DECODABLE,
+    NOT_DECODABLE,
+    UNDECIDED,
+    LinearGradientCode,
+    decodability_verdicts,
+)
 from repro.exceptions import DecodingError
 
 
@@ -138,3 +144,41 @@ class TestEncodeDecode:
         assert not code.is_decodable([0, 1, 2])
         assert code.is_decodable([0, 1, 2, 3])
         assert code.minimum_decodable_size() == 4
+
+
+class TestDecodabilityVerdicts:
+    def test_rows_near_the_tolerance_are_left_undecided(self):
+        # One worker sending (1, 1 + e) misses the all-ones vector by about
+        # e / 2: certified decodable below tol / 100, not decodable above
+        # sqrt(2) * tol * 100 (in 2-norm), undecided between.
+        misses = np.logspace(-9, -2, 8)
+        code = LinearGradientCode(np.column_stack([np.ones(8), 1.0 + misses]))
+        verdicts = decodability_verdicts(code, np.arange(8)[:, None])
+        assert verdicts.tolist() == [DECODABLE] * 2 + [UNDECIDED] * 4 + [NOT_DECODABLE] * 2
+        assert [code.is_decodable([i]) for i in range(8)] == [True] * 4 + [False] * 4
+
+    def test_more_workers_than_partitions_are_undecided(self, simple_code):
+        verdicts = decodability_verdicts(simple_code, np.array([[0, 1, 2]]))
+        assert verdicts.tolist() == [UNDECIDED]
+
+    def test_rank_deficient_rows_are_decided_only_when_they_miss(self):
+        # Each pair sends one direction twice. The all-ones vector lies in
+        # the first pair's span, with a singular triangle that no
+        # certificate vouches for; the second pair misses it by far.
+        code = LinearGradientCode(
+            np.array([[1.0, 1.0, 1.0], [2.0, 2.0, 2.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
+        )
+        verdicts = decodability_verdicts(code, np.array([[0, 1], [2, 3]]))
+        assert verdicts.tolist() == [UNDECIDED, NOT_DECODABLE]
+        assert code.is_decodable([0, 1]) and not code.is_decodable([2, 3])
+
+    def test_chunks_decide_each_row_as_alone(self):
+        # 200 subsets of a 50-worker code span many 128 KiB chunks.
+        code = CyclicRepetitionCode(50, 9, seed=3)
+        rng = np.random.default_rng(0)
+        workers = np.argsort(rng.random((200, 50)), axis=1)[:, :41]
+        stacked = decodability_verdicts(code, workers)
+        alone = [decodability_verdicts(code, row[None])[0] for row in workers]
+        assert stacked.dtype == np.int8
+        assert stacked.tolist() == alone
+        assert (stacked == DECODABLE).sum() > 190

@@ -32,6 +32,7 @@ settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 from typing import Callable, NamedTuple
 
 from repro.cluster.spec import ClusterSpec, WorkerSpec
+from repro.coding.linear_code import LinearGradientCode
 from repro.datasets.base import Dataset
 from repro.datasets.synthetic import (
     LogisticDataConfig,
@@ -40,6 +41,7 @@ from repro.datasets.synthetic import (
 )
 from repro.gradients.logistic import LogisticLoss
 from repro.schemes.approximate import IgnoreStragglersScheme
+from repro.schemes.base import CodedAggregator, ExecutionPlan, sum_encoder
 from repro.schemes.bcc import BCCScheme
 from repro.schemes.uncoded import UncodedScheme
 from repro.stragglers.communication import LinearCommunicationModel
@@ -268,6 +270,30 @@ def _signed_zero_ties() -> list:
     ]
 
 
+def _near_tolerance_decodability() -> list:
+    """Eight workers sending two partitions with coefficients ``(1, 1 + e_i)``.
+
+    ``e_i`` runs from 1e-9 to 1e-2 by decades, so one worker alone misses
+    the all-ones vector by about ``e_i / 2``: on both sides of the 1e-6
+    decoding tolerance. The vectorized engine's stacked certificate decides
+    the two smallest and the two largest misses; the four between fall in
+    the band it leaves to ``is_decodable``. Any two workers decode. The
+    claimed seven stragglers check every arrival.
+    """
+    code = LinearGradientCode(np.column_stack([np.ones(8), 1.0 + np.logspace(-9, -2, 8)]))
+    code.num_stragglers = 7
+    plan = ExecutionPlan(
+        scheme_name="near-tolerance",
+        num_units=2,
+        unit_assignment=code.to_assignment(),
+        message_sizes=np.ones(8),
+        aggregator_factory=lambda: CodedAggregator(code),
+        encoder=sum_encoder,
+    )
+    cluster = ClusterSpec.homogeneous(8, ShiftedExponentialDelay(2.0, 0.1), _jittered())
+    return [(plan, cluster, 2)]
+
+
 #: Jobs whose loop/vectorized agreement rests on one easily broken step of
 #: the vectorized engine's tail; each builds ``[(plan, cluster, num_units)]``.
 EXACTNESS_HAZARDS = {
@@ -275,8 +301,16 @@ EXACTNESS_HAZARDS = {
     "integer-sizes-past-2**53": _integer_sizes_past_2_53,
     "interleaved-ties": _interleaved_ties,
     "load-summation-order": _load_summation_order,
+    "near-tolerance-decodability": _near_tolerance_decodability,
     "signed-zero-ties": _signed_zero_ties,
 }
+
+
+@pytest.fixture
+def near_tolerance_job() -> tuple:
+    """The near-tolerance-decodability hazard's ``(plan, cluster, num_units)``."""
+    (job,) = _near_tolerance_decodability()
+    return job
 
 
 @pytest.fixture(params=sorted(EXACTNESS_HAZARDS))

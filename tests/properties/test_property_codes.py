@@ -6,6 +6,12 @@ from hypothesis import strategies as st
 
 from repro.coding.cyclic_repetition import CyclicRepetitionCode
 from repro.coding.fractional import FractionalRepetitionCode
+from repro.coding.linear_code import (
+    DECODABLE,
+    UNDECIDED,
+    LinearGradientCode,
+    decodability_verdicts,
+)
 from repro.coding.reed_solomon import ReedSolomonStyleCode
 
 
@@ -81,3 +87,72 @@ class TestFractionalRepetitionProperties:
         for group in code.groups:
             covered = np.concatenate([code.support(worker) for worker in group])
             assert sorted(covered.tolist()) == list(range(n))
+
+
+def _cyclic(rng, n):
+    return CyclicRepetitionCode(n, int(rng.integers(0, n)), seed=rng)
+
+
+def _reed_solomon(rng, n):
+    return ReedSolomonStyleCode(n, int(rng.integers(0, min(n, 6))))
+
+
+def _dense(rng, n):
+    return LinearGradientCode(rng.standard_normal((n, int(rng.integers(1, n + 1)))))
+
+
+def _badly_scaled(rng, n):
+    # Columns scaled across eight decades: ill-conditioned square subsets.
+    scales = 10.0 ** rng.uniform(-4.0, 4.0, n)
+    return LinearGradientCode(rng.standard_normal((n, n)) * scales)
+
+
+def _rank_deficient(rng, n):
+    rank = int(rng.integers(1, n))
+    return LinearGradientCode(
+        rng.standard_normal((n, rank)) @ rng.standard_normal((rank, n))
+    )
+
+
+def _few_partitions(rng, n):
+    # Subsets of more workers than partitions (w > k) are never certified.
+    return LinearGradientCode(rng.standard_normal((n, max(1, n // 3))))
+
+
+def _near_tolerance(rng, n):
+    # Rows (1, 1 + e) with e from 1e-9 to 1e-3: one worker misses the
+    # all-ones vector by about e / 2, across the band around the tolerance.
+    misses = 10.0 ** rng.uniform(-9.0, -3.0, n)
+    return LinearGradientCode(np.column_stack([np.ones(n), 1.0 + misses]))
+
+
+CERTIFIED_CODES = {
+    "cyclic-repetition": _cyclic,
+    "reed-solomon": _reed_solomon,
+    "dense": _dense,
+    "badly-scaled": _badly_scaled,
+    "rank-deficient": _rank_deficient,
+    "few-partitions": _few_partitions,
+    "near-tolerance": _near_tolerance,
+}
+
+
+class TestDecodabilityCertificate:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        data=st.data(),
+        family=st.sampled_from(sorted(CERTIFIED_CODES)),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    def test_a_verdict_never_contradicts_is_decodable(self, data, family, seed):
+        rng = np.random.default_rng(seed)
+        n = data.draw(st.integers(min_value=2, max_value=30), label="n")
+        code = CERTIFIED_CODES[family](rng, n)
+        width = data.draw(st.integers(min_value=1, max_value=n), label="w")
+        workers = np.argsort(rng.random((12, n)), axis=1)[:, :width]
+        verdicts = decodability_verdicts(code, workers)
+        for row, verdict in zip(workers, verdicts.tolist()):
+            if verdict != UNDECIDED:
+                assert (verdict == DECODABLE) == code.is_decodable(row.tolist())
+        if width > code.num_partitions:
+            assert (verdicts == UNDECIDED).all()

@@ -16,7 +16,13 @@ import pytest
 
 from repro.cluster.spec import ClusterSpec
 from repro.coding.cyclic_repetition import CyclicRepetitionCode
-from repro.coding.linear_code import LinearGradientCode
+from repro.coding.linear_code import (
+    DECODABLE,
+    NOT_DECODABLE,
+    UNDECIDED,
+    LinearGradientCode,
+    decodability_verdicts,
+)
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.schemes.base import (
     CodedAggregator,
@@ -481,11 +487,29 @@ def counting(code):
     return calls
 
 
+@pytest.fixture
+def verdicts(monkeypatch):
+    """Every verdict the engine's stacked certificate hands out, in order."""
+    from repro.simulation import vectorized
+
+    seen = []
+
+    def spy(code, workers):
+        found = decodability_verdicts(code, workers)
+        seen.extend(found.tolist())
+        return found
+
+    monkeypatch.setattr(vectorized, "decodability_verdicts", spy)
+    return seen
+
+
 class TestLinearCodeWalk:
     """The walk to each row's first decodable checkpoint.
 
     The reference is a :class:`CodedAggregator` fed the row's arrivals in
-    order — the loop engine's walk over the same checkpoints.
+    order — the loop engine's walk over the same checkpoints. A row-test is
+    a verdict the stacked certificate decides, or an ``is_decodable`` call
+    for a row it leaves undecided.
     """
 
     N = 16
@@ -510,31 +534,58 @@ class TestLinearCodeWalk:
     @pytest.mark.parametrize("check_every", [1, 2, 3])
     @pytest.mark.parametrize("name", sorted(CHECKPOINT_CODES))
     @pytest.mark.parametrize("idle", [None, 5], ids=["all-active", "one-idle"])
-    def test_matches_the_sequential_walk(self, name, check_every, idle):
+    def test_matches_the_sequential_walk(self, name, check_every, idle, verdicts):
         code = CHECKPOINT_CODES[name](self.N)
         calls = counting(code)
         active = np.delete(np.arange(self.N), [] if idle is None else [idle])
         rng = np.random.default_rng(check_every)
         order = np.argsort(rng.random((40, active.size)), axis=1)
         found = self.kernel_ranks(code, check_every, active, order)
-        kernel_checks = len(calls)
+        fallbacks = len(calls)
         walked = [self.walk(code, check_every, active[row]) for row in order]
         expected = [rank for rank, _ in walked]
         assert found.tolist() == expected
-        assert kernel_checks == sum(checks for _, checks in walked)
+        certified = len(verdicts) - verdicts.count(UNDECIDED)
+        assert certified + fallbacks == sum(checks for _, checks in walked)
+        assert verdicts.count(UNDECIDED) == fallbacks
         if name == "coverage":
             assert len(set(expected)) > 2  # rows stop at varying checkpoints
 
-    def test_a_row_decoding_at_the_first_checkpoint_costs_one_check(self):
+    def test_a_row_decoding_at_the_first_checkpoint_costs_one_check(self, verdicts):
         # The service's cyclic cell: n = 50, s = 9, ten checkpoints, every
-        # row decodable from its first 41 arrivals, the first checkpoint.
+        # row decodable from its first 41 arrivals, the first checkpoint:
+        # one stacked test certifies all 20 rows, with no lstsq.
         code = CyclicRepetitionCode(50, 9, seed=0)
         calls = counting(code)
         active = np.arange(50)
         order = np.argsort(np.random.default_rng(0).random((20, 50)), axis=1)
         found = self.kernel_ranks(code, 1, active, order)
         assert found.tolist() == [40] * 20
-        assert len(calls) == 20
+        assert verdicts == [DECODABLE] * 20
+        assert calls == []
+
+    def test_band_rows_reach_is_decodable(self, near_tolerance_job, verdicts):
+        plan, cluster, num_units = near_tolerance_job
+        calls = counting(plan.new_aggregator().code)
+        simulate_job_vectorized(plan, cluster, num_units, 40, rng=1)
+        assert set(verdicts) == {DECODABLE, NOT_DECODABLE, UNDECIDED}
+        assert len(calls) == verdicts.count(UNDECIDED)
+
+    def test_a_code_overriding_only_decoding_vector_keeps_the_walk(self, verdicts):
+        class SolvedCode(LinearGradientCode):
+            def decoding_vector(self, workers):
+                return super().decoding_vector(workers)
+
+        code = claiming(SolvedCode(CyclicRepetitionCode(self.N, 3, seed=0).encoding_matrix), 6)
+        calls = counting(code)
+        active = np.arange(self.N)
+        order = np.argsort(np.random.default_rng(4).random((40, self.N)), axis=1)
+        found = self.kernel_ranks(code, 1, active, order)
+        kernel_checks = len(calls)
+        walked = [self.walk(code, 1, active[row]) for row in order]
+        assert found.tolist() == [rank for rank, _ in walked]
+        assert verdicts == []
+        assert kernel_checks == sum(checks for _, checks in walked)
 
     def test_an_overriding_code_walks_like_the_loop(self):
         # A code that overrides ``is_decodable`` is checked on every
