@@ -95,9 +95,20 @@ class LinearGradientCode:
         return int(np.max(np.count_nonzero(self.encoding_matrix, axis=1)))
 
     def to_assignment(self) -> DataAssignment:
-        """The placement implied by the code's supports, at partition granularity."""
-        assignments = tuple(self.support(i) for i in range(self.num_workers))
-        return DataAssignment(num_examples=self.num_partitions, assignments=assignments)
+        """The placement implied by the code's supports, at partition granularity.
+
+        One ``np.nonzero`` over the matrix lists every support, row-major.
+        """
+        workers, partitions = np.nonzero(self.encoding_matrix)
+        loads = np.bincount(workers, minlength=self.num_workers)
+        if loads.size and (loads == loads[0]).all():
+            return DataAssignment.from_rows(
+                self.num_partitions, partitions.reshape(loads.size, -1)
+            )
+        return DataAssignment(
+            num_examples=self.num_partitions,
+            assignments=np.split(partitions, np.cumsum(loads))[:-1],
+        )
 
     # ------------------------------------------------------------------ #
     # Encoding / decoding

@@ -25,7 +25,12 @@ import functools
 import numpy as np
 
 from repro.coding.cyclic_repetition import cyclic_rows
-from repro.coding.linear_code import LinearGradientCode
+from repro.coding.linear_code import (
+    NOT_DECODABLE,
+    UNDECIDED,
+    LinearGradientCode,
+    decodability_verdicts,
+)
 from repro.exceptions import ConfigurationError, DecodingError
 from repro.utils.validation import check_positive_int
 
@@ -106,13 +111,20 @@ class ReedSolomonStyleCode(LinearGradientCode):
 
     @staticmethod
     def _windows_decode(matrix: np.ndarray, n: int, s: int, tolerance: float) -> bool:
-        """Check that every cyclic window of ``n - s`` rows spans the all-ones vector."""
+        """Check that every cyclic window of ``n - s`` rows spans the all-ones vector.
+
+        One stacked certificate (:func:`decodability_verdicts`) decides the
+        windows; only those it leaves undecided call ``is_decodable``.
+        """
         probe = LinearGradientCode(matrix, decoding_tolerance=tolerance)
-        for start in range(n):
-            survivors = [(start + offset) % n for offset in range(n - s)]
-            if not probe.is_decodable(survivors):
-                return False
-        return True
+        windows = (np.arange(n)[:, None] + np.arange(n - s)) % n
+        verdicts = decodability_verdicts(probe, windows)
+        if (verdicts == NOT_DECODABLE).any():
+            return False
+        return all(
+            probe.is_decodable(windows[start].tolist())
+            for start in np.flatnonzero(verdicts == UNDECIDED)
+        )
 
     @property
     def recovery_threshold(self) -> int:

@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Sequence, Union
 from repro.api.fingerprint import (
     ClusterForms,
     backend_identity,
-    canonical_spec,
+    canonical_text,
     canonical_value,
 )
 from repro.api.result import RunResult
@@ -118,10 +118,11 @@ class ResultCache:
     def task_keys(self, tasks: Sequence[CellTask]) -> List[Optional[str]]:
         """Every task's key in one pass: ``[task_key(t) for t in tasks]``.
 
-        A plan's tasks share their cluster object, and canonicalising its
-        worker models is most of a key's cost, so the pass canonicalises
-        each distinct cluster once (matched by ``is``) and every key reuses
-        that form. The memo lives only for this call: a model mutated
+        A plan's tasks share their cluster object, and its worker models
+        are most of a key's bytes, so the pass canonicalises and encodes
+        each distinct cluster once (matched by ``is``) and splices that
+        text into every key's encoding; encoding is then about half of a
+        key's cost. The memo lives only for this call: a model mutated
         between two calls is canonicalised afresh by the second.
         """
         clusters: ClusterForms = []
@@ -141,8 +142,7 @@ class ResultCache:
         key is the same with or without it.
         """
         try:
-            payload = {
-                "spec": canonical_spec(task.spec, clusters),
+            fields = {
                 "backend": backend_identity(task.backend),
                 "kind": task.kind,
                 "record": task.record,
@@ -152,10 +152,10 @@ class ResultCache:
                     else canonical_value(list(task.seeds))
                 ),
             }
+            encoded = canonical_text(task.spec, fields, clusters)
         except FingerprintError:
             self.stats.uncacheable += 1
             return None
-        encoded = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
 
     # ------------------------------------------------------------------ #

@@ -183,6 +183,16 @@ def sweep_from_request(payload: Mapping[str, object]) -> Tuple[Sweep, str, str]:
     return sweep, record, trial_batching
 
 
+def _canonical_request(payload: Mapping[str, object]) -> bytes:
+    """A request's canonical bytes: its JSON with sorted keys and no spaces.
+
+    :func:`sweep_from_request` reads the payload and nothing else (no
+    entropy, no clock), so within one process the bytes determine the
+    plan's task keys: they key :class:`SweepService`'s request memo.
+    """
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
 async def _handle_request(
     service: SweepService, writer: asyncio.StreamWriter, line: bytes
 ) -> None:
@@ -214,7 +224,10 @@ async def _handle_request(
         misses_before = service.cache.stats.misses
         rows = 0
         async for batch in service.stream(
-            sweep, record=record, trial_batching=trial_batching
+            sweep,
+            record=record,
+            trial_batching=trial_batching,
+            request=_canonical_request(payload),
         ):
             for sweep_record in batch:
                 rows += 1
@@ -336,8 +349,9 @@ async def submit_request(
 async def _self_test(host: str, request: Mapping[str, object]) -> int:
     """Serve on an ephemeral port and submit ``request`` twice over TCP.
 
-    The smoke contract: the second, identical submission must be served
-    (almost) entirely from the cache — at least 95% of its records.
+    The smoke contract: the second, identical submission must be keyed
+    from the service's request memo and served (almost) entirely from the
+    cache — at least 95% of its records.
     """
     service = SweepService()
     server = await asyncio.start_server(
@@ -346,7 +360,9 @@ async def _self_test(host: str, request: Mapping[str, object]) -> int:
     port = server.sockets[0].getsockname()[1]
     async with server:
         first = await submit_request(host, port, request)
+        memo_hits = service.stats.key_memo_hits
         second = await submit_request(host, port, request)
+        memo_hits = service.stats.key_memo_hits - memo_hits
     for label, events in (("first", first), ("second", second)):
         done = events[-1]
         if done.get("event") != "done":
@@ -356,6 +372,12 @@ async def _self_test(host: str, request: Mapping[str, object]) -> int:
             f"{label} submission: {done['records']} records, "
             f"{done['cache_hits']}/{done['cache_lookups']} cache hits"
         )
+    if memo_hits != 1:
+        print(
+            "service smoke FAILED: the resubmission was not keyed from the "
+            f"request memo ({memo_hits} memo hits)"
+        )
+        return 1
     done = second[-1]
     if done["cache_lookups"] == 0 or done["cache_hit_rate"] < 0.95:
         print(
@@ -364,7 +386,7 @@ async def _self_test(host: str, request: Mapping[str, object]) -> int:
             "(need >= 95%)"
         )
         return 1
-    print("service smoke OK: resubmission served from cache")
+    print("service smoke OK: resubmission keyed from the memo and served from cache")
     return 0
 
 

@@ -18,13 +18,19 @@ service-grade behaviours:
 * **Budgets.** A per-request cell budget rejects oversized grids with
   :class:`~repro.exceptions.BudgetExceededError` *before* any cell
   executes.
+* **Request memo.** A submission that names the canonical bytes of the
+  request it was built from has its task keys remembered under their
+  SHA-256, so a replay of the request skips the keying pass (bounded by
+  :data:`REQUEST_MEMO_KEYS`).
 """
 
 from __future__ import annotations
 
 import asyncio
+import hashlib
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, AsyncIterator, Dict, List, Optional, Union
+from typing import TYPE_CHECKING, AsyncIterator, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.api.backends import get_backend
 from repro.api.result import RunResult, validate_record
@@ -37,7 +43,11 @@ from repro.service.cache import ResultCache
 if TYPE_CHECKING:  # pragma: no cover - typing only; avoids an import cycle
     from repro.tuning import TuneReport, TuneSpec
 
-__all__ = ["ServiceStats", "SweepService"]
+__all__ = ["REQUEST_MEMO_KEYS", "ServiceStats", "SweepService"]
+
+#: The most task keys a service's request memo holds, summed over its
+#: requests; the least recently used request is evicted first.
+REQUEST_MEMO_KEYS = 2**14
 
 
 @dataclass
@@ -53,6 +63,8 @@ class ServiceStats:
     tasks_executed: int = 0
     tasks_deduplicated: int = 0
     budget_rejections: int = 0
+    #: Submissions keyed from the request memo instead of a keying pass.
+    key_memo_hits: int = 0
 
 
 class SweepService:
@@ -87,6 +99,8 @@ class SweepService:
         self.cell_budget = cell_budget
         self.stats = ServiceStats()
         self._inflight: Dict[str, "asyncio.Task[List[RunResult]]"] = {}
+        self._request_keys: "OrderedDict[bytes, Tuple[Optional[str], ...]]" = OrderedDict()
+        self._request_key_count = 0
 
     # ------------------------------------------------------------------ #
     async def stream(
@@ -95,6 +109,7 @@ class SweepService:
         *,
         record: str = "summary",
         trial_batching: str = "auto",
+        request: Optional[bytes] = None,
     ) -> AsyncIterator[List[SweepRecord]]:
         """Yield each task's record batch as it completes.
 
@@ -102,6 +117,13 @@ class SweepService:
         immediately); each batch holds the records of one scheduled task —
         one ``(cell, trial)`` record, or a whole trial-batched cell. Use
         :meth:`run` for the ordered, aggregated result.
+
+        ``request`` is the canonical bytes of the request that ``sweep``,
+        ``record`` and ``trial_batching`` were built from, and only from
+        (see :func:`repro.service.server.sweep_from_request`). Given, the
+        plan's task keys are memoized under the bytes' SHA-256, and a later
+        submission with the same bytes takes them from the memo instead of
+        keying its plan again.
 
         Raises
         ------
@@ -136,7 +158,7 @@ class SweepService:
         ) -> "tuple[CellTask, List[RunResult]]":
             return task, await self._cached_task(task, key)
 
-        keys = self.cache.task_keys(plan.tasks)
+        keys = self._plan_keys(plan.tasks, request)
         pending = [
             asyncio.ensure_future(labelled(task, key))
             for task, key in zip(plan.tasks, keys)
@@ -223,6 +245,32 @@ class SweepService:
         return await asyncio.to_thread(tune, spec, cache=self.cache)
 
     # ------------------------------------------------------------------ #
+    def _plan_keys(
+        self, tasks: Sequence[CellTask], request: Optional[bytes]
+    ) -> Sequence[Optional[str]]:
+        """The plan's task keys: from the request memo, or one keying pass.
+
+        A request whose pass left a task uncacheable is not memoized, so a
+        memo hit changes no :class:`~repro.service.cache.CacheStats`
+        counter, as a fresh pass over cacheable tasks would not.
+        """
+        if request is None:
+            return self.cache.task_keys(tasks)
+        digest = hashlib.sha256(request).digest()
+        memoized = self._request_keys.get(digest)
+        if memoized is not None:
+            self._request_keys.move_to_end(digest)
+            self.stats.key_memo_hits += 1
+            return memoized
+        keys = self.cache.task_keys(tasks)
+        if None not in keys and len(keys) <= REQUEST_MEMO_KEYS:
+            self._request_keys[digest] = tuple(keys)
+            self._request_key_count += len(keys)
+            while self._request_key_count > REQUEST_MEMO_KEYS:
+                _, evicted = self._request_keys.popitem(last=False)
+                self._request_key_count -= len(evicted)
+        return keys
+
     async def _cached_task(self, task: CellTask, key: Optional[str]) -> List[RunResult]:
         """One task through the cache under its key, with in-flight deduplication.
 

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from repro.coding.cyclic_repetition import CyclicRepetitionCode, cyclic_rows
+import repro.coding.reed_solomon as reed_solomon
 from repro.coding.fractional import FractionalRepetitionCode
+from repro.coding.linear_code import NOT_DECODABLE, UNDECIDED, LinearGradientCode
 from repro.coding.reed_solomon import ReedSolomonStyleCode
 from repro.exceptions import ConfigurationError, DecodingError
 
@@ -136,6 +138,50 @@ class TestReedSolomonStyleCode:
             second[0, 0] = 2.0
         assert ReedSolomonStyleCode(30, 4, decoding_tolerance=1e-7).encoding_matrix is not first
         assert len(solves) == 2
+
+    @staticmethod
+    def windows_decode_one_by_one(matrix, n, s, tolerance):
+        """The window check as one ``is_decodable`` call per cyclic window."""
+        probe = LinearGradientCode(matrix, decoding_tolerance=tolerance)
+        return all(
+            probe.is_decodable([(start + offset) % n for offset in range(n - s)])
+            for start in range(n)
+        )
+
+    @pytest.mark.parametrize("n, s", [(100, 9), (50, 9), (30, 4), (8, 2), (20, 19), (12, 1)])
+    def test_certified_windows_build_the_one_by_one_matrix(self, n, s, monkeypatch):
+        matrix = ReedSolomonStyleCode._derive_matrix(n, s, 1e-6)
+        monkeypatch.setattr(
+            ReedSolomonStyleCode,
+            "_windows_decode",
+            staticmethod(self.windows_decode_one_by_one),
+        )
+        assert matrix.tobytes() == ReedSolomonStyleCode._derive_matrix(n, s, 1e-6).tobytes()
+
+    @pytest.mark.parametrize("verdict", [NOT_DECODABLE, UNDECIDED])
+    def test_windows_that_never_decode_exhaust_the_attempts(self, verdict, monkeypatch):
+        # A not-decodable verdict fails the attempt at once; an undecided
+        # one falls back to is_decodable, here refusing every window.
+        calls = []
+
+        def verdicts(code, workers):
+            calls.append(workers.shape)
+            return np.full(len(workers), verdict, dtype=np.int8)
+
+        fallbacks = []
+
+        def refuse(self, workers):
+            fallbacks.append(list(workers))
+            return False
+
+        monkeypatch.setattr(reed_solomon, "decodability_verdicts", verdicts)
+        monkeypatch.setattr(LinearGradientCode, "is_decodable", refuse)
+        with pytest.raises(DecodingError, match="after 16 attempts"):
+            ReedSolomonStyleCode._derive_matrix(9, 2, 1e-6)
+        assert calls == [(9, 7)] * ReedSolomonStyleCode._MAX_ATTEMPTS
+        expected = 0 if verdict == NOT_DECODABLE else ReedSolomonStyleCode._MAX_ATTEMPTS
+        assert len(fallbacks) == expected
+        assert all(window == list(range(7)) for window in fallbacks)
 
 
 class TestFractionalRepetitionCode:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.coding.assignment import DataAssignment
 from repro.coding.cyclic_repetition import CyclicRepetitionCode
 from repro.coding.fractional import FractionalRepetitionCode
 from repro.coding.linear_code import (
@@ -12,7 +13,8 @@ from repro.coding.linear_code import (
     LinearGradientCode,
     decodability_verdicts,
 )
-from repro.exceptions import DecodingError
+from repro.coding.reed_solomon import ReedSolomonStyleCode
+from repro.exceptions import AssignmentError, DecodingError
 
 
 @pytest.fixture
@@ -43,6 +45,30 @@ class TestConstruction:
         assignment = simple_code.to_assignment()
         assert assignment.num_workers == 3
         assert assignment.loads.tolist() == [1, 1, 2]
+
+    @pytest.mark.parametrize(
+        "code",
+        [
+            CyclicRepetitionCode(num_workers=12, num_stragglers=3, seed=0),
+            ReedSolomonStyleCode(10, 2),
+            FractionalRepetitionCode(num_workers=6, num_stragglers=2),
+            LinearGradientCode(np.array([[1.0, 0.0, 2.0], [0.0, 0.0, 3.0], [1.0, 1.0, 1.0]])),
+            LinearGradientCode(np.array([[1.0, 2.0], [0.0, 0.0], [0.0, 4.0]])),
+            LinearGradientCode(np.zeros((3, 4))),
+        ],
+        ids=["cyclic", "reed-solomon", "fractional", "unequal-supports", "zero-row", "all-zero"],
+    )
+    def test_to_assignment_equals_the_per_worker_supports(self, code):
+        supports = tuple(code.support(worker) for worker in range(code.num_workers))
+        expected = DataAssignment(num_examples=code.num_partitions, assignments=supports)
+        assignment = code.to_assignment()
+        assert assignment == expected
+        assert [a.tolist() for a in assignment.assignments] == [a.tolist() for a in supports]
+        assert assignment.pairs()[0].dtype == expected.pairs()[0].dtype
+
+    def test_to_assignment_of_a_code_without_workers_is_refused(self):
+        with pytest.raises(AssignmentError, match="at least one worker"):
+            LinearGradientCode(np.zeros((0, 3))).to_assignment()
 
 
 class TestEncodeDecode:

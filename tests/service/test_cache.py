@@ -20,8 +20,9 @@ import pytest
 
 from repro.api import JobSpec, RunResult, Sweep, TimingSimBackend, run_sweep
 from repro.api.backends import get_backend
-from repro.api.fingerprint import canonical_value, fingerprint_spec
-from repro.cluster.spec import ClusterSpec
+from repro.api import fingerprint
+from repro.api.fingerprint import canonical_text, canonical_value, fingerprint_spec
+from repro.cluster.spec import ClusterSpec, WorkerSpec
 from repro.exceptions import FingerprintError
 from repro.scheduling import build_sweep_plan
 from repro.service import ResultCache, SweepService
@@ -288,6 +289,36 @@ class TestKeyingPass:
         cache = ResultCache()
         assert cache.task_keys(tasks) == [None] * len(tasks)
         assert cache.stats.uncacheable == len(tasks)
+
+
+class TestClusterSplice:
+    """``canonical_text`` splices each cluster's encoded form in, byte for byte."""
+
+    @staticmethod
+    def fields(task):
+        return {"kind": task.kind, "record": task.record}
+
+    def test_spliced_text_equals_the_plain_encoding(self):
+        tasks = plan_tasks(make_sweep())
+        clusters = []
+        for task in tasks:
+            spliced = canonical_text(task.spec, self.fields(task), clusters)
+            assert spliced == canonical_text(task.spec, self.fields(task))
+        assert len(clusters) == 1
+
+    def test_slot_text_outside_the_cluster_falls_back_to_the_plain_encoding(self):
+        spec = make_spec(backend_options={"note": fingerprint._CLUSTER_SLOT})
+        plain = canonical_text(spec, {})
+        assert plain.count(json.dumps(fingerprint._CLUSTER_SLOT)) == 1
+        assert canonical_text(spec, {}, []) == plain
+        fields = {"note": fingerprint._CLUSTER_SLOT}
+        assert canonical_text(make_spec(), fields, []) == canonical_text(make_spec(), fields)
+
+    def test_slot_text_inside_the_cluster_is_spliced_verbatim(self):
+        model = ShiftedExponentialDelay(1.0, 0.5)
+        workers = [WorkerSpec(model, name=fingerprint._CLUSTER_SLOT)] * 2
+        spec = make_spec(cluster=ClusterSpec(workers=workers))
+        assert canonical_text(spec, {}, []) == canonical_text(spec, {})
 
 
 class TestDiskTier:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import asyncio
 import base64
 import contextlib
+import dataclasses
 import gc
 import json
 import logging
@@ -18,13 +19,19 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.service.service as service_module
 from repro.api import JobSpec, Sweep, TimingSimBackend, run_sweep
+from repro.api.backends import get_backend
 from repro.cluster.spec import ClusterSpec
 from repro.exceptions import BudgetExceededError, ConfigurationError
-from repro.service import ResultCache, SweepService
+from repro.scheduling.core import build_sweep_plan
+from repro.service import CacheStats, ResultCache, SweepService
 from repro.service.server import (
     LINE_LIMIT,
+    _canonical_request,
     _connection,
     _self_test,
     self_test,
@@ -68,9 +75,10 @@ class _Payload:
 
 
 @contextlib.asynccontextmanager
-async def connection():
+async def connection(service=None):
     """A client connection to an in-process server: ``(reader, writer)``."""
-    service = SweepService()
+    if service is None:
+        service = SweepService()
     server = await asyncio.start_server(
         lambda reader, writer: _connection(service, reader, writer),
         "127.0.0.1",
@@ -95,11 +103,11 @@ async def reply(reader):
     return events
 
 
-def converse_lines(lines):
+def converse_lines(lines, service=None):
     """Send each request line over one connection; one event list per line."""
 
     async def scenario():
-        async with connection() as (reader, writer):
+        async with connection(service) as (reader, writer):
             replies = []
             for line in lines:
                 writer.write(line + b"\n")
@@ -110,13 +118,15 @@ def converse_lines(lines):
     return asyncio.run(scenario())
 
 
-def converse(payloads):
+def converse(payloads, service=None):
     """Send each request over one connection to an in-process server.
 
     Returns one event list per request, each ending at its ``done`` or
     ``error`` event.
     """
-    return converse_lines([json.dumps(payload).encode("utf-8") for payload in payloads])
+    return converse_lines(
+        [json.dumps(payload).encode("utf-8") for payload in payloads], service
+    )
 
 
 def make_sweep(trials=2, seed=0):
@@ -313,6 +323,176 @@ class TestSweepService:
         asyncio.run(scenario())
 
 
+#: A request of two cells (bcc and uncoded) whose plan has several tasks.
+MEMO_REQUEST = {"schemes": ["bcc", "uncoded"], "loads": [4], "workers": 8,
+                "units": 8, "iterations": 2, "trials": 2}
+
+
+def plan_of(payload):
+    """The tasks of the plan the server builds for ``payload``."""
+    sweep, record, trial_batching = sweep_from_request(payload)
+    return build_sweep_plan(
+        sweep,
+        backend=get_backend(sweep.backend),
+        record=record,
+        trial_batching=trial_batching,
+    ).tasks
+
+
+def keyed(service, payload):
+    """``payload``'s task keys, through the service's memo as the server asks."""
+    return list(service._plan_keys(plan_of(payload), _canonical_request(payload)))
+
+
+@st.composite
+def valid_payloads(draw):
+    """Sweep requests the server accepts, some fields left at their defaults."""
+    workers = draw(st.integers(min_value=4, max_value=10))
+    payload = {
+        "schemes": draw(
+            st.lists(
+                st.sampled_from(["bcc", "uncoded", "cyclic-repetition", "randomized"]),
+                min_size=1,
+                max_size=3,
+                unique=True,
+            )
+        ),
+        "loads": draw(
+            st.lists(st.integers(1, workers), min_size=1, max_size=2, unique=True)
+        ),
+        "workers": workers,
+        "units": workers,
+        "iterations": draw(st.integers(1, 3)),
+        "trials": draw(st.integers(1, 3)),
+        "seed": draw(st.integers(0, 2**32)),
+        "engine": draw(st.sampled_from(["auto", "vectorized", "loop"])),
+        "record": draw(st.sampled_from(["summary", "full"])),
+        "trial_batching": draw(st.sampled_from(["auto", "never"])),
+    }
+    for key in draw(st.sets(st.sampled_from(["iterations", "trials", "seed", "engine"]))):
+        del payload[key]
+    return payload
+
+
+class TestRequestMemo:
+    """The service keys a request's plan once and replays take the keys."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(payload=valid_payloads())
+    def test_memoized_keys_equal_a_fresh_pass(self, payload):
+        service = SweepService()
+        first = keyed(service, payload)
+        again = keyed(service, payload)
+        assert service.stats.key_memo_hits == 1
+        assert again == first == ResultCache().task_keys(plan_of(payload))
+
+    def test_reordered_json_keys_share_an_entry(self):
+        reordered = dict(reversed(list(MEMO_REQUEST.items())))
+        assert json.dumps(reordered) != json.dumps(MEMO_REQUEST)
+        service = SweepService()
+        first, second = converse([MEMO_REQUEST, reordered], service)
+        assert first[-1]["event"] == second[-1]["event"] == "done"
+        assert service.stats.key_memo_hits == 1
+        assert len(service._request_keys) == 1
+        assert second[-1]["cache_hits"] == second[-1]["cache_lookups"] > 0
+
+    def test_a_different_seed_misses(self):
+        service = SweepService()
+        converse([{**MEMO_REQUEST, "seed": 0}, {**MEMO_REQUEST, "seed": 1}], service)
+        assert service.stats.key_memo_hits == 0
+        assert len(service._request_keys) == 2
+
+    def test_a_spelled_out_default_misses_but_keys_alike(self):
+        service = SweepService()
+        omitted = keyed(service, MEMO_REQUEST)
+        spelled = keyed(service, {**MEMO_REQUEST, "seed": 0})
+        assert service.stats.key_memo_hits == 0
+        assert spelled == omitted
+
+    def test_a_rejected_request_leaves_no_entry(self):
+        service = SweepService(cell_budget=1)
+        replies = converse(
+            [
+                {**MEMO_REQUEST, "schemes": ["no-such-scheme"]},
+                {**MEMO_REQUEST, "workers": "8"},
+                MEMO_REQUEST,  # two cells, over the budget
+            ],
+            service,
+        )
+        assert [events[-1]["event"] for events in replies] == ["error"] * 3
+        assert service.stats.budget_rejections == 1
+        assert not service._request_keys and service._request_key_count == 0
+
+    def test_the_bound_evicts_the_least_recently_used_request(self, monkeypatch):
+        first, second, third = ({**MEMO_REQUEST, "seed": seed} for seed in range(3))
+        size = len(plan_of(first))
+        assert size > 1
+        monkeypatch.setattr(service_module, "REQUEST_MEMO_KEYS", 2 * size)
+        service = SweepService()
+        keyed(service, first)
+        keyed(service, second)
+        keyed(service, first)  # a hit: the first is now the most recent
+        keyed(service, third)  # evicts the second
+        assert service.stats.key_memo_hits == 1
+        assert service._request_key_count == 2 * size
+        keyed(service, first)
+        keyed(service, third)
+        assert service.stats.key_memo_hits == 3
+        keyed(service, second)
+        assert service.stats.key_memo_hits == 3
+
+    def test_a_request_over_the_bound_is_not_memoized(self, monkeypatch):
+        small = {**MEMO_REQUEST, "schemes": ["uncoded"]}
+        assert len(plan_of(small)) < len(plan_of(MEMO_REQUEST)) - 1
+        monkeypatch.setattr(
+            service_module, "REQUEST_MEMO_KEYS", len(plan_of(MEMO_REQUEST)) - 1
+        )
+        service = SweepService()
+        keyed(service, small)
+        assert keyed(service, MEMO_REQUEST) == keyed(service, MEMO_REQUEST)
+        assert service.stats.key_memo_hits == 0
+        # The oversized request evicted nothing.
+        assert service._request_key_count == len(plan_of(small))
+        keyed(service, small)
+        assert service.stats.key_memo_hits == 1
+
+    def test_a_hit_leaves_cache_stats_as_a_fresh_keying_would(self):
+        service = SweepService()
+        keyed(service, MEMO_REQUEST)
+        before = dataclasses.replace(service.cache.stats)
+        fresh = ResultCache()
+        fresh.task_keys(plan_of(MEMO_REQUEST))
+        keyed(service, MEMO_REQUEST)
+        assert service.stats.key_memo_hits == 1
+        assert service.cache.stats == before
+        assert fresh.stats == CacheStats()
+
+    def test_a_plan_with_an_uncacheable_task_is_keyed_afresh(self):
+        model = ShiftedExponentialDelay(1.0, 0.5)
+        model.hook = lambda: None  # code, not configuration
+        base = JobSpec(
+            scheme={"name": "bcc", "load": 4},
+            cluster=ClusterSpec.homogeneous(8, model),
+            num_units=16,
+            num_iterations=3,
+        )
+        sweep = Sweep(base, trials=2, backend=TimingSimBackend(engine="auto"))
+        tasks = build_sweep_plan(sweep, backend=sweep.backend).tasks
+        service = SweepService()
+        for _ in range(2):
+            assert list(service._plan_keys(tasks, b"request")) == [None] * len(tasks)
+        assert service.stats.key_memo_hits == 0
+        assert service.cache.stats.uncacheable == 2 * len(tasks)
+        assert not service._request_keys
+
+    def test_submissions_without_a_request_are_keyed_afresh(self):
+        service = SweepService()
+        service.submit(make_sweep())
+        service.submit(make_sweep())
+        assert service.stats.key_memo_hits == 0
+        assert not service._request_keys
+
+
 class TestServer:
     def test_sweep_from_request_builds_cli_equivalent_grid(self):
         sweep, record, trial_batching = sweep_from_request(
@@ -465,3 +645,10 @@ class TestServer:
 
     def test_packaged_self_test_passes(self):
         assert self_test() == 0
+
+    def test_self_test_fails_without_a_memo_hit(self, monkeypatch, capsys):
+        monkeypatch.setattr(
+            SweepService, "_plan_keys", lambda self, tasks, request: self.cache.task_keys(tasks)
+        )
+        assert asyncio.run(_self_test("127.0.0.1", VALID_REQUEST)) == 1
+        assert "not keyed from the request memo" in capsys.readouterr().out
