@@ -2,8 +2,9 @@
 
 One pin, ``test_cached_resubmission_speedup``: resubmitting an identical
 sweep through a :class:`~repro.service.cache.ResultCache` must be served
-at least **95 %** from cache and run at least ``10x`` faster than the
-first (computing) submission — the "iterate on plots for free" promise of
+at least **95 %** from cache and run at least ``10x`` faster (the median
+of ``WARM_ROUNDS`` resubmissions) than the first (computing) submission —
+the "iterate on plots for free" promise of
 :doc:`the service guide </service>`. Correctness comes first: the cached
 records must equal the computed ones exactly, and a disk-tier reload
 (fresh cache object, same directory — a new process, morally) must hit
@@ -40,6 +41,11 @@ SPEEDUP_FLOOR = 3.0 if QUICK else 10.0
 #: relaxed: every task of an identical sweep is fingerprintable, so
 #: anything below 1.0 would mean keys stopped being content-addressed.
 HIT_RATE_FLOOR = 0.95
+
+#: Cached resubmissions timed; their median is the warm time. One warm run
+#: takes a few milliseconds, so a single slow sample on a loaded 2-vCPU
+#: host could halve the measured speedup on its own.
+WARM_ROUNDS = 5
 
 
 def _append_history(entry: dict) -> None:
@@ -93,14 +99,23 @@ def test_cached_resubmission_speedup(benchmark, report, tmp_path):
     cold_seconds = time.perf_counter() - cold_started
     stores = cache.stats.stores
 
-    warm = benchmark.pedantic(
-        lambda: run_sweep(sweep, record="summary", cache=cache),
-        rounds=1,
-        iterations=1,
-    )
-    warm_seconds = benchmark.stats.stats.total
+    # Each warm round's own hit rate, so that a defect missing only in the
+    # first resubmission cannot hide behind the hits of the rounds after it.
+    round_hit_rates = []
+
+    def resubmit():
+        hits, misses = cache.stats.hits, cache.stats.misses
+        result = run_sweep(sweep, record="summary", cache=cache)
+        new_hits = cache.stats.hits - hits
+        round_hit_rates.append(
+            new_hits / max(new_hits + cache.stats.misses - misses, 1)
+        )
+        return result
+
+    warm = benchmark.pedantic(resubmit, rounds=WARM_ROUNDS, iterations=1)
+    warm_seconds = benchmark.stats.stats.median
     speedup = cold_seconds / warm_seconds
-    hit_rate = cache.stats.hits / max(cache.stats.hits + cache.stats.misses - stores, 1)
+    hit_rate = min(round_hit_rates)
 
     # Correctness before speed: cached records equal computed records, and
     # a fresh cache over the same directory (a new process, morally) hits
@@ -114,7 +129,8 @@ def test_cached_resubmission_speedup(benchmark, report, tmp_path):
     table = warm.to_table(
         title=(
             f"Cached resubmission — {warm.num_cells} cells x {sweep.trials} "
-            f"trials (speedup {speedup:.1f}x, {cache.stats.hits}/{stores} hits)"
+            f"trials (speedup {speedup:.1f}x, hit rate {hit_rate:.0%} in the "
+            f"worst of {WARM_ROUNDS} rounds)"
         )
     ).render()
     report(

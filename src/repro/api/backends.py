@@ -328,11 +328,11 @@ class MultiprocessBackend:
             fault_mode=fault_mode,
             **options,
         )
-        wrapped = RunResult.from_distributed(result, backend=self.name)
+        extras: Dict[str, object] = {}
         if fault_schedule is not None:
-            wrapped.extras["fault_fingerprint"] = fault_schedule.fingerprint()
-            wrapped.extras["fault_mode"] = fault_mode
-        return wrapped
+            extras["fault_fingerprint"] = fault_schedule.fingerprint()
+            extras["fault_mode"] = fault_mode
+        return RunResult.from_distributed(result, backend=self.name, extras=extras)
 
 
 class AnalyticBackend:
@@ -418,20 +418,22 @@ class AnalyticBackend:
             workers_finished_compute=estimate.workers_finished_compute,
             heard_workers=(),
         )
-        result = RunResult(
+        extras: Dict[str, object] = {
+            "analytic_quantiles": dict(estimate.quantiles),
+            "analytic_total_quantiles": estimate.total_runtime_quantiles(
+                spec.num_iterations
+            ),
+            "analytic_variance": estimate.variance,
+            "analytic_mode": estimate.mode,
+        }
+        if estimate.details:
+            extras["analytic_details"] = dict(estimate.details)
+        return RunResult(
             scheme_name=scheme.name,
             iterations=RepeatedOutcomeLog(outcome, spec.num_iterations),
             backend=self.name,
+            extras=extras,
         )
-        result.extras["analytic_quantiles"] = dict(estimate.quantiles)
-        result.extras["analytic_total_quantiles"] = estimate.total_runtime_quantiles(
-            spec.num_iterations
-        )
-        result.extras["analytic_variance"] = estimate.variance
-        result.extras["analytic_mode"] = estimate.mode
-        if estimate.details:
-            result.extras["analytic_details"] = dict(estimate.details)
-        return result
 
 
 _BACKENDS: Dict[str, Type] = {

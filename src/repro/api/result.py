@@ -18,8 +18,9 @@ field, the heard workers as one flat index) instead of one object per
 iteration, but its size still grows with the iteration count. For
 Monte-Carlo sweeps only the aggregates usually matter. ``compact()``
 converts a result to **summary** form: the headline aggregates are frozen
-into ``summary_data``, the iteration log (and training trace) is dropped,
-and every aggregate property keeps answering from the frozen summary.
+into ``summary_data`` (a read-only mapping), the iteration log (and
+training trace) is dropped, and every aggregate property keeps answering
+from the frozen summary.
 :func:`~repro.api.sweep.run_sweep` exposes this as ``record="summary"``;
 :func:`validate_record` is the single source of the mode names.
 """
@@ -27,7 +28,8 @@ and every aggregate property keeps answering from the frozen summary.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional
 
 import numpy as np
 
@@ -51,7 +53,7 @@ def validate_record(record: str) -> str:
     return record
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunResult(JobResult):
     """Unified outcome of one job run, whatever backend executed it.
 
@@ -75,7 +77,8 @@ class RunResult(JobResult):
         Free-form metrics attached by custom sweep runners.
     summary_data:
         Frozen headline metrics of a compacted (``record="summary"``)
-        result; ``None`` while the full iteration log is carried.
+        result, as a read-only copy of the mapping passed in; ``None``
+        while the full iteration log is carried.
     """
 
     backend: str = ""
@@ -83,12 +86,33 @@ class RunResult(JobResult):
     workers_heard: List[int] = field(default_factory=list)
     total_seconds: float = 0.0
     extras: Dict[str, object] = field(default_factory=dict)
-    summary_data: Optional[Dict[str, object]] = None
+    summary_data: Optional[Mapping[str, object]] = None
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.summary_data is not None:
+            # A result cache's memory tier hands this very object to every
+            # later hit, so the summary must not be editable in place.
+            object.__setattr__(
+                self, "summary_data", MappingProxyType(dict(self.summary_data))
+            )
+
+    def __getstate__(self) -> Dict[str, object]:
+        # A mappingproxy does not pickle, and compacted results cross a
+        # process pool by pickle: the summary travels as a plain dict.
+        state = dict(self.__dict__)
+        if self.summary_data is not None:
+            state["summary_data"] = dict(self.summary_data)
+        return state
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.__dict__.update(state)
+        self.__post_init__()
 
     # ------------------------------------------------------------------ #
     @classmethod
     def from_job(cls, job: JobResult, *, backend: str) -> "RunResult":
-        """Wrap a simulated :class:`JobResult` (shares the iterations list)."""
+        """Wrap a simulated :class:`JobResult` (shares its read-only iteration log)."""
         return cls(
             scheme_name=job.scheme_name,
             iterations=job.iterations,
@@ -98,23 +122,32 @@ class RunResult(JobResult):
 
     @classmethod
     def from_distributed(
-        cls, result: DistributedRunResult, *, backend: str
+        cls,
+        result: DistributedRunResult,
+        *,
+        backend: str,
+        extras: Dict[str, object],
     ) -> "RunResult":
-        """Wrap a multiprocessing :class:`DistributedRunResult`."""
-        wrapped = cls(
+        """Wrap a multiprocessing :class:`DistributedRunResult`.
+
+        ``extras`` are added after the run's own (its scheduled workers).
+        """
+        merged: Dict[str, object] = {}
+        if result.scheduled_workers:
+            # Fault-injected run: keep the realised availability trace so
+            # the cross-validation layer can line it up against the
+            # simulators' replay of the same scenario.
+            merged["scheduled_workers"] = list(result.scheduled_workers)
+        merged.update(extras)
+        return cls(
             scheme_name=result.scheme_name,
             training=result.training,
             backend=backend,
             iteration_times=list(result.iteration_times),
             workers_heard=list(result.workers_heard),
             total_seconds=result.total_seconds,
+            extras=merged,
         )
-        if result.scheduled_workers:
-            # Fault-injected run: keep the realised availability trace so
-            # the cross-validation layer can line it up against the
-            # simulators' replay of the same scenario.
-            wrapped.extras["scheduled_workers"] = list(result.scheduled_workers)
-        return wrapped
 
     # ------------------------------------------------------------------ #
     def compact(self) -> "RunResult":
@@ -135,7 +168,7 @@ class RunResult(JobResult):
             backend=self.backend,
             total_seconds=self.total_seconds,
             extras=dict(self.extras),
-            summary_data=dict(self.summary()),
+            summary_data=self.summary(),
         )
 
     def _frozen(self, key: str) -> Optional[object]:

@@ -59,7 +59,6 @@ from repro.exceptions import ConfigurationError
 from repro.scheduling.core import SweepPlan, build_sweep_plan
 from repro.scheduling.executors import Executor, resolve_executor
 from repro.schemes.base import ExecutionPlan, Scheme
-from repro.utils.counting import CountingList
 from repro.utils.tables import TextTable
 from repro.utils.validation import check_positive_int
 
@@ -179,34 +178,23 @@ def _format_value(value: object) -> object:
     return type(value).__name__
 
 
-@dataclass
+@dataclass(frozen=True)
 class SweepResult:
     """All records of one sweep, plus tabulation helpers.
 
-    The per-cell aggregation (the work behind :meth:`aggregate` and every
-    :meth:`to_table` call) is cached, keyed on the record list's mutation
-    counter — so repeated tabulation of a finished sweep costs one dict copy
-    per cell, while *any* mutation of ``records`` (appends, but also
-    in-place replacements a ``len()`` key would miss) recomputes.
+    A sweep result is an immutable value: ``records`` is a tuple (any other
+    sequence passed in is stored as one) of records whose results are
+    frozen too. :meth:`aggregate` keeps no cache; each call is one pass
+    over the records, whose results compute their aggregates once.
     """
 
-    records: List[SweepRecord] = field(default_factory=list)
+    records: Tuple[SweepRecord, ...] = ()
     parameter_names: Tuple[str, ...] = ()
     trials: int = 1
-    _aggregate_cache: Optional[tuple] = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
-        if not isinstance(self.records, CountingList):
-            self.records = CountingList(self.records)
-
-    def __getstate__(self) -> dict:
-        # Unpickling rebuilds the record list with a fresh mutation counter;
-        # a carried cache could collide with a different history. Drop it.
-        state = self.__dict__.copy()
-        state["_aggregate_cache"] = None
-        return state
+        if type(self.records) is not tuple:
+            object.__setattr__(self, "records", tuple(self.records))
 
     # ------------------------------------------------------------------ #
     def __iter__(self) -> Iterator[SweepRecord]:
@@ -248,24 +236,9 @@ class SweepResult:
         silently misrepresent the sample size. Rows where every trial
         carries the metric are unchanged (no count column).
 
-        The result is cached (see the class
-        docstring); the key tracks both the record *list* and each result's
-        own iteration-log mutation counter, so editing a result in place
-        (e.g. appending or removing outcomes) recomputes too. Callers
-        receive fresh per-row dict copies, so mutating a returned row never
-        corrupts the cache.
+        Every call builds fresh rows, so editing a returned row changes no
+        later call's.
         """
-        metrics_key = None if metrics is None else tuple(metrics)
-        version = getattr(self.records, "version", None)
-        result_versions = tuple(
-            getattr(record.result.iterations, "version", -1)
-            for record in self.records
-        )
-        cache_key = (version, result_versions, metrics_key)
-        cached = self._aggregate_cache
-        if version is not None and cached is not None and cached[0] == cache_key:
-            return [dict(row) for row in cached[1]]
-
         # One pass over the records: group by cell and collect summaries.
         by_cell: Dict[int, List[SweepRecord]] = {}
         summaries: Dict[int, List[dict]] = {}
@@ -305,9 +278,7 @@ class SweepResult:
                         # unchanged.
                         row[f"{metric}_count"] = len(values)
             rows.append(row)
-        if version is not None:
-            self._aggregate_cache = (cache_key, rows)
-        return [dict(row) for row in rows]
+        return rows
 
     def to_table(
         self,

@@ -475,14 +475,13 @@ class LenKeyedCacheRule(Rule):
     """CACHE001 — caches key on mutation counters, never on len()."""
 
     id = "CACHE001"
-    title = "no len()-keyed caches; use the CountingList mutation counter"
+    title = "no len()-keyed caches; key on a mutation counter or cache an immutable value"
     severity = Severity.ERROR
     rationale = (
         "A cache keyed on a container's length serves stale values after "
-        "same-length replacement — the PR 2 JobResult stale-aggregate bug "
-        "class. Aggregate caches must key on a mutation counter "
-        "(repro.utils.counting.CountingList.version or an explicit counter "
-        "bumped on every write)."
+        "same-length replacement — the JobResult stale-aggregate bug "
+        "class. Key a cache on a mutation counter bumped on every write, "
+        "or cache on an immutable object, whose values cannot go stale."
     )
 
     def check(self, module: ModuleContext, project: ProjectModel) -> Iterator[Finding]:
@@ -500,8 +499,8 @@ class LenKeyedCacheRule(Rule):
                     module,
                     node.lineno,
                     "cache state derived from len(); key the cache on a"
-                    " mutation counter (CountingList.version) so same-length"
-                    " replacement invalidates it",
+                    " mutation counter so same-length replacement"
+                    " invalidates it, or cache on an immutable object",
                     column=node.col_offset,
                 )
 

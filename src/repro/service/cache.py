@@ -3,8 +3,8 @@
 Keys are canonical content fingerprints (:mod:`repro.api.fingerprint`) of
 everything that determines a task's results: the derived cell spec (seed
 included), the executing backend's identity (class, engine,
-configuration), the record mode, and — for trial-batched cells — the
-spawned seed set and the cell's placement choice (frozen or per-trial).
+configuration), the record mode, the task kind, and — for trial-batched
+cells — the spawned seed set.
 Nothing identity-derived (``id``/``hash``/``repr``) ever enters a key; the
 CACHE002 lint rule enforces that repo-wide.
 
@@ -12,6 +12,12 @@ Two tiers:
 
 * **Memory** holds every stored result verbatim, so within a process a
   cache hit returns the *identical* record objects the first run produced.
+  Sharing them is safe because results are immutable: a caller cannot
+  rebind a field of a returned result or edit its iteration log or a
+  compacted result's ``summary_data``, so no edit reaches a later hit.
+  Only a result's ``extras`` dict, its ``iteration_times`` and
+  ``workers_heard`` lists and a ``training`` trace can still be edited in
+  place.
 * **Disk** (optional, a directory) persists results across processes —
   but only summary-form results whose payload survives a JSON round-trip
   unchanged. Full per-iteration logs and non-JSON-stable extras (e.g.
@@ -242,6 +248,8 @@ class ResultCache:
         if result.iterations or result.training is not None:
             return None
         payload = {name: getattr(result, name) for name in _RESULT_FIELDS}
+        if result.summary_data is not None:
+            payload["summary_data"] = dict(result.summary_data)
         try:
             roundtrip = json.loads(json.dumps(payload))
         except (TypeError, ValueError):

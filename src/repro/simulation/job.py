@@ -12,18 +12,10 @@ from __future__ import annotations
 import itertools
 import operator
 import sys
-from dataclasses import dataclass, field
-from typing import (
-    Any,
-    Callable,
-    Iterator,
-    List,
-    NoReturn,
-    Optional,
-    Sequence,
-    SupportsIndex,
-    Tuple,
-)
+from collections.abc import Sequence
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Any, Iterator, List, Optional, SupportsIndex, Tuple
 
 import numpy as np
 
@@ -38,7 +30,6 @@ from repro.optim.trainer import IterationRecord, TrainingResult
 from repro.schemes.base import ExecutionPlan, Scheme
 from repro.simulation.execution import worker_message
 from repro.simulation.iteration import IterationOutcome, simulate_iteration
-from repro.utils.counting import MUTATING_METHODS, CountingList
 from repro.utils.rng import RandomState, as_generator
 from repro.utils.validation import check_positive_int
 
@@ -73,25 +64,15 @@ def _sequential_sum(values: np.ndarray | Sequence[float]) -> float:
     return float(np.add.accumulate(np.concatenate(([0.0], values)))[-1])
 
 
-class _IterationLog(CountingList):
-    """A list of outcomes that counts its mutations.
-
-    :class:`JobResult` keys its aggregate cache on
-    :attr:`~repro.utils.counting.CountingList.version`, so *any* mutation —
-    including replacing an outcome at an unchanged length, which a pure
-    ``len()`` key would miss — invalidates the cached totals.
-    """
-
-
-class _LazyOutcomeLog(_IterationLog):
+class _OutcomeLog(Sequence[IterationOutcome]):
     """The read side of a log that builds its outcomes only on access.
 
-    The inherited list storage stays empty. A subclass reports its length
-    through ``__len__`` and builds the outcome at a non-negative, in-range
-    index in :meth:`_outcome`; iteration, indexing, membership, equality and
-    concatenation go through those two hooks, so the log reads like the
-    list of outcomes it stands for. What a mutation does is up to the
-    subclass.
+    A subclass reports its length through ``__len__`` and builds the
+    outcome at a non-negative, in-range index in :meth:`_outcome`; indexing
+    and equality go through those two hooks, and the
+    :class:`~collections.abc.Sequence` mixins supply iteration, membership,
+    ``index`` and ``count``, so the log reads like the tuple of outcomes it
+    stands for. The log has no mutating method.
     """
 
     def __len__(self) -> int:
@@ -99,18 +80,6 @@ class _LazyOutcomeLog(_IterationLog):
 
     def _outcome(self, index: int) -> IterationOutcome:
         raise NotImplementedError
-
-    def __bool__(self) -> bool:
-        return len(self) > 0
-
-    def __iter__(self) -> Iterator[IterationOutcome]:
-        return map(self._outcome, range(len(self)))
-
-    def __reversed__(self) -> Iterator[IterationOutcome]:
-        return map(self._outcome, reversed(range(len(self))))
-
-    def __contains__(self, item: object) -> bool:
-        return any(entry is item or entry == item for entry in self)
 
     def __getitem__(self, index: Any) -> Any:
         if isinstance(index, slice):
@@ -122,19 +91,6 @@ class _LazyOutcomeLog(_IterationLog):
             raise IndexError("iteration index out of range")
         return self._outcome(index)
 
-    def count(self, value: Any) -> int:
-        # reprolint: allow[SUM001] reason=an integer count of matches; an int sum is exact in any order
-        return sum(1 for entry in self if entry == value)
-
-    def index(
-        self, value: Any, start: SupportsIndex = 0, stop: SupportsIndex = sys.maxsize
-    ) -> int:
-        for position in range(*slice(start, stop).indices(len(self))):
-            if self._outcome(position) == value:
-                return position
-        # reprolint: allow[EXC001] reason=mirrors list.index, which raises bare ValueError; the sequence protocol contract wins here
-        raise ValueError(f"{value!r} is not in the log")
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Sequence):
             return NotImplemented
@@ -142,42 +98,22 @@ class _LazyOutcomeLog(_IterationLog):
             mine == theirs for mine, theirs in zip(self, other)
         )
 
-    def __ne__(self, other: object) -> bool:
-        equal = self.__eq__(other)
-        return equal if equal is NotImplemented else not equal
-
-    def __add__(self, other: Any) -> Any:
-        return list(self) + list(other)
-
-    def __radd__(self, other: Any) -> Any:
-        return list(other) + list(self)
-
-    def __mul__(self, times: Any) -> Any:
-        return list(self) * times
-
-    __rmul__ = __mul__
-
-    def copy(self) -> List[IterationOutcome]:
-        return list(self)
-
     def __repr__(self) -> str:
         return f"<{type(self).__name__} of {len(self)} iterations>"
 
 
-class RepeatedOutcomeLog(_LazyOutcomeLog):
+class RepeatedOutcomeLog(_OutcomeLog):
     """One expected outcome standing in for ``repetitions`` identical iterations.
 
     The analytic backend's per-iteration estimate is the same for every
-    iteration, so materialising one list entry per iteration would make an
+    iteration, so materialising one entry per iteration would make an
     O(1) estimate O(num_iterations) in memory. This log reports
     ``repetitions`` iterations while storing the outcome once, and
-    :meth:`JobResult._aggregates` recognises it and computes the totals in
-    O(1) as well. The log is immutable — an analytic result is a
-    closed-form value, not a trace to append to.
+    :class:`JobResult` recognises it and computes the totals in O(1) as
+    well.
     """
 
     def __init__(self, outcome: IterationOutcome, repetitions: int) -> None:
-        super().__init__()
         self.outcome = outcome
         self.repetitions = int(repetitions)
 
@@ -187,7 +123,7 @@ class RepeatedOutcomeLog(_LazyOutcomeLog):
     def _outcome(self, index: int) -> IterationOutcome:
         return self.outcome
 
-    # O(1) answers where the shared protocol would visit every repetition.
+    # O(1) answers where the Sequence mixins would visit every repetition.
     def __iter__(self) -> Iterator[IterationOutcome]:
         return itertools.repeat(self.outcome, self.repetitions)
 
@@ -208,18 +144,8 @@ class RepeatedOutcomeLog(_LazyOutcomeLog):
         # reprolint: allow[EXC001] reason=mirrors list.index, which raises bare ValueError; the sequence protocol contract wins here
         raise ValueError(f"{value!r} is not in the log")
 
-    def __reduce__(self) -> Tuple[Any, ...]:
-        return (type(self), (self.outcome, self.repetitions))
 
-    def _immutable(self, *args: Any, **kwargs: Any) -> NoReturn:
-        # reprolint: allow[EXC001] reason=mutating an immutable sequence is a programming error; TypeError matches tuple/str semantics
-        raise TypeError(
-            "a repeated-outcome log is immutable; analytic results cannot be "
-            "appended to"
-        )
-
-
-class ColumnarOutcomeLog(_LazyOutcomeLog):
+class ColumnarOutcomeLog(_OutcomeLog):
     """A job's iteration log held as one array per :class:`IterationOutcome` field.
 
     Entry ``i`` of ``total_time``, ``computation_time``,
@@ -231,10 +157,6 @@ class ColumnarOutcomeLog(_LazyOutcomeLog):
     returns its results in this form. Outcomes are built only when read,
     :class:`JobResult` reduces the columns directly, and the log pickles as
     its arrays. The log takes its arrays over and marks them read-only.
-
-    The first mutation turns the log into the plain counting list it stands
-    for, every outcome materialised, so mutation and the ``version``-keyed
-    caches behave exactly as on a loop-engine log from then on.
     """
 
     def __init__(
@@ -247,7 +169,6 @@ class ColumnarOutcomeLog(_LazyOutcomeLog):
         workers_finished_compute: np.ndarray,
         heard_workers: np.ndarray,
     ) -> None:
-        super().__init__()
         self.total_time = _read_only(total_time)
         self.computation_time = _read_only(computation_time)
         self.communication_time = _read_only(communication_time)
@@ -297,18 +218,8 @@ class ColumnarOutcomeLog(_LazyOutcomeLog):
     def __reduce__(self) -> Tuple[Any, ...]:
         return (type(self), self._columns())
 
-    def _become_list(self) -> None:
-        outcomes = list(self)
-        for name in list(vars(self)):
-            if name != "version":
-                delattr(self, name)
-        # Same layout (a list subclass with a __dict__), so the instance can
-        # change class in place; the outcomes fill the list storage uncounted.
-        object.__setattr__(self, "__class__", _IterationLog)
-        list.extend(self, outcomes)
 
-
-def _aggregated_columns(log: List[IterationOutcome]) -> Tuple[Any, ...]:
+def _aggregated_columns(log: Sequence[IterationOutcome]) -> Tuple[Any, ...]:
     """A log's total, computation and communication times, heard counts and
     communication loads, one sequence each."""
     if isinstance(log, ColumnarOutcomeLog):
@@ -338,77 +249,48 @@ def _read_only(column: np.ndarray) -> np.ndarray:
     return array
 
 
-def _materialize_then(name: str) -> Callable[..., Any]:
-    """``name`` as a :class:`ColumnarOutcomeLog` method: become a list first."""
-
-    def mutate(self: ColumnarOutcomeLog, *args: Any, **kwargs: Any) -> Any:
-        self._become_list()
-        return getattr(self, name)(*args, **kwargs)
-
-    mutate.__name__ = name
-    return mutate
+#: The logs a :class:`JobResult` keeps as given; it stores any other
+#: sequence of outcomes as a tuple.
+_LOG_TYPES = (tuple, ColumnarOutcomeLog, RepeatedOutcomeLog)
 
 
-for _name in MUTATING_METHODS:
-    setattr(RepeatedOutcomeLog, _name, RepeatedOutcomeLog._immutable)
-    setattr(ColumnarOutcomeLog, _name, _materialize_then(_name))
-del _name
-
-
-@dataclass
+@dataclass(frozen=True)
 class JobResult:
     """Aggregate timing metrics of a simulated multi-iteration job.
 
-    The attributes mirror the rows of the paper's Tables I and II.
-    ``iterations`` reads as a list of :class:`IterationOutcome` whichever
-    engine filled it: the loop engine appends outcomes to a counting list,
-    the vectorized engine returns a :class:`ColumnarOutcomeLog` and the
-    analytic backend a :class:`RepeatedOutcomeLog`. The aggregate properties
-    reduce the columnar log's arrays directly (other logs in one pass over
-    their outcomes), sum the times left to right from ``0.0`` on every log,
-    and are cached, keyed on the log's mutation counter — any change to the
-    list (appends, but also in-place replacements) invalidates the cache,
-    which ``summary()`` and the sweep tables read repeatedly.
+    The attributes mirror the rows of the paper's Tables I and II. A result
+    is an immutable value, and ``iterations`` is a read-only sequence of
+    :class:`IterationOutcome` whichever engine filled it: the loop engine
+    returns a tuple, the vectorized engine a :class:`ColumnarOutcomeLog`
+    and the analytic backend a :class:`RepeatedOutcomeLog`. The aggregate
+    properties reduce the columnar log's arrays directly (other logs in one
+    pass over their outcomes), sum the times left to right from ``0.0`` on
+    every log, and are computed once, on first read.
     """
 
     scheme_name: str
-    iterations: List[IterationOutcome] = field(default_factory=list)
+    iterations: Sequence[IterationOutcome] = ()
     training: Optional[TrainingResult] = None
-    _aggregate_cache: Optional[tuple] = field(
-        default=None, init=False, repr=False, compare=False
-    )
+
+    # Compared by value, never hashed: a frozen dataclass would otherwise
+    # hash its fields, which only some engines' logs support.
+    __hash__ = None  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.iterations, _IterationLog):
-            self.iterations = _IterationLog(self.iterations)
+        # Exact types: an isinstance test against the Sequence ABC would
+        # cost about a microsecond on every result a sweep builds.
+        if type(self.iterations) not in _LOG_TYPES:
+            object.__setattr__(self, "iterations", tuple(self.iterations))
 
-    def __getstate__(self) -> dict:
-        # The cache key pairs the log's mutation counter with its length;
-        # unpickling rebuilds the log with a fresh counter, so a carried
-        # cache could collide with a different mutation history. Drop it —
-        # it is a cache, recomputing is always safe.
-        state = self.__dict__.copy()
-        state["_aggregate_cache"] = None
-        return state
-
+    @cached_property
     def _aggregates(self) -> _JobAggregates:
-        # A plain list (someone reassigned the attribute) has no version
-        # counter; disable caching rather than risk serving stale totals.
-        version = getattr(self.iterations, "version", None)
-        cached = self._aggregate_cache
-        if (
-            version is not None
-            and cached is not None
-            and cached[0] == version
-        ):
-            return cached[1]
         log = self.iterations
         if isinstance(log, RepeatedOutcomeLog):
             # Every entry is the same expected outcome: the totals are plain
             # multiples and the averages are the values themselves, in O(1).
             outcome = log.outcome
             count = log.repetitions
-            aggregates = _JobAggregates(
+            return _JobAggregates(
                 total_time=outcome.total_time * count,
                 total_computation_time=outcome.computation_time * count,
                 total_communication_time=outcome.communication_time * count,
@@ -419,22 +301,18 @@ class JobResult:
                     float(outcome.communication_load) if count else None
                 ),
             )
-        else:
-            total, computation, communication, heard, load = _aggregated_columns(log)
-            aggregates = _JobAggregates(
-                total_time=_sequential_sum(total),
-                total_computation_time=_sequential_sum(computation),
-                total_communication_time=_sequential_sum(communication),
-                average_recovery_threshold=(
-                    float(np.mean(heard)) if len(heard) else None
-                ),
-                average_communication_load=(
-                    float(np.mean(load)) if len(load) else None
-                ),
-            )
-        if version is not None:
-            self._aggregate_cache = (version, aggregates)
-        return aggregates
+        total, computation, communication, heard, load = _aggregated_columns(log)
+        return _JobAggregates(
+            total_time=_sequential_sum(total),
+            total_computation_time=_sequential_sum(computation),
+            total_communication_time=_sequential_sum(communication),
+            average_recovery_threshold=(
+                float(np.mean(heard)) if len(heard) else None
+            ),
+            average_communication_load=(
+                float(np.mean(load)) if len(load) else None
+            ),
+        )
 
     @property
     def num_iterations(self) -> int:
@@ -444,22 +322,22 @@ class JobResult:
     @property
     def total_time(self) -> float:
         """Total running time (sum over iterations)."""
-        return self._aggregates().total_time
+        return self._aggregates.total_time
 
     @property
     def total_computation_time(self) -> float:
         """Sum of per-iteration computation times (paper's accounting)."""
-        return self._aggregates().total_computation_time
+        return self._aggregates.total_computation_time
 
     @property
     def total_communication_time(self) -> float:
         """Total running time minus total computation time."""
-        return self._aggregates().total_communication_time
+        return self._aggregates.total_communication_time
 
     @property
     def average_recovery_threshold(self) -> float:
         """Average number of workers the master waited for per iteration."""
-        value = self._aggregates().average_recovery_threshold
+        value = self._aggregates.average_recovery_threshold
         if value is None:
             raise SimulationError("the job has no iterations")
         return value
@@ -467,7 +345,7 @@ class JobResult:
     @property
     def average_communication_load(self) -> float:
         """Average per-iteration communication load in gradient units."""
-        value = self._aggregates().average_communication_load
+        value = self._aggregates.average_communication_load
         if value is None:
             raise SimulationError("the job has no iterations")
         return value
@@ -566,17 +444,17 @@ def simulate_job(
     generator = as_generator(rng)
     plan = _resolve_plan(scheme_or_plan, num_units, cluster.num_workers, generator)
     timeline = _materialize_timeline(cluster, num_iterations, generator)
-    result = JobResult(scheme_name=plan.scheme_name)
-    for iteration in range(num_iterations):
-        outcome = simulate_iteration(
+    outcomes = [
+        simulate_iteration(
             plan,
             cluster if timeline is None else timeline.cluster_at(iteration),
             rng=generator,
             unit_size=unit_size,
             serialize_master_link=serialize_master_link,
         )
-        result.iterations.append(outcome)
-    return result
+        for iteration in range(num_iterations)
+    ]
+    return JobResult(scheme_name=plan.scheme_name, iterations=tuple(outcomes))
 
 
 def simulate_training_run(
@@ -619,7 +497,7 @@ def simulate_training_run(
         initial_weights = model.initial_weights(dataset.num_features)
     state = optimizer.initialize(initial_weights)
 
-    result = JobResult(scheme_name=plan.scheme_name)
+    outcomes: List[IterationOutcome] = []
     history: List[IterationRecord] = []
     for iteration in range(num_iterations):
         outcome = simulate_iteration(
@@ -629,7 +507,7 @@ def simulate_training_run(
             unit_size=unit_size,
             serialize_master_link=serialize_master_link,
         )
-        result.iterations.append(outcome)
+        outcomes.append(outcome)
 
         # Re-run the aggregation with real messages from exactly the workers
         # the timing simulation heard from, in the same arrival order.
@@ -659,7 +537,8 @@ def simulate_training_run(
         )
         state = optimizer.step(state, gradient)
 
-    result.training = TrainingResult(
-        weights=state.weights, history=history, converged=False
+    return JobResult(
+        scheme_name=plan.scheme_name,
+        iterations=tuple(outcomes),
+        training=TrainingResult(weights=state.weights, history=history, converged=False),
     )
-    return result

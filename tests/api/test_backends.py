@@ -1,5 +1,8 @@
 """Tests for the execution backends and the unified RunResult."""
 
+import pickle
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
@@ -249,6 +252,9 @@ class TestMultiprocessBackend:
         assert len(str(result.extras["fault_fingerprint"])) == 64
         assert result.extras["fault_mode"] == "mute"
         assert result.extras["scheduled_workers"] == [3, 3]
+        assert list(result.extras) == [
+            "scheduled_workers", "fault_fingerprint", "fault_mode"
+        ]
 
     def test_rejects_unregistered_dynamics_by_name(self, workload):
         """The typed rejection names the offending process class."""
@@ -299,6 +305,32 @@ class TestRunResult:
     def test_empty_result_raises_on_threshold(self):
         with pytest.raises(SimulationError):
             RunResult(scheme_name="x").average_recovery_threshold
+
+    def test_fields_cannot_be_rebound(self, cluster):
+        spec = JobSpec(
+            scheme="uncoded", cluster=cluster, num_units=10, num_iterations=2, seed=0
+        )
+        result = run(spec)
+        for name in ("iterations", "backend", "extras", "summary_data"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(result, name, None)
+        assert result.num_iterations == 2 and result.backend == "timing"
+
+    def test_a_compacted_summary_is_read_only(self, cluster):
+        spec = JobSpec(
+            scheme="uncoded", cluster=cluster, num_units=10, num_iterations=2, seed=0
+        )
+        compact = run(spec).compact()
+        with pytest.raises(TypeError):
+            compact.summary_data["total_time"] = -1.0
+        summary = {"total_time": 1.0}
+        given = RunResult(scheme_name="x", summary_data=summary)
+        summary["total_time"] = -1.0
+        assert given.total_time == 1.0
+        clone = pickle.loads(pickle.dumps(compact))
+        assert clone == compact and clone.summary() == compact.summary()
+        with pytest.raises(TypeError):
+            clone.summary_data["total_time"] = -1.0
 
     def test_to_table_renders_summary_and_extras(self, cluster):
         spec = JobSpec(

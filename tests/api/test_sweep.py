@@ -1,5 +1,7 @@
 """Tests for the Sweep/run_sweep engine: cells, seeding, parallelism, tables."""
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from repro.api import JobSpec, RunResult, Sweep, run_sweep
@@ -364,32 +366,21 @@ class TestPlanningProbe:
 
 
 class TestAggregationCache:
-    def test_repeated_aggregation_is_cached(self, base):
-        sweep = Sweep(base, parameters={"scheme.load": [2, 4]}, trials=2)
-        result = run_sweep(sweep)
-        first = result.aggregate()
-        assert result._aggregate_cache is not None
-        cached_rows = result._aggregate_cache[1]
-        assert result.aggregate() == first
-        assert result._aggregate_cache[1] is cached_rows  # served from cache
+    """``aggregate()`` caches nothing: a frozen result has nothing to go stale."""
 
-    def test_any_mutation_invalidates_the_cache(self, base):
+    def test_records_cannot_be_rebound(self, base):
         result = run_sweep(Sweep(base, trials=2))
-        before = result.aggregate()
-        # Same-length replacement — the case a len()-keyed cache would miss.
-        replacement = run_sweep(Sweep(base.replace(seed=123), trials=2)).records[0]
-        result.records[0] = replacement
-        after = result.aggregate()
-        assert after != before
+        with pytest.raises(FrozenInstanceError):
+            result.records = ()
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(result)
 
-    def test_in_place_result_mutation_invalidates_the_cache(self, base):
-        """Editing a result's iteration log (not the records list) recomputes."""
-        result = run_sweep(Sweep(base, trials=1))
-        before = result.aggregate()
-        assert before[0]["iterations"] == base.num_iterations
-        result.records[0].result.iterations.pop()
-        after = result.aggregate()
-        assert after[0]["iterations"] == base.num_iterations - 1
+    def test_records_reject_item_assignment(self, base):
+        result = run_sweep(Sweep(base, trials=2))
+        replacement = run_sweep(Sweep(base.replace(seed=123), trials=2)).records[0]
+        assert type(result.records) is tuple
+        with pytest.raises(TypeError):
+            result.records[0] = replacement
 
     def test_returned_rows_are_copies(self, base):
         result = run_sweep(Sweep(base, trials=2))
@@ -397,13 +388,11 @@ class TestAggregationCache:
         rows[0]["total_time"] = -1.0
         assert result.aggregate()[0]["total_time"] != -1.0
 
-    def test_cache_is_dropped_on_pickle(self, base):
+    def test_pickled_result_aggregates_to_the_same_rows(self, base):
         import pickle
 
-        result = run_sweep(Sweep(base, trials=2))
-        result.aggregate()
+        result = run_sweep(Sweep(base, parameters={"scheme.load": [2, 4]}, trials=2))
         clone = pickle.loads(pickle.dumps(result))
-        assert clone._aggregate_cache is None
         assert clone.aggregate() == result.aggregate()
 
 

@@ -14,6 +14,7 @@ The contract under test (see ``docs/service.rst``):
 from __future__ import annotations
 
 import json
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -138,6 +139,27 @@ class TestCacheCorrectness:
         assert records_of(run_sweep(sweep, cache=cache)) == records_of(
             run_sweep(sweep)
         )
+
+    @pytest.mark.parametrize("record", ["full", "summary"])
+    def test_a_cache_hit_cannot_be_corrupted(self, record):
+        # The memory tier hands back the stored result objects themselves,
+        # so an edit to a returned result would reach every later hit.
+        sweep = make_sweep()
+        cache = ResultCache()
+        result = run_sweep(sweep, record=record, cache=cache)
+        stored = result.records[0].result
+        if record == "summary":
+            with pytest.raises(TypeError):
+                stored.summary_data["total_time"] = -1.0
+        with pytest.raises(AttributeError):
+            stored.iterations.pop()
+        with pytest.raises(TypeError):
+            result.records[0] = result.records[1]
+        with pytest.raises(FrozenInstanceError):
+            stored.iterations = ()
+        second = run_sweep(sweep, record=record, cache=cache)
+        assert cache.stats.hits == cache.stats.stores
+        assert records_of(second) == records_of(run_sweep(sweep, record=record))
 
     def test_different_seeds_never_collide(self):
         cache = ResultCache()

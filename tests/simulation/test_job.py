@@ -1,6 +1,7 @@
 """Tests for the multi-iteration job simulator (timing-only and semantic)."""
 
 import pickle
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from repro.simulation.iteration import IterationOutcome
 from repro.simulation.job import (
     ColumnarOutcomeLog,
     JobResult,
+    RepeatedOutcomeLog,
     simulate_job,
     simulate_training_run,
 )
@@ -68,74 +70,51 @@ class TestSimulateJob:
         assert a.total_time == pytest.approx(b.total_time)
         assert a.average_recovery_threshold == pytest.approx(b.average_recovery_threshold)
 
-    def test_aggregates_cached_and_invalidated_on_append(self, homogeneous_cluster, rng):
+    def test_aggregates_are_computed_once(self, homogeneous_cluster, rng):
         result = simulate_job(BCCScheme(load=3), homogeneous_cluster, 12, 4, rng=rng)
         first = result.total_time
-        assert result.total_time is first  # same cached float object, no recompute
-        # Appending an iteration invalidates the cache.
-        extra = simulate_job(BCCScheme(load=3), homogeneous_cluster, 12, 1, rng=rng)
-        result.iterations.extend(extra.iterations)
-        assert result.num_iterations == 5
-        assert result.total_time == pytest.approx(first + extra.total_time)
+        assert result.total_time is first  # same float object, no recompute
+        assert first == pytest.approx(
+            sum(outcome.total_time for outcome in result.iterations)
+        )
         assert result.average_recovery_threshold == pytest.approx(
             np.mean([outcome.workers_heard for outcome in result.iterations])
         )
 
-    def test_aggregates_invalidated_on_same_length_replacement(
-        self, homogeneous_cluster, rng
-    ):
-        # Regression: the cache used to be keyed on len(iterations) alone, so
-        # replacing an outcome at an unchanged length served stale totals.
-        result = simulate_job(BCCScheme(load=3), homogeneous_cluster, 12, 4, rng=rng)
-        stale_total = result.total_time
-        replacement = result.iterations[0]
-        bumped = type(replacement)(
-            total_time=replacement.total_time + 100.0,
-            computation_time=replacement.computation_time,
-            communication_time=replacement.communication_time + 100.0,
-            workers_heard=replacement.workers_heard,
-            communication_load=replacement.communication_load,
-            workers_finished_compute=replacement.workers_finished_compute,
-            heard_workers=replacement.heard_workers,
-        )
-        result.iterations[0] = bumped
-        assert result.num_iterations == 4
-        assert result.total_time == pytest.approx(stale_total + 100.0)
-
-    def test_aggregates_invalidated_on_every_mutation_kind(self, homogeneous_cluster, rng):
-        result = simulate_job(BCCScheme(load=3), homogeneous_cluster, 12, 4, rng=rng)
-        total_of_four = result.total_time
-        removed = result.iterations.pop()
-        assert result.total_time == pytest.approx(total_of_four - removed.total_time)
-        result.iterations.append(removed)
-        assert result.total_time == pytest.approx(total_of_four)
-        result.iterations.clear()
-        with pytest.raises(SimulationError):
-            result.average_recovery_threshold
-        assert result.total_time == 0.0
-
     def test_cache_survives_pickle_round_trip(self, homogeneous_cluster, rng):
-        import pickle
-
         result = simulate_job(BCCScheme(load=3), homogeneous_cluster, 12, 4, rng=rng)
-        expected = result.total_time  # populate the cache before pickling
+        expected = result.summary()  # compute the aggregates before pickling
         clone = pickle.loads(pickle.dumps(result))
-        assert clone.total_time == pytest.approx(expected)
-        clone.iterations.pop()
-        assert clone.total_time == pytest.approx(
-            sum(outcome.total_time for outcome in clone.iterations)
-        )
+        assert clone == result
+        assert clone.summary() == expected
 
-    def test_plain_list_reassignment_disables_caching_safely(
-        self, homogeneous_cluster, rng
-    ):
+    def test_fields_cannot_be_rebound(self, homogeneous_cluster, rng):
         result = simulate_job(BCCScheme(load=3), homogeneous_cluster, 12, 4, rng=rng)
-        _ = result.total_time
-        result.iterations = list(result.iterations)[:2]
-        assert result.total_time == pytest.approx(
-            sum(outcome.total_time for outcome in result.iterations)
-        )
+        for name, value in (
+            ("iterations", list(result.iterations)[:2]),
+            ("scheme_name", "x"),
+            ("training", None),
+        ):
+            with pytest.raises(FrozenInstanceError):
+                setattr(result, name, value)
+        assert result.num_iterations == 4
 
+    @pytest.mark.parametrize("engine", ["loop", "vectorized"])
+    def test_results_are_unhashable_on_every_engine(self, homogeneous_cluster, engine):
+        result = simulate_job(
+            BCCScheme(load=3), homogeneous_cluster, 12, 4, rng=7, engine=engine
+        )
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(result)
+
+    def test_a_list_of_outcomes_is_stored_as_a_tuple(self, homogeneous_cluster, rng):
+        outcomes = list(
+            simulate_job(BCCScheme(load=3), homogeneous_cluster, 12, 4, rng=rng).iterations
+        )
+        result = JobResult(scheme_name="bcc", iterations=outcomes)
+        assert type(result.iterations) is tuple
+        outcomes.pop()
+        assert result.num_iterations == 4
 
     def test_totals_are_left_to_right_sums_on_every_log(self):
         # Python 3.12's sum() compensates: sum([0.1] * 10) is 1.0 there and
@@ -157,7 +136,7 @@ class TestSimulateJob:
 
 @pytest.fixture
 def twins(homogeneous_cluster):
-    """The same job from the loop engine (a list) and the vectorized engine
+    """The same job from the loop engine (a tuple) and the vectorized engine
     (a columnar log)."""
     return tuple(
         simulate_job(BCCScheme(load=3), homogeneous_cluster, 12, 4, rng=7, engine=engine)
@@ -177,7 +156,7 @@ def _bumped(outcome):
     )
 
 
-#: Every list mutation, applied alike to a loop log and a columnar log.
+#: Every list mutation; each must raise on every kind of log.
 MUTATIONS = {
     "append": lambda log: log.append(_bumped(log[0])),
     "extend": lambda log: log.extend([_bumped(log[0])]),
@@ -199,7 +178,7 @@ class TestColumnarOutcomeLog:
         loop, vectorized = twins
         log = vectorized.iterations
         assert isinstance(log, ColumnarOutcomeLog)
-        assert not isinstance(loop.iterations, ColumnarOutcomeLog)
+        assert type(loop.iterations) is tuple
         assert log.heard_workers.dtype == np.int32
         assert log.heard_workers.tolist() == [
             worker for outcome in loop.iterations for worker in outcome.heard_workers
@@ -219,8 +198,6 @@ class TestColumnarOutcomeLog:
         assert list(reversed(log)) == outcomes[::-1]
         assert outcomes[2] in log and _bumped(outcomes[2]) not in log
         assert log.count(outcomes[2]) == 1 and log.index(outcomes[2]) == 2
-        assert log + [] == outcomes and [] + log == outcomes
-        assert log * 2 == outcomes * 2 and log.copy() == outcomes
         with pytest.raises(IndexError):
             log[4]
         with pytest.raises(ValueError):
@@ -241,17 +218,14 @@ class TestColumnarOutcomeLog:
         assert clone.summary() == loop.summary()
 
     @pytest.mark.parametrize("name", sorted(MUTATIONS))
-    def test_first_mutation_turns_it_into_a_counting_list(self, twins, name):
-        loop, vectorized = twins
-        assert vectorized.total_time == loop.total_time  # both caches filled
-        version = vectorized.iterations.version
-        for result in twins:
-            MUTATIONS[name](result.iterations)
-        assert type(vectorized.iterations) is type(loop.iterations)
-        assert vectorized.iterations.version == version + 1
-        assert list(vars(vectorized.iterations)) == ["version"]
-        assert list(vectorized.iterations) == list(loop.iterations)
-        assert vectorized.total_time == loop.total_time
+    def test_every_mutation_raises(self, twins, name):
+        loop, _ = twins
+        repeated = JobResult("bcc", RepeatedOutcomeLog(loop.iterations[0], 4))
+        for result in (*twins, repeated):
+            before = (list(result.iterations), result.summary())
+            with pytest.raises(AttributeError):
+                MUTATIONS[name](result.iterations)
+            assert (list(result.iterations), result.summary()) == before
 
 
 class TestSemanticTrainingRun:
