@@ -1,35 +1,31 @@
 """Picklable per-worker task descriptions.
 
-An :class:`~repro.schemes.base.ExecutionPlan` holds closures (its encoder and
-aggregator factory), which do not survive pickling into a child process. The
-runtime therefore flattens the worker-relevant part of a plan into
-:class:`WorkerTask` objects that carry only plain data: the worker's slice of
-the dataset (grouped by unit), its encoding mode and coefficients, the model,
-and an optional straggler-injection delay model.
+A worker process needs only its part of an
+:class:`~repro.schemes.base.ExecutionPlan`, so the runtime flattens a plan
+into :class:`WorkerTask` objects that carry only plain data: the worker's
+slice of the dataset (grouped by unit), the encoding its plan's completion
+rule names and, for a linear code, its coefficients, the model, and an
+optional straggler-injection delay model.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
 
-from repro.coding.linear_code import LinearGradientCode
 from repro.datasets.base import Dataset
 from repro.datasets.batching import BatchSpec
 from repro.exceptions import RuntimeBackendError
 from repro.gradients.base import GradientModel
-from repro.schemes.base import ExecutionPlan
+from repro.schemes.base import ENCODINGS, CodedRule, ExecutionPlan
 from repro.stragglers.base import DelayModel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.faults import FaultSchedule
 
 __all__ = ["WorkerTask", "build_worker_tasks"]
-
-#: Encoding modes a worker can apply locally.
-ENCODING_MODES = ("sum", "identity", "linear")
 
 
 @dataclass
@@ -80,10 +76,10 @@ class WorkerTask:
     exit_when_absent: bool = False
 
     def __post_init__(self) -> None:
-        if self.encoding_mode not in ENCODING_MODES:
+        if self.encoding_mode not in ENCODINGS:
             raise RuntimeBackendError(
                 f"unknown encoding mode {self.encoding_mode!r}; "
-                f"expected one of {ENCODING_MODES}"
+                f"expected one of {ENCODINGS}"
             )
         if self.encoding_mode == "linear" and self.coefficients is None:
             raise RuntimeBackendError("linear encoding requires coefficients")
@@ -136,25 +132,6 @@ class WorkerTask:
         return np.asarray(self.coefficients, dtype=float) @ unit_gradients
 
 
-def _encoding_mode_for_plan(plan: ExecutionPlan) -> str:
-    """Infer the worker-side encoding mode from the plan's metadata."""
-    if isinstance(plan.metadata.get("code"), LinearGradientCode):
-        return "linear"
-    # Per-unit message sizes identify identity encoding; unit-size-1 messages
-    # from multi-unit workers identify summation.
-    loads = plan.unit_assignment.loads
-    sizes = plan.message_sizes
-    if np.allclose(sizes, loads.astype(float)) and plan.computational_load_units > 1:
-        return "identity"
-    if np.allclose(sizes[loads > 0], 1.0):
-        return "sum"
-    if np.allclose(sizes, loads.astype(float)):
-        return "identity"
-    raise RuntimeBackendError(
-        f"cannot infer the encoding mode of scheme {plan.scheme_name!r}"
-    )
-
-
 def build_worker_tasks(
     plan: ExecutionPlan,
     model: GradientModel,
@@ -205,8 +182,8 @@ def build_worker_tasks(
                 f"{fault_schedule.num_workers} workers but the plan has "
                 f"{plan.num_workers}"
             )
-    mode = _encoding_mode_for_plan(plan)
-    code = plan.metadata.get("code")
+    rule = plan.completion
+    mode = rule.encoding
     tasks: List[WorkerTask] = []
     for worker in range(plan.num_workers):
         units = plan.worker_units(worker)
@@ -222,15 +199,9 @@ def build_worker_tasks(
             unit_labels.append(labels)
         coefficients = None
         if mode == "linear":
-            assert isinstance(code, LinearGradientCode)
-            support = code.support(worker)
-            # Align coefficients with the worker's unit order.
-            coefficient_map = {
-                int(unit): float(code.encoding_matrix[worker, unit]) for unit in support
-            }
-            coefficients = np.array(
-                [coefficient_map[int(unit)] for unit in units], dtype=float
-            )
+            assert isinstance(rule, CodedRule)
+            # Aligned with the worker's unit order.
+            coefficients = rule.code.encoding_matrix[worker, units].astype(float)
         tasks.append(
             WorkerTask(
                 worker_id=worker,

@@ -16,7 +16,8 @@ compares the loss reached.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -30,12 +31,12 @@ from repro.analysis.analytic import (
     transfer_parameters,
 )
 from repro.exceptions import AnalyticIntractableError, ConfigurationError, DecodingError
-from repro.schemes.base import ExecutionPlan, MasterAggregator, Scheme, sum_encoder
+from repro.schemes.base import CompletionRule, ExecutionPlan, MasterAggregator, Scheme
 from repro.schemes.registry import register_scheme
 from repro.utils.rng import RandomState
 from repro.utils.validation import check_in_range, check_positive_int
 
-__all__ = ["IgnoreStragglersScheme", "PartialSumAggregator"]
+__all__ = ["IgnoreStragglersScheme", "PartialSumAggregator", "PartialSumRule"]
 
 
 class PartialSumAggregator(MasterAggregator):
@@ -96,15 +97,26 @@ class PartialSumAggregator(MasterAggregator):
         """Number of examples represented in the kept messages."""
         return self._covered_examples
 
-    @property
-    def required_count(self) -> int:
-        """Number of eligible worker messages the master waits for."""
-        return self._required_count
 
-    @property
-    def example_counts(self) -> np.ndarray:
-        """Per-worker example counts (zero-count workers are ignored)."""
-        return self._example_counts.copy()
+@dataclass(frozen=True, eq=False)
+class PartialSumRule(CompletionRule):
+    """Complete once ``required_count`` workers holding data have reported."""
+
+    required_count: int
+    encoding = "sum"
+
+    def __post_init__(self) -> None:
+        check_positive_int(self.required_count, "required_count")
+
+    def new_aggregator(self, plan: ExecutionPlan) -> MasterAggregator:
+        return PartialSumAggregator(
+            required_count=self.required_count,
+            worker_example_counts=plan.unit_assignment.loads,
+            total_examples=plan.num_units,
+        )
+
+    def can_ever_complete(self, plan: ExecutionPlan) -> bool:
+        return int(np.count_nonzero(plan.unit_assignment.loads)) >= self.required_count
 
 
 @register_scheme("ignore-stragglers")
@@ -147,24 +159,13 @@ class IgnoreStragglersScheme(Scheme):
     ) -> ExecutionPlan:
         m = check_positive_int(num_units, "num_units")
         n = check_positive_int(num_workers, "num_workers")
-        assignment = uncoded_placement(m, n)
         required = self._required_workers(n)
-        example_counts = assignment.loads
-
-        def aggregator_factory() -> PartialSumAggregator:
-            return PartialSumAggregator(
-                required_count=required,
-                worker_example_counts=example_counts,
-                total_examples=m,
-            )
-
         return ExecutionPlan(
             scheme_name=self.name,
             num_units=m,
-            unit_assignment=assignment,
+            unit_assignment=uncoded_placement(m, n),
             message_sizes=np.ones(n),
-            aggregator_factory=aggregator_factory,
-            encoder=sum_encoder,
+            completion=PartialSumRule(required),
             metadata={"wait_fraction": self.wait_fraction, "required_workers": required},
         )
 

@@ -9,8 +9,9 @@ Terminology
     Message sizes are measured in units of one gradient vector regardless.
 
 *Execution plan*
-    A frozen placement plus the worker-side encoder and a factory for
-    master-side aggregators. One plan is built per training job (the paper
+    A frozen placement plus a :class:`CompletionRule`: the master's stopping
+    rule as a frozen value, which builds the aggregators and names the
+    worker-side encoding. One plan is built per training job (the paper
     loads data onto the workers once, before the iterations start); a fresh
     aggregator is created for every iteration.
 
@@ -33,6 +34,7 @@ from __future__ import annotations
 import abc
 import inspect
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -55,9 +57,13 @@ __all__ = [
     "BatchCoverageAggregator",
     "UnitCoverageAggregator",
     "CodedAggregator",
+    "CompletionRule",
+    "CountRule",
+    "CoverageRule",
+    "CodedRule",
+    "CustomRule",
     "ExecutionPlan",
     "Scheme",
-    "coverage_pairs",
 ]
 
 
@@ -150,11 +156,6 @@ class CountAggregator(MasterAggregator):
             self._sum = message.copy() if self._sum is None else self._sum + message
         return True
 
-    @property
-    def required_workers(self) -> List[int]:
-        """Sorted worker indices the master waits for (the stopping rule)."""
-        return sorted(self._required)
-
     def is_complete(self) -> bool:
         return not self._pending
 
@@ -178,9 +179,8 @@ class BatchCoverageAggregator(MasterAggregator):
         super().__init__()
         if num_batches < 1:
             raise CoverageError("num_batches must be positive")
-        self._num_batches = int(num_batches)
         self._worker_batches = np.asarray(worker_batches, dtype=int)
-        self._seen = np.zeros(self._num_batches, dtype=bool)
+        self._seen = np.zeros(int(num_batches), dtype=bool)
         self._sum: Optional[np.ndarray] = None
 
     def _accept(self, worker: int, message: Optional[np.ndarray]) -> bool:
@@ -207,16 +207,6 @@ class BatchCoverageAggregator(MasterAggregator):
     def batches_covered(self) -> int:
         """Number of distinct batches received so far."""
         return int(self._seen.sum())
-
-    @property
-    def num_batches(self) -> int:
-        """Number of batches that must be covered for completion."""
-        return self._num_batches
-
-    @property
-    def worker_batches(self) -> List[int]:
-        """Batch id each worker's message carries, in worker order."""
-        return self._worker_batches.tolist()
 
 
 class UnitCoverageAggregator(MasterAggregator):
@@ -273,16 +263,6 @@ class UnitCoverageAggregator(MasterAggregator):
         """Number of distinct units received so far."""
         return int(self._covered.sum())
 
-    @property
-    def num_units(self) -> int:
-        """Number of units that must be covered for completion."""
-        return self._num_units
-
-    @property
-    def assignment(self) -> DataAssignment:
-        """The worker-to-unit placement the coverage rule runs over."""
-        return self._assignment
-
 
 class CodedAggregator(MasterAggregator):
     """Aggregator for linear gradient codes (cyclic repetition, RS, fractional).
@@ -291,71 +271,31 @@ class CodedAggregator(MasterAggregator):
     received worker set is decodable. For the worst-case designs this happens
     exactly when ``n - s`` workers have reported; the fractional-repetition
     code's overridden ``is_decodable`` completes earlier when a whole
-    replication group has reported.
+    replication group has reported. The decodability test runs only at the
+    checkpoints of :meth:`CodedRule.is_checkpoint`.
     """
 
     def __init__(self, code: LinearGradientCode, *, check_every: int = 1) -> None:
         super().__init__()
-        self._code = code
+        self._rule = CodedRule(code, check_every)
         self._messages: Dict[int, np.ndarray] = {}
         self._workers: List[int] = []
         self._complete = False
-        self._check_every = max(int(check_every), 1)
-        self._minimum_needed = max(
-            1, code.num_workers - getattr(code, "num_stragglers", 0)
-        )
         self._decodability_checks = 0
 
     def _accept(self, worker: int, message: Optional[np.ndarray]) -> bool:
         self._workers.append(worker)
         if message is not None:
             self._messages[worker] = np.asarray(message, dtype=float)
-        # Only run the (comparatively expensive, O(n^3) rank) decodability
-        # check at the first plausible completion point — the worst-case
-        # threshold ``n - s`` — and every ``check_every`` arrivals after it,
-        # plus unconditionally on the last worker so completion is never
-        # skipped past. Opportunistic codes (fractional repetition overrides
-        # ``is_decodable`` with a cheap group test) are checked every arrival.
-        if not self._complete:
-            count = len(self._workers)
-            if self.opportunistic:
-                due = True
-            elif count < self._minimum_needed:
-                due = False
-            else:
-                due = (
-                    (count - self._minimum_needed) % self._check_every == 0
-                    or count >= self._code.num_workers
-                )
-            if due:
-                self._decodability_checks += 1
-                self._complete = self._code.is_decodable(self._workers)
+        if not self._complete and self._rule.is_checkpoint(len(self._workers)):
+            self._decodability_checks += 1
+            self._complete = self._rule.code.is_decodable(self._workers)
         return True
 
     @property
     def decodability_checks(self) -> int:
         """Number of times the (expensive) decodability test actually ran."""
         return self._decodability_checks
-
-    @property
-    def code(self) -> LinearGradientCode:
-        """The linear gradient code deciding decodability."""
-        return self._code
-
-    @property
-    def check_every(self) -> int:
-        """Decodability-check cadence past the worst-case threshold."""
-        return self._check_every
-
-    @property
-    def minimum_needed(self) -> int:
-        """Arrival count at which the first decodability check is due."""
-        return self._minimum_needed
-
-    @property
-    def opportunistic(self) -> bool:
-        """Whether the code's cheap decodability test runs on every arrival."""
-        return type(self._code).is_decodable is not LinearGradientCode.is_decodable
 
     def is_complete(self) -> bool:
         return self._complete
@@ -366,22 +306,168 @@ class CodedAggregator(MasterAggregator):
         if len(self._messages) != len(self._workers):
             raise DecodingError("decode() is unavailable in timing-only mode")
         stacked = np.vstack([self._messages[w] for w in self._workers])
-        return self._code.decode(self._workers, stacked)
+        return self._rule.code.decode(self._workers, stacked)
+
+
+# --------------------------------------------------------------------------- #
+# Completion rules
+# --------------------------------------------------------------------------- #
+#: Worker messages: the sum of the unit gradients (Eq. 12), one row per
+#: unit, or the combination the worker's row of a linear code gives.
+ENCODINGS = ("sum", "identity", "linear")
+
+
+class CompletionRule(abc.ABC):
+    """A plan's stopping rule, as a frozen value that pickles.
+
+    It builds the per-iteration aggregator, says whether the plan can ever
+    complete, and names the :data:`ENCODINGS` entry its aggregator decodes.
+    The vectorized engine picks a kernel by the rule's exact type; others,
+    subclasses included, run the aggregator in a scalar scan. A rule holds
+    no array that the plan's assignment already stores.
+    """
+
+    encoding: str
+
+    @abc.abstractmethod
+    def new_aggregator(self, plan: "ExecutionPlan") -> MasterAggregator:
+        """A fresh aggregator for one iteration of ``plan``."""
+
+    def can_ever_complete(self, plan: "ExecutionPlan") -> bool:
+        """Whether the aggregator completes once every worker has reported."""
+        aggregator = self.new_aggregator(plan)
+        for worker in range(plan.num_workers):
+            if aggregator.receive(worker, None):
+                return True
+        return aggregator.is_complete()
+
+
+@dataclass(frozen=True, eq=False)
+class CountRule(CompletionRule):
+    """Wait for a fixed set of workers (uncoded, load-balanced)."""
+
+    required_workers: Sequence[int]
+    encoding = "sum"
+
+    def __post_init__(self) -> None:
+        workers = tuple(int(w) for w in self.required_workers)
+        if not workers:
+            raise CoverageError("CountRule needs at least one required worker")
+        object.__setattr__(self, "required_workers", workers)
+
+    def new_aggregator(self, plan: "ExecutionPlan") -> MasterAggregator:
+        return CountAggregator(self.required_workers)
+
+    def can_ever_complete(self, plan: "ExecutionPlan") -> bool:
+        workers = self.required_workers
+        return 0 <= min(workers) and max(workers) < plan.num_workers
+
+
+@dataclass(frozen=True, eq=False)
+class CoverageRule(CompletionRule):
+    """Complete once items ``0 .. num_items - 1`` are all covered.
+
+    Worker ``i``'s summed message covers item ``worker_items[i]`` (BCC's
+    batch choices); without ``worker_items``, its per-unit message covers
+    each unit the plan assigns it (randomized, generalized BCC).
+    """
+
+    num_items: int
+    worker_items: Optional[np.ndarray] = None
+    encoding: str = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        encoding = "identity" if self.worker_items is None else "sum"
+        object.__setattr__(self, "encoding", encoding)
+
+    def pairs(self, plan: "ExecutionPlan") -> Tuple[np.ndarray, np.ndarray]:
+        """``(items, workers)``: worker ``workers[p]``'s message covers ``items[p]``."""
+        if self.worker_items is None:
+            return plan.unit_assignment.pairs()
+        items = np.asarray(self.worker_items, dtype=int)
+        return items, np.arange(items.size)
+
+    def new_aggregator(self, plan: "ExecutionPlan") -> MasterAggregator:
+        if self.worker_items is None:
+            return UnitCoverageAggregator(self.num_items, plan.unit_assignment)
+        return BatchCoverageAggregator(self.num_items, self.worker_items)
+
+    def can_ever_complete(self, plan: "ExecutionPlan") -> bool:
+        items, _ = self.pairs(plan)
+        return bool(np.bincount(items, minlength=self.num_items)[: self.num_items].all())
+
+
+@dataclass(frozen=True, eq=False)
+class CodedRule(CompletionRule):
+    """Complete at the first decodable set of arrivals of a linear code.
+
+    Decodability is tested at the worst-case threshold ``n - s``, then every
+    ``check_every`` arrivals and at the last worker; a code that overrides
+    ``is_decodable`` with a cheap test (fractional repetition) at every one.
+    """
+
+    code: LinearGradientCode
+    check_every: int = 1
+    encoding = "linear"
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "check_every", max(int(self.check_every), 1))
+
+    @cached_property
+    def minimum_needed(self) -> int:
+        """Arrival count at which the first decodability check is due."""
+        return max(1, self.code.num_workers - getattr(self.code, "num_stragglers", 0))
+
+    @cached_property
+    def opportunistic(self) -> bool:
+        """Whether the code's cheap decodability test runs on every arrival."""
+        return type(self.code).is_decodable is not LinearGradientCode.is_decodable
+
+    def is_checkpoint(self, count: int) -> bool:
+        """Whether the test is due once ``count`` workers have arrived."""
+        if self.opportunistic:
+            return True
+        if count < self.minimum_needed:
+            return False
+        due = (count - self.minimum_needed) % self.check_every == 0
+        return due or count >= self.code.num_workers
+
+    def new_aggregator(self, plan: "ExecutionPlan") -> MasterAggregator:
+        return CodedAggregator(self.code, check_every=self.check_every)
+
+    def can_ever_complete(self, plan: "ExecutionPlan") -> bool:
+        # The aggregator's own calls: the same prefixes, at its checkpoints.
+        return any(
+            self.is_checkpoint(count) and self.code.is_decodable(list(range(count)))
+            for count in range(1, plan.num_workers + 1)
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class CustomRule(CompletionRule):
+    """A third-party aggregator, one ``factory()`` per iteration, decoding
+    ``"sum"`` or ``"identity"`` messages (over a linear code, subclass
+    :class:`CodedRule`). The plan pickles when ``factory`` does."""
+
+    factory: Callable[[], MasterAggregator]
+    encoding: str
+
+    def __post_init__(self) -> None:
+        if self.encoding not in ("sum", "identity"):
+            raise ConfigurationError(f"encoding must be 'sum' or 'identity', got {self.encoding!r}")
+
+    def new_aggregator(self, plan: "ExecutionPlan") -> MasterAggregator:
+        return self.factory()
 
 
 # --------------------------------------------------------------------------- #
 # Execution plan
 # --------------------------------------------------------------------------- #
-Encoder = Callable[[int, np.ndarray], np.ndarray]
-"""``encoder(worker, unit_gradients) -> message``; ``unit_gradients`` has one
-row per unit of the worker's assignment, in assignment order."""
-
-
 @dataclass(eq=False)
 class ExecutionPlan:
-    """A frozen placement plus encoding and aggregation for one training job.
+    """A frozen placement plus the completion rule for one training job.
 
-    Plans hold closures, so they compare (and hash) by identity.
+    Plans compare (and hash) by identity.
 
     Attributes
     ----------
@@ -394,10 +480,9 @@ class ExecutionPlan:
     message_sizes:
         Per-worker message size in gradient units (1.0 for summed/coded
         messages, the worker's load for per-unit messages).
-    aggregator_factory:
-        Zero-argument callable returning a fresh aggregator for an iteration.
-    encoder:
-        Worker-side encoder; see :data:`Encoder`.
+    completion:
+        The master's stopping rule and the worker encoding it decodes; see
+        :class:`CompletionRule`.
     metadata:
         Scheme-specific extras (e.g. the BCC batch choices, coded scheme's
         encoding matrix) surfaced for inspection and tests.
@@ -407,8 +492,7 @@ class ExecutionPlan:
     num_units: int
     unit_assignment: DataAssignment
     message_sizes: np.ndarray
-    aggregator_factory: Callable[[], MasterAggregator]
-    encoder: Encoder
+    completion: CompletionRule
     metadata: Dict[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -437,54 +521,31 @@ class ExecutionPlan:
         return self.unit_assignment.worker_indices(worker)
 
     def encode(self, worker: int, unit_gradients: np.ndarray) -> np.ndarray:
-        """Run the worker-side encoder for ``worker``."""
-        return self.encoder(worker, np.asarray(unit_gradients, dtype=float))
+        """``worker``'s message from its unit gradients (one row per unit, in
+        assignment order), in the rule's encoding."""
+        gradients = np.asarray(unit_gradients, dtype=float)
+        rule = self.completion
+        if rule.encoding == "sum":
+            return gradients.sum(axis=0)
+        if rule.encoding == "identity":
+            return gradients
+        assert isinstance(rule, CodedRule)
+        return rule.code.encoding_matrix[worker, self.worker_units(worker)] @ gradients
 
     def new_aggregator(self) -> MasterAggregator:
         """Create a fresh master aggregator for one iteration."""
-        return self.aggregator_factory()
+        return self.completion.new_aggregator(self)
 
     def can_ever_complete(self) -> bool:
         """Whether coverage/decodability is achievable with *all* workers reporting.
 
         A BCC plan whose random batch choices happen to miss a batch cannot
         complete no matter how long the master waits; callers use this to
-        re-draw the placement (or fail loudly) before running a job.
-
-        The two coverage aggregators answer with one ``bincount`` over the
-        items the workers' messages cover; every other aggregator is fed
-        every worker in turn.
+        re-draw the placement (or fail loudly) before running a job. The
+        rule answers from its own fields (a coverage rule with one
+        ``bincount``); a custom rule feeds every worker to a fresh aggregator.
         """
-        aggregator = self.new_aggregator()
-        coverage = coverage_pairs(aggregator)
-        if coverage is not None:
-            items, _, num_items = coverage
-            return bool(np.bincount(items, minlength=num_items)[:num_items].all())
-        for worker in range(self.num_workers):
-            if aggregator.receive(worker, None):
-                return True
-        return aggregator.is_complete()
-
-
-def coverage_pairs(
-    aggregator: MasterAggregator,
-) -> Optional[Tuple[np.ndarray, np.ndarray, int]]:
-    """The coverage rule of a coverage aggregator, as arrays.
-
-    For an aggregator of exactly :class:`BatchCoverageAggregator` or
-    :class:`UnitCoverageAggregator` type, returns ``(items, workers,
-    num_items)``: worker ``workers[p]``'s message covers item ``items[p]``,
-    and the aggregator completes once items ``0 .. num_items - 1`` are all
-    covered. Every other aggregator, subclasses included (they may change
-    the stopping rule), gets ``None``.
-    """
-    if type(aggregator) is BatchCoverageAggregator:
-        batches = aggregator._worker_batches
-        return batches, np.arange(batches.size), aggregator.num_batches
-    if type(aggregator) is UnitCoverageAggregator:
-        items, workers = aggregator.assignment.pairs()
-        return items, workers, aggregator.num_units
-    return None
+        return self.completion.can_ever_complete(self)
 
 
 # --------------------------------------------------------------------------- #
@@ -670,12 +731,3 @@ class Scheme(abc.ABC):
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"
 
-
-def sum_encoder(worker: int, unit_gradients: np.ndarray) -> np.ndarray:
-    """Encoder that sums the worker's unit gradients into a single vector (Eq. 12)."""
-    return unit_gradients.sum(axis=0)
-
-
-def identity_encoder(worker: int, unit_gradients: np.ndarray) -> np.ndarray:
-    """Encoder that forwards every unit gradient unchanged (one row per unit)."""
-    return unit_gradients

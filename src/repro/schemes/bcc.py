@@ -22,12 +22,7 @@ from repro.analysis.analytic import (
 from repro.analysis.coupon import harmonic_number
 from repro.exceptions import ConfigurationError
 from repro.schemes.registry import register_scheme
-from repro.schemes.base import (
-    BatchCoverageAggregator,
-    ExecutionPlan,
-    Scheme,
-    sum_encoder,
-)
+from repro.schemes.base import CoverageRule, ExecutionPlan, Scheme
 from repro.utils.rng import RandomState
 from repro.utils.validation import check_positive_int
 
@@ -102,19 +97,12 @@ class BCCScheme(Scheme):
             )
         batch_spec = _balanced_partition(m, num_batches)
         assignment, batch_choices = bcc_placement(batch_spec, n, rng)
-
-        def aggregator_factory() -> BatchCoverageAggregator:
-            return BatchCoverageAggregator(
-                num_batches=num_batches, worker_batches=batch_choices
-            )
-
         return ExecutionPlan(
             scheme_name=self.name,
             num_units=m,
             unit_assignment=assignment,
             message_sizes=np.ones(n),
-            aggregator_factory=aggregator_factory,
-            encoder=sum_encoder,
+            completion=CoverageRule(num_batches, worker_items=batch_choices),
             metadata={
                 "batch_spec": batch_spec,
                 "batch_choices": batch_choices,

@@ -32,7 +32,7 @@ from repro.analysis.analytic import (
     transfer_parameters,
 )
 from repro.exceptions import ConfigurationError
-from repro.schemes.base import CodedAggregator, ExecutionPlan, Scheme
+from repro.schemes.base import CodedRule, ExecutionPlan, Scheme
 from repro.schemes.registry import register_scheme
 from repro.utils.rng import RandomState, as_generator
 from repro.utils.validation import check_positive_int
@@ -83,25 +83,12 @@ class _LinearCodeScheme(Scheme):
                 f"load {self.load} exceeds the number of data units {m}"
             )
         code = self._build_code(n, rng)
-        assignment = code.to_assignment()
-
-        check_every = self.check_every
-
-        def aggregator_factory() -> CodedAggregator:
-            return CodedAggregator(code=code, check_every=check_every)
-
-        def encoder(worker: int, unit_gradients: np.ndarray) -> np.ndarray:
-            support = code.support(worker)
-            coefficients = code.encoding_matrix[worker, support]
-            return coefficients @ unit_gradients
-
         return ExecutionPlan(
             scheme_name=self.name,
             num_units=m,
-            unit_assignment=assignment,
+            unit_assignment=code.to_assignment(),
             message_sizes=np.ones(n),
-            aggregator_factory=aggregator_factory,
-            encoder=encoder,
+            completion=CodedRule(code, self.check_every),
             metadata={"code": code, "load": self.load},
         )
 

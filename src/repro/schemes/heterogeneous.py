@@ -23,14 +23,7 @@ from repro.analysis.analytic import (
     worker_compute_parameters,
 )
 from repro.exceptions import AnalyticIntractableError, ConfigurationError
-from repro.schemes.base import (
-    CountAggregator,
-    ExecutionPlan,
-    Scheme,
-    UnitCoverageAggregator,
-    identity_encoder,
-    sum_encoder,
-)
+from repro.schemes.base import CountRule, CoverageRule, ExecutionPlan, Scheme
 from repro.schemes.registry import register_scheme
 from repro.utils.rng import RandomState, as_generator
 from repro.utils.validation import check_positive_int
@@ -131,17 +124,12 @@ class GeneralizedBCCScheme(Scheme):
         loads = self.resolve_loads(m, n)
         generator = as_generator(rng)
         assignment = heterogeneous_random_placement(m, loads, generator)
-
-        def aggregator_factory() -> UnitCoverageAggregator:
-            return UnitCoverageAggregator(num_units=m, assignment=assignment)
-
         return ExecutionPlan(
             scheme_name=self.name,
             num_units=m,
             unit_assignment=assignment,
             message_sizes=assignment.loads.astype(float),
-            aggregator_factory=aggregator_factory,
-            encoder=identity_encoder,
+            completion=CoverageRule(m),
             metadata={"loads": loads},
         )
 
@@ -260,11 +248,6 @@ class LoadBalancedScheme(Scheme):
             np.arange(boundaries[i], boundaries[i + 1]) for i in range(n)
         )
         assignment = DataAssignment(num_examples=m, assignments=assignments)
-        required = [i for i in range(n) if loads[i] > 0]
-
-        def aggregator_factory() -> CountAggregator:
-            return CountAggregator(required_workers=required)
-
         # With a disjoint placement the master can aggregate summed messages,
         # mirroring the uncoded scheme's communication (one unit per worker).
         return ExecutionPlan(
@@ -272,8 +255,7 @@ class LoadBalancedScheme(Scheme):
             num_units=m,
             unit_assignment=assignment,
             message_sizes=(loads > 0).astype(float),
-            aggregator_factory=aggregator_factory,
-            encoder=sum_encoder,
+            completion=CountRule(np.flatnonzero(loads > 0)),
             metadata={"loads": loads},
         )
 

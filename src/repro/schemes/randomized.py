@@ -21,12 +21,7 @@ from repro.analysis.analytic import (
     transfer_parameters,
 )
 from repro.exceptions import ConfigurationError
-from repro.schemes.base import (
-    ExecutionPlan,
-    Scheme,
-    UnitCoverageAggregator,
-    identity_encoder,
-)
+from repro.schemes.base import CoverageRule, ExecutionPlan, Scheme
 from repro.schemes.registry import register_scheme
 from repro.utils.rng import RandomState
 from repro.utils.validation import check_positive_int
@@ -61,18 +56,12 @@ class SimpleRandomizedScheme(Scheme):
             raise ConfigurationError(
                 f"load {self.load} exceeds the number of data units {m}"
             )
-        assignment = random_subset_placement(m, n, self.load, rng)
-
-        def aggregator_factory() -> UnitCoverageAggregator:
-            return UnitCoverageAggregator(num_units=m, assignment=assignment)
-
         return ExecutionPlan(
             scheme_name=self.name,
             num_units=m,
-            unit_assignment=assignment,
+            unit_assignment=random_subset_placement(m, n, self.load, rng),
             message_sizes=np.full(n, float(self.load)),
-            aggregator_factory=aggregator_factory,
-            encoder=identity_encoder,
+            completion=CoverageRule(m),
             metadata={"load": self.load},
         )
 

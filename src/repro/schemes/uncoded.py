@@ -21,7 +21,7 @@ from repro.analysis.analytic import (
     transfer_parameters,
 )
 from repro.exceptions import AnalyticIntractableError
-from repro.schemes.base import CountAggregator, ExecutionPlan, Scheme, sum_encoder
+from repro.schemes.base import CountRule, ExecutionPlan, Scheme
 from repro.schemes.registry import register_scheme
 from repro.utils.rng import RandomState
 from repro.utils.validation import check_positive_int
@@ -45,18 +45,12 @@ class UncodedScheme(Scheme):
     ) -> ExecutionPlan:
         m = check_positive_int(num_units, "num_units")
         n = check_positive_int(num_workers, "num_workers")
-        assignment = uncoded_placement(m, n)
-
-        def aggregator_factory() -> CountAggregator:
-            return CountAggregator(required_workers=range(n))
-
         return ExecutionPlan(
             scheme_name=self.name,
             num_units=m,
-            unit_assignment=assignment,
+            unit_assignment=uncoded_placement(m, n),
             message_sizes=np.ones(n),
-            aggregator_factory=aggregator_factory,
-            encoder=sum_encoder,
+            completion=CountRule(range(n)),
             metadata={},
         )
 

@@ -93,17 +93,18 @@ all sizes are equal, the heard count times the size).
 Otherwise one ``np.sum(..., axis=1)`` per distinct heard count adds every
 row's message sizes in the loop's order.
 
-Completion kernels exist for every built-in aggregator: fixed worker set
-(uncoded, load-balanced), arrival count (ignore-stragglers), batch
-coupon-collector coverage (BCC), unit coverage (randomized,
-generalized-BCC), replication-group completion (fractional repetition), and
-a prefix-decodability walk over :class:`CodedAggregator`'s ``check_every``
-checkpoints (cyclic repetition, Reed-Solomon), where one stacked
+Completion kernels exist for every built-in completion rule, read off the
+plan: fixed worker set (uncoded, load-balanced), arrival count
+(ignore-stragglers), batch coupon-collector coverage (BCC), unit coverage
+(randomized, generalized-BCC), replication-group completion (fractional
+repetition), and a prefix-decodability walk over a
+:class:`~repro.schemes.base.CodedRule`'s checkpoints (cyclic repetition,
+Reed-Solomon), where one stacked
 :func:`~repro.coding.linear_code.decodability_verdicts` certificate per
-checkpoint decides most rows without ``lstsq``. Schemes with a custom
-aggregator fall back to a scalar completion scan that feeds the plan's own
-aggregator — draws and arrival times stay vectorized, so the fallback is
-still far faster than the loop engine.
+checkpoint decides most rows without ``lstsq``. Any other rule (a
+:class:`~repro.schemes.base.CustomRule`, a subclass) falls back to a scalar
+completion scan that feeds the plan's own aggregator — draws and arrival
+times stay vectorized, so the fallback is still far faster than the loop.
 
 Trial batching
 --------------
@@ -132,8 +133,8 @@ unchanged. The **RNG contract** extends the solo engine's:
   coverage-kernel call per chunk takes each trial's dense ``(items,
   holders)`` layout, stacked and padded to the chunk's largest holder
   count. A chunk never mixes trials whose active workers or message sizes
-  differ; other per-trial aggregators run their own kernel over their
-  trial's rows.
+  differ; other per-trial rules run their own kernel over their trial's
+  rows.
 
 Memory stays bounded: trials are processed in chunks so the stacked row
 matrices never exceed ``_BATCH_CELL_BUDGET`` cells, whatever the trial
@@ -156,15 +157,8 @@ from repro.coding.linear_code import (
     decodability_verdicts,
 )
 from repro.exceptions import ConfigurationError, SimulationError
-from repro.schemes.approximate import PartialSumAggregator
-from repro.schemes.base import (
-    CodedAggregator,
-    CountAggregator,
-    ExecutionPlan,
-    MasterAggregator,
-    Scheme,
-    coverage_pairs,
-)
+from repro.schemes.approximate import PartialSumRule
+from repro.schemes.base import CodedRule, CountRule, CoverageRule, ExecutionPlan, Scheme
 from repro.simulation.iteration import incomplete_iteration_error
 from repro.simulation.job import ColumnarOutcomeLog, JobResult, _resolve_plan
 from repro.simulation.kernels import KernelSuite, get_suite, rank_dtype
@@ -859,9 +853,9 @@ def _build_kernel(
     """Completion kernel over rows split evenly into one block per plan.
 
     One plan shared by every trial gets that plan's kernel. Per-trial plans
-    of one coverage aggregator type over equally many items stack their
-    dense layouts into one coverage call; any other mix runs each trial's
-    own kernel over its block of rows.
+    of a coverage rule over equally many items stack their dense layouts
+    into one coverage call; any other mix runs each trial's own kernel over
+    its block of rows.
     """
     first = plans[0]
     if all(plan is first for plan in plans):
@@ -891,19 +885,17 @@ def _stacked_coverage_layouts(
     """Every plan's dense coverage layout, stacked ``(trials, items, holders)``.
 
     Each layout is padded with the sentinel column ``n_active`` to the
-    largest holder count among them. ``None`` unless every plan's
-    aggregator is of one coverage type and every layout exists and covers
-    the first one's number of items.
+    largest holder count among them. ``None`` unless every plan's rule is
+    exactly a :class:`~repro.schemes.base.CoverageRule` and every layout
+    exists and covers the first one's number of items.
     """
     layouts: List[np.ndarray] = []
-    kind: Optional[type] = None
     for plan in plans:
-        probe = plan.new_aggregator()
-        kind = type(probe) if kind is None else kind
-        layout = _coverage_layout(probe, position_of_worker, n_active)
-        if type(probe) is not kind or layout is None:
+        rule = plan.completion
+        if type(rule) is not CoverageRule:
             return None
-        if layouts and layout.shape[0] != layouts[0].shape[0]:
+        layout = _coverage_layout(rule, plan, position_of_worker, n_active)
+        if layout is None or (layouts and layout.shape[0] != layouts[0].shape[0]):
             return None
         layouts.append(layout)
     holders = max(layout.shape[1] for layout in layouts)
@@ -930,49 +922,51 @@ def _never(n_active: int) -> _Kernel:
 def _plan_kernel(plan: ExecutionPlan, active: np.ndarray, suite: KernelSuite) -> _Kernel:
     """One plan's completion kernel.
 
-    Dispatch is on the *exact* aggregator type produced by a probe
-    instantiation — subclasses may change the stopping rule, so they take
-    the scalar fallback. The aggregator-specific preprocessing (index
+    Dispatch is on the *exact* type of the plan's completion rule — a
+    subclass may change the aggregator it builds, so it takes the scalar
+    fallback, as a custom rule does. The rule-specific preprocessing (index
     translation, feasibility screens, dense layouts) happens here, once per
     plan; the per-row searches run on ``suite``'s kernels.
     """
-    probe = plan.new_aggregator()
+    rule = plan.completion
     n_active = int(active.size)
     position_of_worker = _position_of_worker(plan, active)
 
-    if type(probe) is CountAggregator:
-        required = position_of_worker[np.asarray(probe.required_workers, dtype=int)]
+    if type(rule) is CountRule:
+        if not rule.can_ever_complete(plan):
+            return _never(n_active)
+        required = position_of_worker[np.asarray(rule.required_workers, dtype=int)]
         if np.any(required < 0):
             # A required worker never computes, so no iteration completes.
             return _never(n_active)
         return lambda positions, order: suite.count_completion(positions, required)
 
-    if type(probe) is PartialSumAggregator:
-        eligible = position_of_worker[np.flatnonzero(probe.example_counts > 0)]
+    if type(rule) is PartialSumRule:
+        eligible = position_of_worker[np.flatnonzero(plan.unit_assignment.loads > 0)]
         eligible = eligible[eligible >= 0]
-        needed = probe.required_count
+        needed = rule.required_count
         if needed > eligible.size:
             return _never(n_active)
         return lambda positions, order: suite.partial_sum_completion(
             positions, eligible, needed
         )
 
-    if coverage_pairs(probe) is not None:
-        owners = _coverage_layout(probe, position_of_worker, n_active)
+    if type(rule) is CoverageRule:
+        owners = _coverage_layout(rule, plan, position_of_worker, n_active)
         if owners is None:
             return _never(n_active)
         return lambda positions, order: suite.coverage_completion(positions, owners)
 
-    if type(probe) is CodedAggregator:
-        return _coded_kernel(probe, active, position_of_worker, suite)
+    if type(rule) is CodedRule:
+        return _coded_kernel(rule, active, position_of_worker, suite)
 
     return lambda positions, order: _fallback_positions(plan, active, order)
 
 
 def _coverage_layout(
-    probe: MasterAggregator, position_of_worker: np.ndarray, n_active: int
+    rule: CoverageRule, plan: ExecutionPlan, position_of_worker: np.ndarray, n_active: int
 ) -> Optional[np.ndarray]:
-    """A coverage aggregator's dense ``(items, holders)`` layout, or ``None``.
+    """A coverage rule's dense ``(items, holders)`` layout, or ``None``.
 
     Item ``i`` is covered whenever an active worker holding it arrives; an
     iteration completes at the maximum over items of the earliest covering
@@ -980,14 +974,11 @@ def _coverage_layout(
     ``i``, padded with the sentinel column ``n_active`` to the largest
     holder count, in :func:`~repro.simulation.kernels.rank_dtype`; the
     suite's coverage kernel reduces each row to a minimum and the rows to a
-    maximum. ``None`` means the probe is no coverage aggregator (see
-    :func:`~repro.schemes.base.coverage_pairs`) or some item has no active
-    owner: no amount of waiting covers it.
+    maximum. ``None`` means some item has no active owner: no amount of
+    waiting covers it.
     """
-    coverage = coverage_pairs(probe)
-    if coverage is None:
-        return None
-    items, workers, num_items = coverage
+    items, workers = rule.pairs(plan)
+    num_items = rule.num_items
     owners = position_of_worker[workers]
     if owners.min() < 0:
         held = owners >= 0
@@ -1009,12 +1000,12 @@ def _coverage_layout(
 
 
 def _coded_kernel(
-    probe: CodedAggregator,
+    rule: CodedRule,
     active: np.ndarray,
     position_of_worker: np.ndarray,
     suite: KernelSuite,
 ) -> _Kernel:
-    code = probe.code
+    code = rule.code
     n_active = int(active.size)
 
     opportunistic_fractional = (
@@ -1039,41 +1030,13 @@ def _coded_kernel(
             row[: group.size] = group
         return lambda positions, order: suite.group_completion(positions, members)
 
-    # Generic linear code: find each iteration's first decodable arrival
-    # prefix among the checkpoints of CodedAggregator's decodability-check
-    # cadence (first plausible completion at the worst-case threshold, then
-    # every ``check_every`` arrivals, unconditionally on the last worker;
-    # opportunistic codes are checked on every arrival). The cadence
-    # parameters are read off the probe aggregator so the two code paths
-    # cannot drift apart.
-    check_every = probe.check_every
-    opportunistic = probe.opportunistic
-    minimum_needed = probe.minimum_needed
+    # Generic linear code: each row stops at its first decodable prefix among
+    # the rule's checkpoints, the loop aggregator's, so no code has to be
+    # monotone. The worst-case designs (cyclic repetition, Reed-Solomon)
+    # decode from any ``n - s`` workers: their rows stop at the first one.
+    checkpoints = [rank for rank in range(n_active) if rule.is_checkpoint(rank + 1)]
 
-    def due_ranks() -> List[int]:
-        ranks = []
-        for rank in range(n_active):
-            count = rank + 1
-            if opportunistic:
-                due = True
-            elif count < minimum_needed:
-                due = False
-            else:
-                due = (
-                    (count - minimum_needed) % check_every == 0
-                    or count >= code.num_workers
-                )
-            if due:
-                ranks.append(rank)
-        return ranks
-
-    # Every row stops at its first decodable checkpoint and tests the same
-    # checkpoints as the loop aggregator, so no code has to be monotone. The
-    # worst-case designs (cyclic repetition, Reed-Solomon) decode from any
-    # ``n - s`` workers, so their rows stop at the first checkpoint.
-    checkpoints = due_ranks()
-
-    if type(code).decoding_vector is LinearGradientCode.decoding_vector and not opportunistic:
+    if type(code).decoding_vector is LinearGradientCode.decoding_vector and not rule.opportunistic:
         # ``is_decodable`` is the base class's ``lstsq`` test: at each
         # checkpoint, one stacked certificate decides the rows still
         # walking, and only the rows it leaves undecided call the test.
@@ -1112,11 +1075,12 @@ def _coded_kernel(
 def _fallback_positions(
     plan: ExecutionPlan, active: np.ndarray, arrival_order: np.ndarray
 ) -> np.ndarray:
-    """Scalar completion scan for schemes without a vectorized kernel.
+    """Scalar completion scan for rules without a vectorized kernel.
 
     Feeds each iteration's arrival sequence to a fresh instance of the
     plan's own aggregator — exactly what the loop engine does — so custom
     aggregators behave identically; only the timing draws stay vectorized.
+    This is the engine's only call of ``new_aggregator``.
     """
     num_rows, n_active = arrival_order.shape
     completing = np.full(num_rows, n_active, dtype=int)

@@ -20,6 +20,7 @@ from repro.api import (
 from repro.cluster.dynamic import DynamicClusterSpec
 from repro.cluster.spec import ClusterSpec
 from repro.datasets.batching import make_batches
+from repro.datasets.synthetic import LogisticDataConfig, make_paper_logistic_data
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.optim.nesterov import NesterovAcceleratedGradient
 from repro.stragglers.dynamics import WorkerProcess
@@ -212,6 +213,28 @@ class TestMultiprocessBackend:
         summary = result.summary()
         assert summary["backend"] == "multiprocess"
         assert "final_loss" in summary
+
+    def test_single_unit_workers_of_a_per_unit_scheme(self, logistic_model):
+        # Each of 12 workers holds one of 4 units and sends its one unit's
+        # gradient as a row: the plan's rule names the encoding, which no
+        # message size can tell apart from a summed vector.
+        dataset, _ = make_paper_logistic_data(
+            LogisticDataConfig(num_examples=4, num_features=3), seed=0
+        )
+        spec = JobSpec(
+            scheme={"name": "randomized", "load": 1},
+            num_iterations=2,
+            seed=0,
+            workload=Workload(
+                model=logistic_model,
+                dataset=dataset,
+                optimizer=NesterovAcceleratedGradient(0.3),
+            ),
+            backend_options={"num_workers": 12},
+        )
+        result = run(spec, backend="multiprocess")
+        assert result.num_iterations == 2
+        assert all(4 <= heard <= 12 for heard in result.workers_heard)
 
     def test_needs_workers_source(self, workload):
         spec = JobSpec(scheme="uncoded", num_iterations=1, workload=workload)

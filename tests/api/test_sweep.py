@@ -156,6 +156,34 @@ class TestAggregation:
         rows = run_sweep(sweep).aggregate()
         assert [row["scheme"] for row in rows] == ["bcc(load=4)", "uncoded(load=1)"]
 
+    def test_fixed_placements_run_on_a_process_pool(self, base):
+        # A plan's completion rule is plain data, so every registered
+        # scheme's plan pickles into a pool worker.
+        from repro.schemes.registry import available_schemes, scheme_from_config
+
+        n = base.cluster.num_workers
+        configs = {
+            "bcc": {"load": 4},
+            "randomized": {"load": 4},
+            "cyclic-repetition": {"load": 3},
+            "reed-solomon": {"load": 3},
+            "fractional-repetition": {"load": 4},
+            "generalized-bcc": {"loads": [4] * n},
+            "load-balanced": {"loads": [1] * n},
+        }
+        plans = [
+            scheme_from_config({"name": name, **configs.get(name, {})}).build_feasible_plan(
+                20, n, rng=1
+            )
+            for name in available_schemes()
+        ]
+        sweep = Sweep(base, parameters={"scheme": plans}, trials=2)
+        serial = run_sweep(sweep)
+        pooled = run_sweep(sweep, max_workers=2, executor="process")
+        assert serial.to_table().render() == pooled.to_table().render()
+        for a, b in zip(serial.records, pooled.records):
+            assert a.result.summary() == b.result.summary()
+
     def test_to_table_contains_params_and_metrics(self, base):
         sweep = Sweep(base, parameters={"scheme.load": [2, 4]})
         rendered = run_sweep(sweep).to_table(title="loads").render()

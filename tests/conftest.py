@@ -41,7 +41,7 @@ from repro.datasets.synthetic import (
 )
 from repro.gradients.logistic import LogisticLoss
 from repro.schemes.approximate import IgnoreStragglersScheme
-from repro.schemes.base import CodedAggregator, ExecutionPlan, sum_encoder
+from repro.schemes.base import CodedRule, ExecutionPlan
 from repro.schemes.bcc import BCCScheme
 from repro.schemes.uncoded import UncodedScheme
 from repro.stragglers.communication import LinearCommunicationModel
@@ -287,8 +287,7 @@ def _near_tolerance_decodability() -> list:
         num_units=2,
         unit_assignment=code.to_assignment(),
         message_sizes=np.ones(8),
-        aggregator_factory=lambda: CodedAggregator(code),
-        encoder=sum_encoder,
+        completion=CodedRule(code),
     )
     cluster = ClusterSpec.homogeneous(8, ShiftedExponentialDelay(2.0, 0.1), _jittered())
     return [(plan, cluster, 2)]

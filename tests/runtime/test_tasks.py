@@ -12,6 +12,7 @@ from repro.gradients.least_squares import LeastSquaresLoss
 from repro.runtime.tasks import WorkerTask, build_worker_tasks
 from repro.schemes.bcc import BCCScheme
 from repro.schemes.coded import CyclicRepetitionScheme
+from repro.schemes.heterogeneous import GeneralizedBCCScheme
 from repro.schemes.randomized import SimpleRandomizedScheme
 from repro.schemes.uncoded import UncodedScheme
 from repro.simulation.execution import worker_message
@@ -77,6 +78,39 @@ class TestBuildWorkerTasks:
             np.testing.assert_allclose(
                 tasks[worker].compute_message(weights), expected, atol=1e-10
             )
+
+    @pytest.mark.parametrize(
+        "scheme, num_units, num_workers",
+        [
+            (SimpleRandomizedScheme(load=1), 4, 12),
+            (GeneralizedBCCScheme(loads=[1] * 12), 4, 12),
+            (SimpleRandomizedScheme(load=2), 4, 12),
+            (BCCScheme(load=2), 4, 12),
+            (CyclicRepetitionScheme(load=3), 24, 24),
+        ],
+        ids=["randomized-1", "generalized-bcc-1", "randomized-2", "bcc", "cyclic"],
+    )
+    def test_task_messages_decode_at_the_master(
+        self, problem, scheme, num_units, num_workers, rng
+    ):
+        # The encoding is the plan's rule's: a worker holding one unit of a
+        # per-unit scheme still sends one row per unit, not a summed vector.
+        model, dataset = problem
+        unit_spec = None
+        if num_units != dataset.num_examples:
+            unit_spec = make_batches(dataset.num_examples, dataset.num_examples // num_units)
+        plan = scheme.build_feasible_plan(num_units, num_workers, rng=rng)
+        tasks = build_worker_tasks(plan, model, dataset, unit_spec=unit_spec)
+        weights = rng.standard_normal(dataset.num_features)
+        aggregator = plan.new_aggregator()
+        for task in tasks:
+            if aggregator.receive(task.worker_id, task.compute_message(weights)):
+                break
+        np.testing.assert_allclose(
+            aggregator.decode(),
+            model.gradient_sum(weights, dataset.features, dataset.labels),
+            atol=1e-8,
+        )
 
     def test_tasks_are_picklable(self, problem, rng):
         model, dataset = problem

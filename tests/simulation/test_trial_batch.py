@@ -285,7 +285,7 @@ class RandomIdleScheme(Scheme):
 
     def build_plan(self, num_units, num_workers, rng=None):
         from repro.coding.assignment import DataAssignment
-        from repro.schemes.base import UnitCoverageAggregator, identity_encoder
+        from repro.schemes.base import CoverageRule
 
         generator = np.random.default_rng(rng)
         if self.vary == "idle":
@@ -305,8 +305,7 @@ class RandomIdleScheme(Scheme):
             num_units=num_units,
             unit_assignment=assignment,
             message_sizes=(lengths > 0).astype(float),
-            aggregator_factory=lambda: UnitCoverageAggregator(num_units, assignment),
-            encoder=identity_encoder,
+            completion=CoverageRule(num_units),
         )
 
 

@@ -10,6 +10,7 @@ equality for the same reason.
 """
 
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -26,9 +27,11 @@ from repro.coding.linear_code import (
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.schemes.base import (
     CodedAggregator,
+    CodedRule,
+    CountRule,
+    CustomRule,
     ExecutionPlan,
     MasterAggregator,
-    sum_encoder,
 )
 from repro.schemes.bcc import BCCScheme
 from repro.schemes.coded import CyclicRepetitionScheme
@@ -36,11 +39,13 @@ from repro.schemes.registry import available_schemes, scheme_from_config
 from repro.schemes.uncoded import UncodedScheme
 from repro.simulation.job import simulate_job
 from repro.simulation.kernels import available_kernel_backends, get_suite
+from repro.simulation import vectorized
 from repro.simulation.vectorized import (
     ENGINES,
     _coded_kernel,
     _shared,
     resolve_engine,
+    simulate_job_batch,
     simulate_job_vectorized,
 )
 from repro.stragglers.communication import (
@@ -354,41 +359,61 @@ class TestSubclassedModelsStayExact:
         assert_identical(loop, vectorized)
 
 
+class FirstEvenAggregator(MasterAggregator):
+    """A stopping rule no kernel knows: wait for the first even-indexed worker."""
+
+    def __init__(self):
+        super().__init__()
+        self._done = False
+
+    def _accept(self, worker, message):
+        if worker % 2 == 0:
+            self._done = True
+            return True
+        return False
+
+    def is_complete(self):
+        return self._done
+
+    def decode(self):  # pragma: no cover - timing-only tests
+        raise NotImplementedError
+
+
+class FirstEvenCountRule(CountRule):
+    """A count rule's fields with another aggregator: only its exact type
+    tells the engine that the count kernel does not apply."""
+
+    def new_aggregator(self, plan):
+        return FirstEvenAggregator()
+
+
 class TestFallbackAndEdgeCases:
-    def test_custom_aggregator_uses_scalar_fallback_identically(self):
-        # A stopping rule the kernel registry has never seen: wait for the
-        # first even-indexed worker. Both engines must agree through the
-        # aggregator-driven fallback.
-        class FirstEvenAggregator(MasterAggregator):
-            def __init__(self):
-                super().__init__()
-                self._done = False
-
-            def _accept(self, worker, message):
-                if worker % 2 == 0:
-                    self._done = True
-                    return True
-                return False
-
-            def is_complete(self):
-                return self._done
-
-            def decode(self):  # pragma: no cover - timing-only tests
-                raise NotImplementedError
-
+    @pytest.mark.parametrize(
+        "completion",
+        [CustomRule(FirstEvenAggregator, "sum"), FirstEvenCountRule(range(12))],
+        ids=["custom", "subclass"],
+    )
+    def test_custom_aggregator_uses_scalar_fallback_identically(self, completion, monkeypatch):
+        # Both engines must agree through the aggregator-driven fallback.
+        scans = []
+        fallback = vectorized._fallback_positions
+        monkeypatch.setattr(
+            vectorized, "_fallback_positions", lambda *args: scans.append(1) or fallback(*args)
+        )
         base = UncodedScheme().build_plan(12, 12)
         plan = ExecutionPlan(
             scheme_name="first-even",
             num_units=12,
             unit_assignment=base.unit_assignment,
             message_sizes=base.message_sizes,
-            aggregator_factory=FirstEvenAggregator,
-            encoder=sum_encoder,
+            completion=completion,
         )
         cluster = make_cluster("uncoded")
         loop = simulate_job(plan, cluster, 12, 9, rng=7)
-        vectorized = simulate_job_vectorized(plan, cluster, 12, 9, rng=7)
-        assert_identical(loop, vectorized)
+        vectorized_result = simulate_job_vectorized(plan, cluster, 12, 9, rng=7)
+        assert_identical(loop, vectorized_result)
+        assert scans == [1]
+        assert loop.average_recovery_threshold < 12  # not the count rule's
 
     def test_idle_workers_identical(self):
         # Explicit zero loads: idle workers never draw, never arrive.
@@ -419,6 +444,21 @@ class TestFallbackAndEdgeCases:
             simulate_job(missing, cluster, 20, 2, rng=0)
         with pytest.raises(SimulationError):
             simulate_job_vectorized(missing, cluster, 20, 2, rng=0)
+
+    @pytest.mark.parametrize("required", [[0, 12], [-1, 3]], ids=["past-the-last", "negative"])
+    def test_a_count_rule_naming_a_missing_worker_raises_like_the_loop(self, required):
+        base = UncodedScheme().build_plan(12, 12)
+        plan = ExecutionPlan(
+            scheme_name="count",
+            num_units=12,
+            unit_assignment=base.unit_assignment,
+            message_sizes=base.message_sizes,
+            completion=CountRule(required),
+        )
+        cluster = ClusterSpec.homogeneous(12, DeterministicDelay(1.0))
+        for engine in (simulate_job, simulate_job_vectorized):
+            with pytest.raises(SimulationError):
+                engine(plan, cluster, 12, 2, rng=0)
 
     def test_cluster_size_mismatch_raises(self):
         plan = UncodedScheme().build_plan(10, 5)
@@ -516,10 +556,10 @@ class TestLinearCodeWalk:
 
     @staticmethod
     def kernel_ranks(code, check_every, active, order):
-        probe = CodedAggregator(code, check_every=check_every)
+        rule = CodedRule(code, check_every)
         position_of_worker = np.full(code.num_workers, -1, dtype=int)
         position_of_worker[active] = np.arange(active.size)
-        kernel = _coded_kernel(probe, active, position_of_worker, get_suite("numpy"))
+        kernel = _coded_kernel(rule, active, position_of_worker, get_suite("numpy"))
         return kernel(np.argsort(order, axis=1), order)
 
     @staticmethod
@@ -566,7 +606,7 @@ class TestLinearCodeWalk:
 
     def test_band_rows_reach_is_decodable(self, near_tolerance_job, verdicts):
         plan, cluster, num_units = near_tolerance_job
-        calls = counting(plan.new_aggregator().code)
+        calls = counting(plan.completion.code)
         simulate_job_vectorized(plan, cluster, num_units, 40, rng=1)
         assert set(verdicts) == {DECODABLE, NOT_DECODABLE, UNDECIDED}
         assert len(calls) == verdicts.count(UNDECIDED)
@@ -689,3 +729,53 @@ class TestKernelSuite:
         for name in ("auto", "compiled", "NumPy"):
             with pytest.raises(ConfigurationError, match="unknown kernels backend"):
                 get_suite(name)
+
+
+class TestPlansAsValues:
+    """A plan's completion rule is data: plans pickle, and the vectorized
+    engine reads the rule instead of building aggregators."""
+
+    @pytest.mark.parametrize("name", sorted(SCHEME_MATRIX))
+    def test_a_pickled_plan_simulates_identically(self, name):
+        config, num_units = SCHEME_MATRIX[name]
+        cluster = make_cluster(name)
+        scheme = scheme_from_config(config, cluster=cluster)
+        plan = scheme.build_feasible_plan(num_units, cluster.num_workers, rng=5)
+        restored = pickle.loads(pickle.dumps(plan))
+        assert type(restored.completion) is type(plan.completion)
+        assert restored.can_ever_complete() == plan.can_ever_complete()
+        for engine in (simulate_job, simulate_job_vectorized):
+            assert_identical(
+                engine(plan, cluster, num_units, 9, rng=7),
+                engine(restored, cluster, num_units, 9, rng=7),
+            )
+
+    def test_vectorized_sweeps_build_no_aggregator(self, monkeypatch):
+        from repro.api import JobSpec, Sweep, run_sweep
+
+        built = []
+        init = MasterAggregator.__init__
+
+        def spy(self):
+            built.append(type(self).__name__)
+            init(self)
+
+        monkeypatch.setattr(MasterAggregator, "__init__", spy)
+        for name, (config, num_units) in sorted(SCHEME_MATRIX.items()):
+            spec = JobSpec(
+                scheme=config,
+                cluster=make_cluster(name),
+                num_units=num_units,
+                num_iterations=3,
+                seed=0,
+            )
+            run_sweep(Sweep(spec, trials=3))
+            # A passed plan takes the same kernels.
+            plan = scheme_from_config(config, cluster=spec.cluster).build_feasible_plan(
+                num_units, spec.cluster.num_workers, rng=0
+            )
+            simulate_job_batch(plan, spec.cluster, num_units, 3, seeds=[0, 1])
+        assert built == []
+        # The loop engine builds one per iteration: the spy sees them.
+        simulate_job(plan, spec.cluster, num_units, 3, rng=0)
+        assert len(built) == 3
